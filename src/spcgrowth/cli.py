@@ -4,9 +4,11 @@ Subcommands run the analysis stages in isolation (``fit``, ``bootstrap``,
 ``continuity``), all at once (``report``), score held-out series against
 a finished fit (``check``), or generate a synthetic panel (``synth``).
 
-Every option can also be supplied through an ``SPCGROWTH_``-prefixed
-environment variable (``SPCGROWTH_SEED=7`` and so on); explicit flags win
-over the environment, the environment wins over defaults.
+Every option can also be supplied through an environment variable named
+``SPCGROWTH_`` plus the flag name in upper case with ``-`` replaced by
+``_`` (``SPCGROWTH_SEED=7``, ``SPCGROWTH_K_SIGMA=1,3``); explicit flags win
+over the environment, the environment wins over the ``PipelineConfig``
+defaults.
 
 Exit codes: 0 success, 2 data or usage error, 3 numerical failure.
 """
@@ -31,43 +33,23 @@ from .pipeline import (
     run_fit_stage,
     run_pipeline,
 )
-from .report import render_check_text, render_report_json, render_report_text
+from .report import render_check_text, report_files, write_files
 
 logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "SPCGROWTH_"
 
-_DEFAULTS = {
-    "seed": "0",
-    "bootstrap": "1000",
-    "validation": "100",
-    "bandwidth": AUTO_BANDWIDTH,
-    "k_sigma": "1,3",
-    "modes": "cultural,institutional",
-    "regions": "8",
-    "noise": "0.05",
-}
-
-_ENV_KEYS = {
-    "input": "INPUT",
-    "seed": "SEED",
-    "bootstrap": "BOOTSTRAP",
-    "validation": "VALIDATION",
-    "bandwidth": "BANDWIDTH",
-    "k_sigma": "K_SIGMA",
-    "modes": "MODES",
-    "out": "OUT",
-    "regions": "REGIONS",
-    "noise": "NOISE",
-}
+# PipelineConfig holds the run defaults; the synthetic panel's live here.
+_SYNTH_REGIONS = "8"
+_SYNTH_NOISE = "0.05"
 
 
-def _setting(args: argparse.Namespace, name: str) -> str | None:
+def _setting(args: argparse.Namespace, flag: str, default: str | None = None) -> str | None:
+    """The flag's value, else its environment variable, else ``default``."""
+    name = flag.lstrip("-").replace("-", "_")
     value = getattr(args, name, None)
     if value is None:
-        value = os.environ.get(ENV_PREFIX + _ENV_KEYS[name])
-    if value is None:
-        value = _DEFAULTS.get(name)
+        value = os.environ.get(ENV_PREFIX + name.upper(), default)
     return value
 
 
@@ -78,26 +60,24 @@ def _parse_int(text: str, flag: str) -> int:
         raise ParameterError(f"{flag} expects an integer, got {text!r}") from None
 
 
-def _parse_bandwidth(text: str):
+def _parse_bandwidth(text: str, flag: str):
     if text == AUTO_BANDWIDTH:
         return AUTO_BANDWIDTH
     try:
         return float(text)
     except ValueError:
         raise ParameterError(
-            f"--bandwidth expects a number or {AUTO_BANDWIDTH!r}, got {text!r}"
+            f"{flag} expects a number or {AUTO_BANDWIDTH!r}, got {text!r}"
         ) from None
 
 
-def _parse_k_sigma(text: str) -> tuple[int, ...]:
+def _parse_k_sigma(text: str, flag: str) -> tuple[int, ...]:
     return tuple(
-        _parse_int(token.strip(), "--k-sigma")
-        for token in text.split(",")
-        if token.strip()
+        _parse_int(token.strip(), flag) for token in text.split(",") if token.strip()
     )
 
 
-def _parse_modes(text: str) -> tuple[ContinuityMode, ...]:
+def _parse_modes(text: str, flag: str) -> tuple[ContinuityMode, ...]:
     modes = []
     for token in text.split(","):
         token = token.strip()
@@ -108,39 +88,49 @@ def _parse_modes(text: str) -> tuple[ContinuityMode, ...]:
         except ValueError:
             valid = ", ".join(m.value for m in ContinuityMode)
             raise ParameterError(
-                f"--modes expects values from {{{valid}}}, got {token!r}"
+                f"{flag} expects values from {{{valid}}}, got {token!r}"
             ) from None
     return tuple(modes)
 
 
+# flag -> (PipelineConfig field, parser, metavar, help text)
+_RUN_OPTIONS = {
+    "--seed": ("seed", _parse_int, None, "base random seed"),
+    "--bootstrap": ("n_bootstrap", _parse_int, "N", "bootstrap iterations"),
+    "--validation": ("n_validation", _parse_int, "N", "validation repeats"),
+    "--bandwidth": ("bandwidth", _parse_bandwidth, "X|auto", "KDE bandwidth"),
+    "--k-sigma": ("k_sigma_list", _parse_k_sigma, "LIST", "threshold widths"),
+    "--modes": ("continuity_modes", _parse_modes, "LIST", "continuity modes"),
+}
+
+
+def _default_text(field: str) -> str:
+    value = getattr(PipelineConfig, field)
+    if isinstance(value, tuple):
+        return ",".join(str(getattr(item, "value", item)) for item in value)
+    return str(value)
+
+
 def _build_config(args: argparse.Namespace, need_out: bool = False) -> PipelineConfig:
-    input_path = _setting(args, "input")
+    input_path = _setting(args, "--input")
     if input_path is None:
         raise ParameterError("--input is required (or set SPCGROWTH_INPUT)")
-    out = _setting(args, "out")
+    out = _setting(args, "--out")
     if need_out and out is None:
         raise ParameterError("--out is required (or set SPCGROWTH_OUT)")
-    return PipelineConfig(
-        input_path=input_path,
-        seed=_parse_int(_setting(args, "seed"), "--seed"),
-        n_bootstrap=_parse_int(_setting(args, "bootstrap"), "--bootstrap"),
-        n_validation=_parse_int(_setting(args, "validation"), "--validation"),
-        k_sigma_list=_parse_k_sigma(_setting(args, "k_sigma")),
-        bandwidth=_parse_bandwidth(_setting(args, "bandwidth")),
-        continuity_modes=_parse_modes(_setting(args, "modes")),
-        output_dir=out,
-    )
+    given = {}
+    for flag, (field, parse, _, _) in _RUN_OPTIONS.items():
+        text = _setting(args, flag)
+        if text is not None:
+            given[field] = parse(text, flag)
+    return PipelineConfig(input_path=input_path, output_dir=out, **given)
 
 
 def _print_bundle(bundle, out_dir: str | None) -> None:
-    text = render_report_text(bundle)
-    print(text, end="")
+    files = report_files(bundle)
+    print(files["report.txt"], end="")
     if out_dir is not None:
-        from .report import _write_files
-
-        _write_files(
-            {"report.txt": text, "report.json": render_report_json(bundle)}, out_dir
-        )
+        write_files(files, out_dir)
         logger.info("wrote report files to %s", out_dir)
 
 
@@ -181,33 +171,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        n_regions=_parse_int(_setting(args, "regions"), "--regions"),
-        noise_sigma=float(_setting(args, "noise")),
-    )
-    dataset = generate_synthetic(spec, seed=_parse_int(_setting(args, "seed"), "--seed"))
-    text = serialize_dataset(dataset)
-    out = _setting(args, "out")
+    regions = _setting(args, "--regions", _SYNTH_REGIONS)
+    noise = _setting(args, "--noise", _SYNTH_NOISE)
+    spec = SyntheticSpec(n_regions=_parse_int(regions, "--regions"), noise_sigma=float(noise))
+    seed = _parse_int(_setting(args, "--seed", _default_text("seed")), "--seed")
+    text = serialize_dataset(generate_synthetic(spec, seed=seed))
+    out = _setting(args, "--out")
     if out is None:
         print(text, end="")
     else:
-        from pathlib import Path
-
-        target = Path(out) / "synthetic.csv"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(text.encode("utf-8"))
+        (target,) = write_files({"synthetic.csv": text}, out)
         print(f"synthetic panel written to {target}")
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="panel CSV file")
-    parser.add_argument("--seed", help="base random seed (default 0)")
-    parser.add_argument("--bootstrap", metavar="N", help="bootstrap iterations (default 1000)")
-    parser.add_argument("--validation", metavar="N", help="validation repeats (default 100)")
-    parser.add_argument("--bandwidth", metavar="X|auto", help="KDE bandwidth (default auto)")
-    parser.add_argument("--k-sigma", dest="k_sigma", metavar="LIST", help="threshold widths, e.g. 1,3")
-    parser.add_argument("--modes", metavar="LIST", help="continuity modes, e.g. cultural,institutional")
+    for flag, (field, _, metavar, help_text) in _RUN_OPTIONS.items():
+        default = _default_text(field)
+        parser.add_argument(flag, metavar=metavar, help=f"{help_text} (default {default})")
     parser.add_argument("--out", metavar="DIR", help="output directory")
 
 
@@ -229,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, handler) in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         if name == "synth":
-            cmd.add_argument("--regions", help="number of regions (default 8)")
-            cmd.add_argument("--noise", help="noise sigma (default 0.05)")
-            cmd.add_argument("--seed", help="base random seed (default 0)")
+            cmd.add_argument("--regions", help=f"number of regions (default {_SYNTH_REGIONS})")
+            cmd.add_argument("--noise", help=f"noise sigma (default {_SYNTH_NOISE})")
+            cmd.add_argument("--seed", help=f"base random seed (default {_default_text('seed')})")
             cmd.add_argument("--out", metavar="DIR", help="output directory")
         else:
             _add_common(cmd)

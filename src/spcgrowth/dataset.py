@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -153,7 +154,7 @@ def _parse_int(text: str, line: int, column: str) -> int:
         value = float(text)
     except ValueError:
         raise RowParseError(line, f"{column} value {text!r} is not a number") from None
-    if value != int(value):
+    if not value.is_integer():  # also rejects nan and inf
         raise RowParseError(line, f"{column} value {text!r} is not an integer year")
     return int(value)
 
@@ -217,6 +218,8 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
             spc1 = float(row[4])
         except ValueError:
             raise RowParseError(line_no, f"SPC1 value {row[4]!r} is not a number") from None
+        if not math.isfinite(spc1):
+            raise RowParseError(line_no, f"SPC1 value {row[4]!r} is not finite")
         culture = _parse_label(row[5], _CULTURE_LABELS, line_no, "Culture.Sequence")
         institution = _parse_label(
             row[6], _INSTITUTION_LABELS, line_no, "Institutions.Sequence"
@@ -230,7 +233,6 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
     regions = []
     for nga in order:
         entries = sorted(rows[nga], key=lambda pair: pair[0].abs_time)
-        times = [obs.abs_time for obs, _ in entries]
         for (prev, _), (cur, cur_line) in zip(entries, entries[1:]):
             gap = cur.abs_time - prev.abs_time
             if gap == 0:
@@ -242,7 +244,6 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
                     f"region {nga!r}: AbsTime step {prev.abs_time} -> {cur.abs_time} "
                     f"is not a century multiple (line {cur_line})"
                 )
-        del times
         regions.append(RegionSeries(nga, tuple(obs for obs, _ in entries)))
     return Dataset(tuple(regions))
 

@@ -33,7 +33,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .logistic import (
-    FitConfig,
     FitResult,
     LogisticParams,
     coefficient_of_prediction,
@@ -109,7 +108,6 @@ def out_of_sample_validation(
     full_fit: FitResult,
     n_repeats: int = 100,
     seed: int = 0,
-    config: FitConfig | None = None,
 ) -> ValidationReport:
     """Repeated random 50/50 train/test splits of the pooled points.
 
@@ -130,7 +128,7 @@ def out_of_sample_validation(
         rng = np.random.default_rng(child)
         train, test = _split_indices(rng, t.size)
         try:
-            fit = fit_logistic(t[train], y[train], init=full_fit.params, config=config)
+            fit = fit_logistic(t[train], y[train], init=full_fit.params)
             predicted = logistic_eval(fit.params, t[test])
             rho2.append(coefficient_of_prediction(predicted, y[test]))
         except (SingularityError, UndefinedMetricError) as exc:
@@ -155,7 +153,6 @@ def bootstrap_fits(
     full_fit: FitResult,
     n_iter: int = 1000,
     seed: int = 0,
-    config: FitConfig | None = None,
 ) -> BootstrapEnsemble:
     """Region-level bootstrap of the pooled logistic fit.
 
@@ -182,7 +179,7 @@ def bootstrap_fits(
         t = np.concatenate([region_t[i] for i in draw])
         y = np.concatenate([region_y[i] for i in draw])
         try:
-            fit = fit_logistic(t, y, init=full_fit.params, config=config)
+            fit = fit_logistic(t, y, init=full_fit.params)
             params.append(fit.params)
         except SingularityError as exc:
             logger.warning("bootstrap iteration failed: %s", exc)
@@ -302,7 +299,6 @@ def continuity_comparison(
     aligned: AlignedDataset,
     full_fit: FitResult,
     mode: ContinuityMode,
-    config: FitConfig | None = None,
 ) -> ContinuityComparison:
     """Refit the curve on pooled central segments for one continuity mode."""
     segments, skipped = central_segments(aligned, mode)
@@ -317,7 +313,7 @@ def continuity_comparison(
         raise FitInfeasibleError(
             f"continuity mode {mode.value}: only {t.size} pooled point(s)"
         )
-    fit = fit_logistic(t, y, init=full_fit.params, config=config)
+    fit = fit_logistic(t, y, init=full_fit.params)
     return ContinuityComparison(
         mode=mode, fit=fit, segments=tuple(segments), skipped=tuple(skipped)
     )

@@ -38,7 +38,7 @@ from .inference import (
     out_of_sample_validation,
     plateau_thresholds,
 )
-from .logistic import FitConfig, FitResult, fit_logistic, logistic_eval
+from .logistic import FitResult, fit_logistic, logistic_eval
 
 logger = logging.getLogger(__name__)
 
@@ -188,11 +188,11 @@ def _config_sha256(config: PipelineConfig) -> str:
 
 
 def _derived_seed(seed: int, stream: int) -> int:
-    children = np.random.SeedSequence(seed).spawn(stream + 1)
-    return int(children[stream].generate_state(1)[0])
+    child = np.random.SeedSequence(seed, spawn_key=(stream,))
+    return int(child.generate_state(1)[0])
 
 
-def run_fit_stage(config: PipelineConfig, fit_config: FitConfig | None = None) -> ReportBundle:
+def run_fit_stage(config: PipelineConfig) -> ReportBundle:
     """Parse, scale, derive the threshold, align, and fit the full curve."""
     raw = load_dataset(config.input_path)
     scaled = minmax_scale(raw)
@@ -201,7 +201,7 @@ def run_fit_stage(config: PipelineConfig, fit_config: FitConfig | None = None) -
     logger.info("bimodal threshold: %.6g (bandwidth %.6g)", threshold.spc1_0, density.bandwidth)
     aligned = shift_to_reltime(scaled, threshold.spc1_0)
     t, y = aligned.pooled()
-    full_fit = fit_logistic(t, y, config=fit_config)
+    full_fit = fit_logistic(t, y)
     logger.info(
         "full fit: rmse=%.6g over %d points (%d iterations)",
         full_fit.rmse,
@@ -224,13 +224,12 @@ def run_fit_stage(config: PipelineConfig, fit_config: FitConfig | None = None) -
     )
 
 
-def add_validation(bundle: ReportBundle, fit_config: FitConfig | None = None) -> ReportBundle:
+def add_validation(bundle: ReportBundle) -> ReportBundle:
     validation = out_of_sample_validation(
         bundle.aligned,
         bundle.full_fit,
         n_repeats=bundle.config.n_validation,
         seed=_derived_seed(bundle.config.seed, _VALIDATION_STREAM),
-        config=fit_config,
     )
     logger.info(
         "validation: mean rho2=%.4f +/- %.4f over %d repeats",
@@ -241,7 +240,7 @@ def add_validation(bundle: ReportBundle, fit_config: FitConfig | None = None) ->
     return replace(bundle, validation=validation)
 
 
-def add_bootstrap(bundle: ReportBundle, fit_config: FitConfig | None = None) -> ReportBundle:
+def add_bootstrap(bundle: ReportBundle) -> ReportBundle:
     """Bootstrap the fit, derive plateau thresholds and timescales for
     every configured k, and the observed per-region durations (k=3)."""
     ensemble = bootstrap_fits(
@@ -249,7 +248,6 @@ def add_bootstrap(bundle: ReportBundle, fit_config: FitConfig | None = None) -> 
         bundle.full_fit,
         n_iter=bundle.config.n_bootstrap,
         seed=_derived_seed(bundle.config.seed, _BOOTSTRAP_STREAM),
-        config=fit_config,
     )
     timescales = []
     durations = None
@@ -272,9 +270,9 @@ def add_bootstrap(bundle: ReportBundle, fit_config: FitConfig | None = None) -> 
     )
 
 
-def add_continuity(bundle: ReportBundle, fit_config: FitConfig | None = None) -> ReportBundle:
+def add_continuity(bundle: ReportBundle) -> ReportBundle:
     comparisons = tuple(
-        continuity_comparison(bundle.aligned, bundle.full_fit, mode, config=fit_config)
+        continuity_comparison(bundle.aligned, bundle.full_fit, mode)
         for mode in bundle.config.continuity_modes
     )
     return replace(bundle, continuity=comparisons)

@@ -6,9 +6,10 @@ Every number printed here is read from a result object; nothing is
 recomputed at render time. Floats are written with ``repr`` so two runs
 that computed the same values produce the same bytes.
 
-``emit_plot_data`` writes the quantitative content of each figure as CSV
+``plot_data_files`` holds the quantitative content of each figure as CSV
 (the SVG renderings in ``charts`` are overlays on top of these, never the
-source of truth).
+source of truth). ``write_files`` is the one place output files are
+written.
 """
 
 from __future__ import annotations
@@ -404,8 +405,18 @@ def plot_data_files(bundle: ReportBundle) -> dict[str, str]:
     return files
 
 
-def _write_files(files: dict[str, str], output_dir) -> list[Path]:
-    root = Path(output_dir)
+def report_files(bundle: ReportBundle) -> dict[str, str]:
+    """File name -> content for the text report and its JSON sidecar."""
+    return {
+        "report.txt": render_report_text(bundle),
+        "report.json": render_report_json(bundle),
+    }
+
+
+def write_files(files: dict[str, str], out_dir) -> list[Path]:
+    """Write relative path -> text as UTF-8 under ``out_dir``, creating
+    directories as needed; returns the written paths in sorted order."""
+    root = Path(out_dir)
     written = []
     for rel_path in sorted(files):
         target = root / rel_path
@@ -415,27 +426,13 @@ def _write_files(files: dict[str, str], output_dir) -> list[Path]:
     return written
 
 
-def emit_plot_data(bundle: ReportBundle, output_dir) -> list[Path]:
-    """Write the plot CSVs and their SVG overlay renderings."""
-    if not bundle.complete:
-        raise StateError("bundle is incomplete; run the remaining stages first")
-    from .charts import chart_files
-
-    files = plot_data_files(bundle)
-    files.update(chart_files(bundle))
-    return _write_files(files, output_dir)
-
-
 def write_outputs(bundle: ReportBundle, output_dir) -> list[Path]:
     """Write the text report, the JSON sidecar, and all plot artifacts."""
     if not bundle.complete:
         raise StateError("bundle is incomplete; run the remaining stages first")
     from .charts import chart_files
 
-    files = {
-        "report.txt": render_report_text(bundle),
-        "report.json": render_report_json(bundle),
-    }
+    files = report_files(bundle)
     files.update(plot_data_files(bundle))
     files.update(chart_files(bundle))
-    return _write_files(files, output_dir)
+    return write_files(files, output_dir)

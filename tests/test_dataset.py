@@ -65,12 +65,13 @@ class TestParse:
         assert len(ds) == 0
         assert ds.n_points() == 0
 
-    def test_bad_score_reports_its_line_number(self):
-        rows = ["Latium,ItRomP,-600,,abc,,"]
+    @pytest.mark.parametrize("score", ["abc", "nan", "inf", "-inf", "1e400"])
+    def test_bad_score_reports_its_line_number(self, score):
+        rows = [f"Latium,ItRomP,-600,,{score},,"]
         with pytest.raises(RowParseError) as err:
             parse_dataset(panel_text(rows))
         assert err.value.line == 2
-        assert "abc" in str(err.value)
+        assert repr(score) in str(err.value)
 
     def test_missing_column_is_named(self):
         bad = PANEL_HEADER.replace(",Culture.Sequence", "")
@@ -109,10 +110,16 @@ class TestParse:
         p = ds.region("Latium").points[0]
         assert p.culture_seq == OUT and p.institution_seq == OUT
 
-    def test_non_integer_year_rejected(self):
-        rows = ["Latium,ItRomP,-600.5,,0.3,,"]
-        with pytest.raises(RowParseError):
+    @pytest.mark.parametrize(
+        "abs_time, rel_time",
+        [("-600.5", ""), ("nan", ""), ("inf", ""), ("-600", "nan")],
+        ids=["AbsTime=-600.5", "AbsTime=nan", "AbsTime=inf", "RelTime=nan"],
+    )
+    def test_non_integer_year_rejected(self, abs_time, rel_time):
+        rows = [f"Latium,ItRomP,{abs_time},{rel_time},0.3,,"]
+        with pytest.raises(RowParseError) as err:
             parse_dataset(panel_text(rows))
+        assert err.value.line == 2
 
     def test_round_trip_preserves_every_field(self):
         ds = generate_synthetic(SyntheticSpec(3, noise_sigma=0.02), seed=1)

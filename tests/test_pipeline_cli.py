@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import make_region
+from helpers import PANEL_HEADER, make_region
 
 import spcgrowth
 from spcgrowth import (
@@ -22,14 +22,19 @@ from spcgrowth import (
     StateError,
     benchmark_check,
     build_dataset,
-    emit_plot_data,
     logistic_inverse,
     run_fit_stage,
     serialize_dataset,
     write_outputs,
 )
 from spcgrowth.cli import main
-from spcgrowth.pipeline import PipelineConfig, _config_sha256, add_bootstrap
+from spcgrowth.pipeline import (
+    PipelineConfig,
+    _config_sha256,
+    _derived_seed,
+    add_bootstrap,
+    add_validation,
+)
 from spcgrowth.report import plot_data_files, render_report_json, render_report_text
 
 
@@ -109,14 +114,20 @@ class TestPipelineConfig:
         assert _config_sha256(base) == _config_sha256(moved)
         assert _config_sha256(base) != _config_sha256(reseeded)
 
+    @pytest.mark.parametrize(
+        "seed, stream, expected",
+        [(0, 0, 3757552657), (0, 1, 673228719), (7, 0, 1201125462), (7, 1, 3618983171)],
+    )
+    def test_derived_stage_seeds_are_pinned(self, seed, stream, expected):
+        # the validation and bootstrap seeds printed in every report
+        assert _derived_seed(seed, stream) == expected
+
 
 class TestFitStage:
     def test_bundle_is_incomplete_without_inference(self, fit_bundle, tmp_path):
         assert not fit_bundle.complete
         with pytest.raises(StateError):
             write_outputs(fit_bundle, tmp_path / "out")
-        with pytest.raises(StateError):
-            emit_plot_data(fit_bundle, tmp_path / "out")
 
     def test_input_digest_matches_the_file_bytes(self, fit_bundle, noisy_panel_path):
         digest = hashlib.sha256(Path(noisy_panel_path).read_bytes()).hexdigest()
@@ -332,6 +343,50 @@ class TestCli:
             assert (out_dir / name).is_file()
         assert any((out_dir / "series").iterdir())
 
+    def test_fit_out_writes_exactly_the_two_reports(self, noisy_panel_path, tmp_path, capsys):
+        out_dir = tmp_path / "fit"
+        code = main(
+            ["fit", "--input", str(noisy_panel_path), "--validation", "5", "--out", str(out_dir)]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.json", "report.txt"]
+        config = PipelineConfig(input_path=str(noisy_panel_path), n_validation=5)
+        bundle = add_validation(run_fit_stage(config))
+        text = (out_dir / "report.txt").read_text(encoding="utf-8")
+        assert text == render_report_text(bundle)
+        assert capsys.readouterr().out == text
+        assert (out_dir / "report.json").read_text(encoding="utf-8") == render_report_json(
+            bundle
+        )
+
+    def test_no_flags_and_no_environment_give_the_config_defaults(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        seen = []
+        monkeypatch.setattr("spcgrowth.cli.run_pipeline", seen.append)
+        out_dir = str(tmp_path / "run")
+        assert main(["report", "--input", str(noisy_panel_path), "--out", out_dir]) == 0
+        expected = PipelineConfig(input_path=str(noisy_panel_path), output_dir=out_dir)
+        assert seen == [expected]
+        assert _config_sha256(seen[0]) == _config_sha256(expected)
+
+    def test_report_help_shows_the_config_defaults(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit) as done:
+            main(["report", "--help"])
+        assert done.value.code == 0
+        help_text = capsys.readouterr().out
+        for flag, default in [
+            ("--seed", str(PipelineConfig.seed)),
+            ("--bootstrap", str(PipelineConfig.n_bootstrap)),
+            ("--validation", str(PipelineConfig.n_validation)),
+            ("--bandwidth", PipelineConfig.bandwidth),
+            ("--k-sigma", ",".join(map(str, PipelineConfig.k_sigma_list))),
+            ("--modes", ",".join(m.value for m in PipelineConfig.continuity_modes)),
+        ]:
+            line = rf"^\s+{flag} \S+\s+.*\(default {re.escape(default)}\)$"
+            assert re.search(line, help_text, re.MULTILINE), flag
+
     def test_report_requires_an_output_directory(self, noisy_panel_path, capsys):
         assert main(["report", "--input", str(noisy_panel_path)]) == 2
 
@@ -356,6 +411,15 @@ class TestCli:
             ["bootstrap", "--input", str(noisy_panel_path), "--k-sigma", "2"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("year", ["nan", "inf"])
+    def test_non_finite_year_exits_2_with_its_line(self, tmp_path, year, caplog, capsys):
+        panel = tmp_path / "panel.csv"
+        rows = [PANEL_HEADER, "Latium,P,-600,,0.3,,", f"Latium,P,{year},,0.5,,"]
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["fit", "--input", str(panel)]) == 2
+        assert "line 3" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unimodal_panel_exits_3(self, tmp_path):
         rng = np.random.default_rng(0)
