@@ -71,6 +71,13 @@ def _parse_bandwidth(text: str, flag: str):
         ) from None
 
 
+def _parse_float(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParameterError(f"{flag} expects a number, got {text!r}") from None
+
+
 def _parse_k_sigma(text: str, flag: str) -> tuple[int, ...]:
     return tuple(
         _parse_int(token.strip(), flag) for token in text.split(",") if token.strip()
@@ -173,7 +180,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     regions = _setting(args, "--regions", _SYNTH_REGIONS)
     noise = _setting(args, "--noise", _SYNTH_NOISE)
-    spec = SyntheticSpec(n_regions=_parse_int(regions, "--regions"), noise_sigma=float(noise))
+    spec = SyntheticSpec(
+        n_regions=_parse_int(regions, "--regions"), noise_sigma=_parse_float(noise, "--noise")
+    )
     seed = _parse_int(_setting(args, "--seed", _default_text("seed")), "--seed")
     text = serialize_dataset(generate_synthetic(spec, seed=seed))
     out = _setting(args, "--out")

@@ -30,7 +30,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -330,8 +330,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Draw a synthetic panel; bit-identical for a fixed (spec, seed)."""
     if spec.n_regions < 1:
         raise ParameterError("n_regions must be >= 1")
-    if spec.noise_sigma < 0:
-        raise ParameterError("noise_sigma must be >= 0")
+    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
     if spec.params.c <= 0 or spec.params.a <= 0:
         raise ParameterError("generator requires a growth curve (a > 0, c > 0)")
     if spec.anchor_offsets is not None and len(spec.anchor_offsets) != spec.n_regions:
@@ -382,12 +382,3 @@ def recorded_rel_times(series: RegionSeries) -> np.ndarray:
     if any(r is None for r in rels):
         raise ParameterError(f"region {series.nga!r} has rows without RelTime")
     return np.array(rels, dtype=int)
-
-
-def build_dataset(regions: Sequence[RegionSeries]) -> Dataset:
-    """Assemble a Dataset from prebuilt regions (test/fixture helper)."""
-    names = [r.nga for r in regions]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ParameterError(f"duplicate region name(s): {', '.join(dupes)}")
-    return Dataset(tuple(regions))

@@ -85,8 +85,8 @@ def gaussian_kde(
         h = scott_bandwidth(samples)
     else:
         h = float(bandwidth)
-        if h <= 0:
-            raise ParameterError(f"bandwidth must be positive, got {h}")
+        if not (math.isfinite(h) and h > 0):
+            raise ParameterError(f"bandwidth must be finite and positive, got {h}")
 
     if grid is None:
         lo = samples.min() - 4.0 * h

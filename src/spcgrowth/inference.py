@@ -39,6 +39,7 @@ from .logistic import (
     fit_logistic,
     logistic_eval,
     logistic_inverse,
+    time_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -113,13 +114,15 @@ def out_of_sample_validation(
 
     Each repeat fits the training half (warm-started from the full fit)
     and scores the prediction on the test half. Repeats whose training
-    fit degenerates are excluded and counted.
+    fit degenerates are excluded and counted. The training half is fitted
+    as counts over the pooled distinct times.
     """
     t, y = aligned.pooled()
     if t.size < 10:
         raise ParameterError(f"need at least 10 pooled points, got {t.size}")
     if n_repeats < 1:
         raise ParameterError("n_repeats must be >= 1")
+    times, inverse = np.unique(t, return_inverse=True)
 
     children = np.random.SeedSequence(seed).spawn(n_repeats)
     rho2 = []
@@ -127,8 +130,11 @@ def out_of_sample_validation(
     for child in children:
         rng = np.random.default_rng(child)
         train, test = _split_indices(rng, t.size)
+        counts, means, within_ss = time_table(inverse[train], y[train], times.size)
         try:
-            fit = fit_logistic(t[train], y[train], init=full_fit.params)
+            fit = fit_logistic(
+                times, means, init=full_fit.params, weights=counts, within_ss=within_ss
+            )
             predicted = logistic_eval(fit.params, t[test])
             rho2.append(coefficient_of_prediction(predicted, y[test]))
         except (SingularityError, UndefinedMetricError) as exc:
@@ -160,6 +166,12 @@ def bootstrap_fits(
     pools their points (duplicates contribute duplicate points), and fits
     warm-started from the full fit. Failed fits are dropped, not retried,
     so the drop rate stays visible.
+
+    A replicate is fitted as a table over the pooled distinct times: with
+    m_r the number of times region r was drawn, its per-time counts, sums
+    and sums of squares are m @ the per-region tables, built once. Sums
+    are taken of deviations from the pooled per-time means, so the
+    replicate's within-time sum of squares has no large terms to cancel.
     """
     n_regions = len(aligned.regions)
     if n_regions < 1:
@@ -167,8 +179,22 @@ def bootstrap_fits(
     if n_iter < 1:
         raise ParameterError("n_iter must be >= 1")
 
-    region_t = [r.rel_time.astype(float) for r in aligned.regions]
-    region_y = [r.scaled for r in aligned.regions]
+    t, y = aligned.pooled()
+    times, inverse = np.unique(t, return_inverse=True)
+    _, center, _ = time_table(inverse, y, times.size)
+    dev = y - center[inverse]
+    region = np.repeat(np.arange(n_regions), [r.rel_time.size for r in aligned.regions])
+    cell = region * times.size + inverse
+    # row r: region r's point count, deviation sum and squared-deviation
+    # sum at each distinct time, side by side
+    table = np.hstack(
+        [
+            np.bincount(cell, weights=w, minlength=n_regions * times.size).reshape(
+                n_regions, times.size
+            )
+            for w in (None, dev, dev * dev)
+        ]
+    )
 
     children = np.random.SeedSequence(seed).spawn(n_iter)
     params = []
@@ -176,10 +202,13 @@ def bootstrap_fits(
     for child in children:
         rng = np.random.default_rng(child)
         draw = rng.integers(0, n_regions, size=n_regions)
-        t = np.concatenate([region_t[i] for i in draw])
-        y = np.concatenate([region_y[i] for i in draw])
+        counts, sums, squares = (np.bincount(draw, minlength=n_regions) @ table).reshape(3, -1)
+        shift = sums / np.maximum(counts, 1.0)
+        within_ss = max(float(np.sum(squares - sums * shift)), 0.0)
         try:
-            fit = fit_logistic(t, y, init=full_fit.params)
+            fit = fit_logistic(
+                times, center + shift, init=full_fit.params, weights=counts, within_ss=within_ss
+            )
             params.append(fit.params)
         except SingularityError as exc:
             logger.warning("bootstrap iteration failed: %s", exc)

@@ -12,6 +12,23 @@ c > 0 so downstream consumers can rely on a single, increasing form.
 
 Fitting is damped Gauss-Newton (Levenberg-Marquardt) with the analytic
 Jacobian, minimising the sum of squared residuals (predicted - observed).
+
+Relative times are century multiples, so a fit of N points has only U
+distinct times (about 95 for a whole panel). The fitter works on the
+per-time table: for each distinct time t_u the weight W_u (number of
+points) and the mean observed value y_u, plus the within-time sum of
+squares S_w = sum_i (y_i - y_u)^2 over all points. The objective is taken
+in the centred form
+
+    SSE = sum_u W_u (f(t_u) - y_u)^2 + S_w,
+
+which equals the per-point sum of squared residuals, so every stopping
+test reads the same as over the points: the gradient is J^T W r, the
+normal matrix J^T W J, and the convergence cosine uses
+|J_k|^2 = sum_u W_u J_uk^2 and |r|^2 = SSE. (Expanding the square into
+sum W f^2 - 2 f sum y + sum y^2 instead cancels catastrophically.) A
+bootstrap replicate or a training split is then just another weight
+vector over the same times.
 """
 
 from __future__ import annotations
@@ -85,7 +102,7 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     params: LogisticParams
-    residuals: np.ndarray  # predicted - observed, per point
+    residuals: np.ndarray  # predicted - observed, per point (per row for a table)
     rmse: float
     n_points: int
     converged: bool
@@ -138,13 +155,37 @@ def logistic_jacobian(params: LogisticParams, t: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _scaled_gradient_norm(jac: np.ndarray, res: np.ndarray) -> float:
-    """max_k |J_k . r| / (|J_k| |r|): cosine of the steepest column angle."""
-    rnorm = float(np.linalg.norm(res))
+def time_table(inverse: np.ndarray, y: np.ndarray, n_times: int):
+    """Collapse points onto distinct times: ``(counts, means, within_ss)``.
+
+    ``inverse[i]`` is the row (distinct time) of point ``i``. A row no point
+    maps to gets count 0 and mean 0. ``within_ss`` is the sum over points of
+    (y_i - mean of its row)^2, taken from the deviations themselves.
+    """
+    counts = np.bincount(inverse, minlength=n_times)
+    sums = np.bincount(inverse, weights=y, minlength=n_times)
+    means = sums / np.maximum(counts, 1)
+    dev = y - means[inverse]
+    return counts, means, float(dev @ dev)
+
+
+def _objective(res: np.ndarray, weights: np.ndarray, within_ss: float) -> float:
+    """Per-point sum of squares in centred form: sum W_u res_u^2 + within_ss."""
+    return float(weights @ (res * res)) + within_ss
+
+
+def _scaled_gradient_norm(
+    jac: np.ndarray, res: np.ndarray, weights: np.ndarray, rnorm: float
+) -> float:
+    """max_k |J_k . r| / (|J_k| |r|): cosine of the steepest column angle.
+
+    Over the points, J_k . r = sum W_u J_uk res_u and |J_k|^2 = sum W_u J_uk^2;
+    ``rnorm`` is the square root of the objective.
+    """
     if rnorm == 0.0:
         return 0.0
-    g = jac.T @ res
-    col = np.linalg.norm(jac, axis=0)
+    g = (jac * weights[:, None]).T @ res
+    col = np.sqrt(weights @ (jac * jac))
     col[col == 0.0] = np.inf
     return float(np.max(np.abs(g) / (col * rnorm)))
 
@@ -154,18 +195,30 @@ def fit_logistic(
     y,
     init: LogisticParams | None = None,
     config: FitConfig | None = None,
+    weights=None,
+    within_ss: float = 0.0,
 ) -> FitResult:
     """Least-squares logistic fit via Levenberg-Marquardt.
 
     Parameters
     ----------
     t, y : array-like
-        Times and observed values, at least 5 points.
+        Without ``weights``: times and observed values, at least 5 points.
+        They are collapsed onto their distinct times before fitting.
+        With ``weights``: a per-time table, ``t`` the times and ``y`` the
+        mean observed value at each.
     init : LogisticParams, optional
         Starting point. A negative-rate start is canonicalised to its
         c > 0 mirror before optimisation, so the returned rate is always
         positive. Defaults to ``DEFAULT_INIT_PARAMS``.
     config : FitConfig, optional
+    weights : array-like, optional
+        Number of points at each time of the table (0 allowed); at least
+        5 in total.
+    within_ss : float
+        With ``weights``: sum over the points of (y_i - y_u)^2, where y_u
+        is the mean of the point's time. It makes the objective the
+        per-point sum of squares.
 
     Returns
     -------
@@ -173,12 +226,14 @@ def fit_logistic(
         ``converged`` is True when the residual is orthogonal to the
         Jacobian columns within ``config.gtol``; otherwise the best
         iterate is returned with ``converged=False`` and the caller
-        decides whether to accept it.
+        decides whether to accept it. ``residuals`` are per point, or
+        per table row when ``weights`` is given.
 
     Raises
     ------
     ParameterError
-        Fewer than 5 points, mismatched lengths, or zero initial rate.
+        Fewer than 5 points, mismatched lengths, negative weights or
+        ``within_ss``, or zero initial rate.
     SingularityError
         Non-finite inputs, or normal equations singular at full damping.
     """
@@ -186,21 +241,35 @@ def fit_logistic(
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ParameterError("t and y must be 1-d arrays of equal length")
-    if t.size < 5:
-        raise ParameterError(f"need at least 5 points, got {t.size}")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise SingularityError("non-finite values in fit input")
+    per_point = weights is None
+    if per_point:
+        times, inverse = np.unique(t, return_inverse=True)
+        counts, means, within_ss = time_table(inverse, y, times.size)
+        weights = counts.astype(float)
+        n_points = t.size
+    else:
+        times, means = t, y
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != t.shape or not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ParameterError("weights must be finite, >= 0 and one per time")
+        if not (math.isfinite(within_ss) and within_ss >= 0):
+            raise ParameterError(f"within_ss must be finite and >= 0, got {within_ss}")
+        n_points = int(round(float(weights.sum())))
+    if n_points < 5:
+        raise ParameterError(f"need at least 5 points, got {n_points}")
 
     if init is None:
         init = LogisticParams(*DEFAULT_INIT_PARAMS)
     if init.c == 0:
         raise ParameterError("initial rate c must be nonzero")
-    params = init.canonical()
     cfg = config or FitConfig()
 
+    params = init.canonical()
     theta = params.as_array()
-    res = _residuals(theta, t, y)
-    objective = float(res @ res)
+    res = _residuals(theta, times, means)
+    objective = _objective(res, weights, within_ss)
     if not math.isfinite(objective):
         raise SingularityError("objective not finite at initial parameters")
 
@@ -209,16 +278,18 @@ def fit_logistic(
     iterations = 0
 
     for _ in range(cfg.max_iter):
-        jac = logistic_jacobian(LogisticParams(*theta), t)
-        jtj = jac.T @ jac
-        g = jac.T @ res
+        jac = logistic_jacobian(LogisticParams(*theta), times)
+        wjac = jac * weights[:, None]
+        jtj = wjac.T @ jac
+        g = wjac.T @ res
         if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
             raise SingularityError("Jacobian degenerate (non-finite entries)")
+        scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
 
         # Try increasingly damped steps until one decreases the objective.
         step_taken = False
         for _ in range(60):
-            damp = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
+            damp = jtj + lam * scale
             try:
                 delta = np.linalg.solve(damp, -g)
             except np.linalg.LinAlgError:
@@ -228,8 +299,8 @@ def fit_logistic(
                 lam *= 10.0
                 continue
             trial = theta + delta
-            trial_res = _residuals(trial, t, y)
-            trial_obj = float(trial_res @ trial_res)
+            trial_res = _residuals(trial, times, means)
+            trial_obj = _objective(trial_res, weights, within_ss)
             if math.isfinite(trial_obj) and trial_obj <= objective:
                 theta, res = trial, trial_res
                 rel_decrease = (objective - trial_obj) / max(objective, 1e-300)
@@ -249,19 +320,25 @@ def fit_logistic(
 
     final = LogisticParams(*theta).canonical()
     theta = final.as_array()
-    res = _residuals(theta, t, y)
-    jac = logistic_jacobian(final, t)
+    res = _residuals(theta, times, means)
+    rnorm = math.sqrt(_objective(res, weights, within_ss))
     # At a near-exact fit the residual direction is rounding noise, so the
     # cosine test below is meaningless; call that converged outright.
-    rnorm = float(np.linalg.norm(res))
-    exact = rnorm <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
-    converged = exact or _scaled_gradient_norm(jac, res) <= cfg.gtol
-    rmse = float(np.sqrt(np.mean(res**2)))
+    ynorm = math.sqrt(_objective(means, weights, within_ss))
+    exact = rnorm <= 1e-12 * max(1.0, ynorm)
+    converged = exact or (
+        _scaled_gradient_norm(logistic_jacobian(final, times), res, weights, rnorm) <= cfg.gtol
+    )
+    if per_point:
+        res = _residuals(theta, t, y)
+        rmse = float(np.sqrt(np.mean(res**2)))
+    else:
+        rmse = rnorm / math.sqrt(weights.sum())
     return FitResult(
         params=final,
         residuals=res,
         rmse=rmse,
-        n_points=t.size,
+        n_points=n_points,
         converged=converged,
         iterations=iterations,
         objective_history=tuple(history),

@@ -78,8 +78,8 @@ class PipelineConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != AUTO_BANDWIDTH:
                 raise ParameterError(f"bandwidth must be {AUTO_BANDWIDTH!r} or a positive number, got {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise ParameterError(f"bandwidth must be positive, got {self.bandwidth}")
+        elif not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ParameterError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         modes = []
         for mode in self.continuity_modes:
             if not isinstance(mode, ContinuityMode):

@@ -1,6 +1,8 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the per-point reference fitter."""
 
+import math
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -11,16 +13,33 @@ from spcgrowth import (
     AlignedDataset,
     AlignedRegion,
     Dataset,
+    FitConfig,
+    FitResult,
+    LogisticParams,
     Observation,
+    ParameterError,
     RegionSeries,
+    SingularityError,
+    logistic_eval,
+    logistic_jacobian,
     recorded_rel_times,
 )
+from spcgrowth.logistic import DEFAULT_INIT_PARAMS
 
 CULT = CULTURAL_CONTINUITY
 INST = INSTITUTIONAL_CONTINUITY
 OUT = OUTSIDE_CENTRAL
 
 PANEL_HEADER = "NGA,PolID,AbsTime,RelTime,SPC1,Culture.Sequence,Institutions.Sequence"
+
+
+def build_dataset(regions: Sequence[RegionSeries]) -> Dataset:
+    """Assemble a Dataset from prebuilt regions."""
+    names = [r.nga for r in regions]
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise ParameterError(f"duplicate region name(s): {', '.join(dupes)}")
+    return Dataset(tuple(regions))
 
 
 def make_region(nga, values, start=-1000, step=100, culture=None, institution=None):
@@ -71,3 +90,100 @@ def normal_pdf(x, mu, sd):
     return np.exp(-0.5 * ((np.asarray(x, dtype=float) - mu) / sd) ** 2) / (
         sd * np.sqrt(2.0 * np.pi)
     )
+
+
+def _reference_gradient_norm(jac, res):
+    rnorm = float(np.linalg.norm(res))
+    if rnorm == 0.0:
+        return 0.0
+    g = jac.T @ res
+    col = np.linalg.norm(jac, axis=0)
+    col[col == 0.0] = np.inf
+    return float(np.max(np.abs(g) / (col * rnorm)))
+
+
+def reference_fit(t, y, init=None, config=None) -> FitResult:
+    """Levenberg-Marquardt over every point: the differential reference.
+
+    The same damping, stopping and convergence tests as ``fit_logistic``,
+    evaluated point by point instead of over the per-time table.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    init = init if init is not None else LogisticParams(*DEFAULT_INIT_PARAMS)
+    cfg = config or FitConfig()
+
+    def residuals(theta):
+        return logistic_eval(LogisticParams(*theta), t) - y
+
+    theta = init.canonical().as_array()
+    res = residuals(theta)
+    objective = float(res @ res)
+    if not math.isfinite(objective):
+        raise SingularityError("objective not finite at initial parameters")
+    history = [objective]
+    lam = 1e-3
+    iterations = 0
+    for _ in range(cfg.max_iter):
+        jac = logistic_jacobian(LogisticParams(*theta), t)
+        jtj = jac.T @ jac
+        g = jac.T @ res
+        if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
+            raise SingularityError("Jacobian degenerate (non-finite entries)")
+        step_taken = False
+        for _ in range(60):
+            damp = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
+            try:
+                delta = np.linalg.solve(damp, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if not np.all(np.isfinite(delta)):
+                lam *= 10.0
+                continue
+            trial = theta + delta
+            trial_res = residuals(trial)
+            trial_obj = float(trial_res @ trial_res)
+            if math.isfinite(trial_obj) and trial_obj <= objective:
+                theta, res = trial, trial_res
+                rel_decrease = (objective - trial_obj) / max(objective, 1e-300)
+                objective = trial_obj
+                history.append(objective)
+                lam = max(lam / 10.0, 1e-12)
+                iterations += 1
+                step_taken = True
+                break
+            lam *= 10.0
+            if lam > 1e15:
+                break
+        if not step_taken:
+            break
+        if rel_decrease < cfg.tol:
+            break
+
+    final = LogisticParams(*theta).canonical()
+    res = residuals(final.as_array())
+    rnorm = float(np.linalg.norm(res))
+    exact = rnorm <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
+    converged = exact or _reference_gradient_norm(logistic_jacobian(final, t), res) <= cfg.gtol
+    return FitResult(
+        params=final,
+        residuals=res,
+        rmse=float(np.sqrt(np.mean(res**2))),
+        n_points=t.size,
+        converged=converged,
+        iterations=iterations,
+        objective_history=tuple(history),
+    )
+
+
+def assert_same_fit(got: FitResult, want: FitResult, rel: float = 1e-12) -> None:
+    """Parameters and objective history within ``rel`` relative; identical
+    iterations and convergence."""
+    g = got.params.as_array()
+    w = want.params.as_array()
+    drift = np.abs(g - w) / np.abs(w)
+    assert np.all(drift <= rel), f"relative drift {drift} (got {g}, want {w})"
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert np.allclose(got.objective_history, want.objective_history, rtol=rel, atol=0)

@@ -17,7 +17,7 @@ from time import perf_counter
 
 import numpy as np
 import pytest
-from helpers import aligned_from_synthetic, make_region, normal_pdf
+from helpers import aligned_from_synthetic, build_dataset, make_region, normal_pdf
 
 from spcgrowth import (
     ContinuityMode,
@@ -28,7 +28,6 @@ from spcgrowth import (
     add_bootstrap,
     add_continuity,
     add_validation,
-    build_dataset,
     find_bimodal_threshold,
     fit_logistic,
     gaussian_kde,

@@ -2,7 +2,15 @@
 
 import numpy as np
 import pytest
-from helpers import CULT, INST, OUT, aligned_region, make_region, scaled_region
+from helpers import (
+    CULT,
+    INST,
+    OUT,
+    aligned_region,
+    build_dataset,
+    make_region,
+    scaled_region,
+)
 
 from spcgrowth import (
     ContinuityMode,
@@ -10,7 +18,6 @@ from spcgrowth import (
     ParameterError,
     StateError,
     anchor_time,
-    build_dataset,
     central_segments,
     extract_central_sequence,
     minmax_scale,

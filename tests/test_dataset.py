@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import CULT, INST, OUT, PANEL_HEADER, make_region
+from helpers import CULT, INST, OUT, PANEL_HEADER, build_dataset, make_region
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from spcgrowth import (
     RowParseError,
     SpacingError,
     SyntheticSpec,
-    build_dataset,
     fit_logistic,
     generate_synthetic,
     logistic_eval,
@@ -236,6 +235,11 @@ class TestSynthetic:
     def test_negative_noise_rejected(self):
         with pytest.raises(ParameterError):
             generate_synthetic(SyntheticSpec(1, noise_sigma=-0.1), seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ParameterError):
+            generate_synthetic(SyntheticSpec(1, noise_sigma=sigma), seed=0)
 
     def test_decay_curve_rejected(self):
         spec = SyntheticSpec(1, params=LogisticParams(-1.0, 1.0, 0.002, 0.0))

@@ -120,7 +120,7 @@ class TestKde:
         with pytest.raises(DegenerateBandwidthError):
             gaussian_kde(np.full(10, 0.3))
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("inf"), float("nan")])
     def test_nonpositive_bandwidth_rejected(self, bad):
         with pytest.raises(ParameterError):
             gaussian_kde(np.array([0.1, 0.9]), bandwidth=bad)

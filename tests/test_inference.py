@@ -2,7 +2,16 @@
 
 import numpy as np
 import pytest
-from helpers import CULT, OUT, aligned_from_synthetic, aligned_region, scaled_region
+from helpers import (
+    CULT,
+    INST,
+    OUT,
+    aligned_from_synthetic,
+    aligned_region,
+    assert_same_fit,
+    reference_fit,
+    scaled_region,
+)
 
 import spcgrowth.inference as inference
 from spcgrowth import (
@@ -19,13 +28,16 @@ from spcgrowth import (
     SyntheticSpec,
     bootstrap_fits,
     characteristic_timescale,
+    coefficient_of_prediction,
     continuity_comparison,
     empirical_durations,
     fit_logistic,
     generate_synthetic,
+    logistic_eval,
     logistic_inverse,
     out_of_sample_validation,
     plateau_thresholds,
+    recorded_rel_times,
 )
 
 # closed form for a unit logistic with c = 0.001: time between the 0.2 and
@@ -340,3 +352,86 @@ class TestContinuityComparison:
         aligned = AlignedDataset((lone,), 0.5, (), ())
         with pytest.raises(FitInfeasibleError):
             continuity_comparison(aligned, fit, ContinuityMode.CULTURAL)
+
+
+def record_fits(monkeypatch) -> list:
+    """Every FitResult the inference stages get from ``fit_logistic``."""
+    fits = []
+    real_fit = inference.fit_logistic
+
+    def recording(*args, **kwargs):
+        fit = real_fit(*args, **kwargs)
+        fits.append(fit)
+        return fit
+
+    monkeypatch.setattr(inference, "fit_logistic", recording)
+    return fits
+
+
+def labelled_panel() -> AlignedDataset:
+    """The inference panel with a cultural break before each anchor and an
+    institutional break after it, at distances that vary by region."""
+    ds = generate_synthetic(SyntheticSpec(12, noise_sigma=0.05), seed=21)
+    regions = []
+    for k, s in enumerate(ds.regions):
+        n = len(s)
+        anchor = int(np.flatnonzero(recorded_rel_times(s) == 0)[0])
+        culture = [CULT] * n
+        institution = [INST] * n
+        culture[max(anchor - 2 - k, 0)] = OUT
+        institution[min(anchor + 3 + k, n - 1)] = OUT
+        series = scaled_region(
+            s.nga, s.raw, start=int(s.abs_times[0]), culture=culture, institution=institution
+        )
+        regions.append(aligned_region(series, s.abs_times[anchor]))
+    return AlignedDataset(tuple(regions), 0.5, (), ())
+
+
+class TestAgainstPerPointReference:
+    """Each refit over the per-time table equals the per-point reference
+    fit of the points it stands for."""
+
+    def test_bootstrap_draws(self, aligned_noisy, monkeypatch):
+        aligned, full = aligned_noisy
+        fits = record_fits(monkeypatch)
+        ensemble = bootstrap_fits(aligned, full, n_iter=50, seed=13)
+        assert ensemble.failed_fits == 0 and len(fits) == 50
+        n = len(aligned.regions)
+        for child, fit, params in zip(
+            np.random.SeedSequence(13).spawn(50), fits, ensemble.param_sets
+        ):
+            draw = np.random.default_rng(child).integers(0, n, size=n)
+            t = np.concatenate([aligned.regions[i].rel_time for i in draw]).astype(float)
+            y = np.concatenate([aligned.regions[i].scaled for i in draw])
+            assert fit.n_points == t.size
+            assert_same_fit(fit, reference_fit(t, y, init=full.params))
+            assert params == fit.params
+
+    def test_validation_splits(self, aligned_noisy, monkeypatch):
+        aligned, full = aligned_noisy
+        fits = record_fits(monkeypatch)
+        report = out_of_sample_validation(aligned, full, n_repeats=20, seed=9)
+        assert report.n_failed == 0 and len(fits) == 20
+        t, y = aligned.pooled()
+        for child, fit, rho2 in zip(
+            np.random.SeedSequence(9).spawn(20), fits, report.rho2_values
+        ):
+            train, test = inference._split_indices(np.random.default_rng(child), t.size)
+            ref = reference_fit(t[train], y[train], init=full.params)
+            assert fit.n_points == train.size
+            assert_same_fit(fit, ref)
+            want = coefficient_of_prediction(logistic_eval(ref.params, t[test]), y[test])
+            assert abs(rho2 - want) <= 1e-12
+
+    @pytest.mark.parametrize("mode", list(ContinuityMode))
+    def test_continuity_modes(self, mode):
+        aligned = labelled_panel()
+        full = fit_logistic(*aligned.pooled())
+        comparison = continuity_comparison(aligned, full, mode)
+        t = np.concatenate([s.rel_time for s in comparison.segments]).astype(float)
+        y = np.concatenate([s.scaled for s in comparison.segments])
+        assert t.size < aligned.pooled()[0].size  # the breaks clipped something
+        assert_same_fit(comparison.fit, reference_fit(t, y, init=full.params))
+        # residuals stay per point
+        expected = np.asarray(logistic_eval(comparison.fit.params, t)) - y
+        assert np.array_equal(comparison.fit.residuals, expected)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import assert_same_fit, reference_fit
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from spcgrowth import (
     logistic_inverse,
     logistic_jacobian,
 )
+from spcgrowth.logistic import time_table
 
 UNIT = LogisticParams(1.0, 0.0, 1.0, 0.0)
 SLOW = LogisticParams(1.0, 0.0, 0.002, 0.0)
@@ -249,6 +251,77 @@ class TestFit:
         t, y = noisy_pooled(seed=5)
         fit = fit_logistic(t, y, config=FitConfig(max_iter=3))
         assert fit.iterations <= 3
+
+
+class TestTableFit:
+    """The per-time table fitter against the per-point reference loop."""
+
+    @pytest.mark.parametrize(
+        "seed, n_regions, sigma", [(3, 8, 0.05), (5, 12, 0.05), (9, 8, 0.15), (11, 5, 0.3)]
+    )
+    def test_full_fit_matches_the_per_point_reference(self, seed, n_regions, sigma):
+        t, y = noisy_pooled(seed=seed, n_regions=n_regions, sigma=sigma)
+        fit = fit_logistic(t, y)
+        ref = reference_fit(t, y)
+        assert_same_fit(fit, ref)
+        assert fit.n_points == ref.n_points == t.size
+        assert np.max(np.abs(fit.residuals - ref.residuals)) <= 1e-12
+        assert fit.rmse == pytest.approx(ref.rmse, rel=1e-12)
+
+    def test_the_table_is_fitted_over_the_distinct_times(self):
+        t, y = noisy_pooled(seed=5)
+        times, inverse = np.unique(t, return_inverse=True)
+        counts, means, within_ss = time_table(inverse, y, times.size)
+        table = fit_logistic(times, means, weights=counts, within_ss=within_ss)
+        per_point = fit_logistic(t, y)
+        assert table.params == per_point.params
+        assert table.objective_history == per_point.objective_history
+        assert table.residuals.shape == times.shape
+        assert table.n_points == t.size
+
+    @given(
+        counts=st.lists(st.integers(1, 4), min_size=41, max_size=41),
+        noise_seed=st.integers(0, 2**32 - 1),
+        sigma=st.sampled_from([0.02, 0.1]),
+    )
+    def test_integer_weights_fit_like_repeated_rows(self, counts, noise_seed, sigma):
+        times = np.arange(-2000.0, 2100.0, 100.0)
+        rng = np.random.default_rng(noise_seed)
+        means = np.asarray(logistic_eval(SLOW, times)) + rng.normal(0.0, sigma, times.size)
+        counts = np.asarray(counts)
+        table = fit_logistic(times, means, weights=counts)
+        repeated = reference_fit(np.repeat(times, counts), np.repeat(means, counts))
+        assert_same_fit(table, repeated)
+        assert table.n_points == repeated.n_points
+
+    def test_zero_weight_rows_change_nothing(self):
+        t, y = noisy_pooled(seed=3)
+        times, inverse = np.unique(t, return_inverse=True)
+        counts, means, within_ss = time_table(inverse, y, times.size)
+        padded = fit_logistic(
+            np.append(times, 9900.0),
+            np.append(means, 7.0),
+            weights=np.append(counts, 0),
+            within_ss=within_ss,
+        )
+        assert_same_fit(padded, fit_logistic(times, means, weights=counts, within_ss=within_ss))
+
+    @pytest.mark.parametrize(
+        "weights, within_ss",
+        [
+            ([1, 1, -1, 2, 2, 2], 0.0),
+            ([1, 1, 1, 1, 1], 0.0),
+            ([1, 1, np.inf, 2, 2, 2], 0.0),
+            ([1, 1, 1, 2, 2, 2], -1.0),
+            ([1, 1, 1, 2, 2, 2], np.nan),
+            ([1, 1, 0, 1, 1, 0], 0.0),
+        ],
+    )
+    def test_bad_tables_rejected(self, weights, within_ss):
+        times = np.arange(-250.0, 350.0, 100.0)
+        means = np.asarray(logistic_eval(SLOW, times))
+        with pytest.raises(ParameterError):
+            fit_logistic(times, means, weights=weights, within_ss=within_ss)
 
 
 class TestCoefficientOfPrediction:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import PANEL_HEADER, make_region
+from helpers import PANEL_HEADER, build_dataset, make_region
 
 import spcgrowth
 from spcgrowth import (
@@ -21,7 +21,6 @@ from spcgrowth import (
     ParameterError,
     StateError,
     benchmark_check,
-    build_dataset,
     logistic_inverse,
     run_fit_stage,
     serialize_dataset,
@@ -83,6 +82,7 @@ class TestPipelineConfig:
             {"bandwidth": -1.0},
             {"bandwidth": "wide"},
             {"continuity_modes": ("cultural",)},
+            {"bandwidth": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -420,6 +420,25 @@ class TestCli:
         assert main(["fit", "--input", str(panel)]) == 2
         assert "line 3" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_unusable_bandwidth_exits_2(self, noisy_panel_path, value, caplog):
+        code = main(["fit", "--input", str(noisy_panel_path), "--bandwidth", value])
+        assert code == 2
+        assert "bandwidth must be finite and positive" in caplog.text
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "-0.1"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_bad_synth_noise_exits_2(self, value, source, monkeypatch, capsys):
+        argv = ["synth", "--regions", "2", "--seed", "1"]
+        if source == "flag":
+            argv.append(f"--noise={value}")  # "=" keeps "-inf" a value
+        else:
+            monkeypatch.setenv("SPCGROWTH_NOISE", value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_unimodal_panel_exits_3(self, tmp_path):
         rng = np.random.default_rng(0)
