@@ -9,73 +9,11 @@ aligned points. Bootstrap resampling over regions then bounds the
 plateaus and yields the characteristic growth duration.
 """
 
-from .align import (
-    AlignedDataset,
-    AlignedRegion,
-    AnchorResult,
-    CentralSegment,
-    ContinuityMode,
-    anchor_time,
-    central_segments,
-    extract_central_sequence,
-    shift_to_reltime,
-)
-from .dataset import (
-    CULTURAL_CONTINUITY,
-    HEADER,
-    INSTITUTIONAL_CONTINUITY,
-    OUTSIDE_CENTRAL,
-    SCALED_COLUMN,
-    Dataset,
-    Observation,
-    RegionSeries,
-    SyntheticSpec,
-    generate_synthetic,
-    load_dataset,
-    minmax_scale,
-    minmax_unscale,
-    parse_dataset,
-    recorded_rel_times,
-    serialize_dataset,
-)
-from .density import (
-    AUTO_BANDWIDTH,
-    BimodalThreshold,
-    DensityEstimate,
-    find_bimodal_threshold,
-    gaussian_kde,
-    scott_bandwidth,
-)
-from .errors import (
-    DataError,
-    DataFormatError,
-    DegenerateBandwidthError,
-    DegenerateScaleError,
-    DuplicateTimeError,
-    EnsembleError,
-    EstimateError,
-    FitInfeasibleError,
-    InsufficientDataError,
-    InvertedThresholdsError,
-    NoCentralSegmentError,
-    NoCrossingError,
-    NumericalError,
-    ParameterError,
-    RowParseError,
-    SingularityError,
-    SpacingError,
-    SpcGrowthError,
-    StateError,
-    UndefinedMetricError,
-    UnimodalDensityError,
-)
+from .align import ContinuityMode, shift_to_reltime
+from .dataset import SyntheticSpec, generate_synthetic, load_dataset, minmax_scale
+from .density import find_bimodal_threshold, gaussian_kde
+from .errors import DataError, NumericalError, ParameterError, RowParseError, SpcGrowthError
 from .inference import (
-    BootstrapEnsemble,
-    ContinuityComparison,
-    EmpiricalDurations,
-    RegionDuration,
-    TimescaleEstimate,
-    ValidationReport,
     bootstrap_fits,
     characteristic_timescale,
     continuity_comparison,
@@ -83,128 +21,35 @@ from .inference import (
     out_of_sample_validation,
     plateau_thresholds,
 )
-from .logistic import (
-    DEFAULT_INIT_PARAMS,
-    FitConfig,
-    FitResult,
-    LogisticParams,
-    coefficient_of_prediction,
-    fit_logistic,
-    logistic_eval,
-    logistic_inverse,
-    logistic_jacobian,
-)
-from .pipeline import (
-    CheckReport,
-    PipelineConfig,
-    Provenance,
-    ReportBundle,
-    SeriesCheck,
-    add_bootstrap,
-    add_continuity,
-    add_validation,
-    benchmark_check,
-    run_fit_stage,
-    run_pipeline,
-)
-from .report import (
-    bundle_to_dict,
-    render_check_text,
-    render_report_json,
-    render_report_text,
-    write_outputs,
-)
+from .logistic import fit_logistic
+from .pipeline import PipelineConfig, benchmark_check, run_pipeline
 
 __version__ = "0.1.0"
 
+# The documented library API (README "Library"); everything else is
+# imported from its own submodule.
 __all__ = [
-    "AUTO_BANDWIDTH",
-    "CULTURAL_CONTINUITY",
-    "HEADER",
-    "INSTITUTIONAL_CONTINUITY",
-    "OUTSIDE_CENTRAL",
-    "SCALED_COLUMN",
-    "AlignedDataset",
-    "AlignedRegion",
-    "AnchorResult",
-    "BimodalThreshold",
-    "BootstrapEnsemble",
-    "CentralSegment",
-    "CheckReport",
-    "ContinuityComparison",
-    "ContinuityMode",
-    "DEFAULT_INIT_PARAMS",
-    "DataError",
-    "DataFormatError",
-    "Dataset",
-    "DegenerateBandwidthError",
-    "DegenerateScaleError",
-    "DensityEstimate",
-    "DuplicateTimeError",
-    "EmpiricalDurations",
-    "EnsembleError",
-    "EstimateError",
-    "FitConfig",
-    "FitInfeasibleError",
-    "FitResult",
-    "InsufficientDataError",
-    "InvertedThresholdsError",
-    "LogisticParams",
-    "NoCentralSegmentError",
-    "NoCrossingError",
-    "NumericalError",
-    "Observation",
-    "ParameterError",
     "PipelineConfig",
-    "Provenance",
-    "RegionDuration",
-    "RegionSeries",
-    "ReportBundle",
-    "RowParseError",
-    "SeriesCheck",
-    "SingularityError",
-    "SpacingError",
-    "SpcGrowthError",
-    "StateError",
+    "run_pipeline",
     "SyntheticSpec",
-    "TimescaleEstimate",
-    "UndefinedMetricError",
-    "UnimodalDensityError",
-    "ValidationReport",
-    "add_bootstrap",
-    "add_continuity",
-    "add_validation",
-    "anchor_time",
-    "benchmark_check",
-    "bootstrap_fits",
-    "bundle_to_dict",
-    "central_segments",
-    "characteristic_timescale",
-    "coefficient_of_prediction",
-    "continuity_comparison",
-    "empirical_durations",
-    "extract_central_sequence",
-    "find_bimodal_threshold",
-    "fit_logistic",
-    "gaussian_kde",
     "generate_synthetic",
     "load_dataset",
-    "logistic_eval",
-    "logistic_inverse",
-    "logistic_jacobian",
     "minmax_scale",
-    "minmax_unscale",
-    "out_of_sample_validation",
-    "parse_dataset",
-    "recorded_rel_times",
-    "plateau_thresholds",
-    "render_check_text",
-    "render_report_json",
-    "render_report_text",
-    "run_fit_stage",
-    "run_pipeline",
-    "scott_bandwidth",
-    "serialize_dataset",
+    "gaussian_kde",
+    "find_bimodal_threshold",
     "shift_to_reltime",
-    "write_outputs",
+    "fit_logistic",
+    "out_of_sample_validation",
+    "bootstrap_fits",
+    "plateau_thresholds",
+    "characteristic_timescale",
+    "empirical_durations",
+    "ContinuityMode",
+    "continuity_comparison",
+    "benchmark_check",
+    "SpcGrowthError",
+    "DataError",
+    "RowParseError",
+    "ParameterError",
+    "NumericalError",
 ]

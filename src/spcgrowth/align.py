@@ -26,7 +26,7 @@ from .dataset import (
     Observation,
     RegionSeries,
 )
-from .errors import NoCentralSegmentError, ParameterError, StateError
+from .errors import NumericalError, ParameterError
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +113,7 @@ def anchor_time(series: RegionSeries, threshold: float) -> AnchorResult:
     if not 0.0 < threshold < 1.0:
         raise ParameterError(f"threshold must be in (0, 1), got {threshold}")
     if series.spc1_scaled is None:
-        raise StateError(f"region {series.nga!r} must be scaled before anchoring")
+        raise ParameterError(f"region {series.nga!r} must be scaled before anchoring")
     scaled = series.scaled
     ties = int(np.sum(scaled == threshold))
     if ties:
@@ -161,20 +161,20 @@ def extract_central_sequence(
 ) -> CentralSegment:
     """Maximal contiguous continuity-labelled run containing rel_time 0.
 
-    Raises NoCentralSegmentError when the anchor observation itself is
+    Raises NumericalError when the anchor observation itself is
     labelled outside the central sequence; such regions are excluded from
     continuity fits but stay in full-data fits.
     """
     idx = np.nonzero(region.rel_time == 0)[0]
     if idx.size == 0:
-        raise NoCentralSegmentError(
+        raise NumericalError(
             f"region {region.nga!r} has no rel_time=0 observation"
         )
     anchor_idx = int(idx[0])
     label = mode.continuity_label
     points = region.series.points
     if mode.label_of(points[anchor_idx]) != label:
-        raise NoCentralSegmentError(
+        raise NumericalError(
             f"region {region.nga!r}: anchor observation is labelled "
             f"{mode.label_of(points[anchor_idx])!r} for mode {mode.value}"
         )
@@ -204,7 +204,7 @@ def central_segments(
     for region in aligned.regions:
         try:
             segments.append(extract_central_sequence(region, mode))
-        except NoCentralSegmentError as exc:
+        except NumericalError as exc:
             logger.warning("continuity %s: %s", mode.value, exc)
             skipped.append(region.nga)
     return segments, skipped

@@ -29,19 +29,13 @@ import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DataFormatError,
-    DegenerateScaleError,
-    DuplicateTimeError,
-    ParameterError,
-    RowParseError,
-    SpacingError,
-)
+from .errors import DataError, ParameterError, RowParseError
 from .logistic import LogisticParams, logistic_eval, logistic_inverse
 
 logger = logging.getLogger(__name__)
@@ -104,9 +98,7 @@ class RegionSeries:
     @property
     def scaled(self) -> np.ndarray:
         if self.spc1_scaled is None:
-            from .errors import StateError
-
-            raise StateError(f"region {self.nga!r} has not been scaled")
+            raise ParameterError(f"region {self.nga!r} has not been scaled")
         return self.spc1_scaled
 
 
@@ -170,12 +162,20 @@ def _parse_label(text: str, allowed: set[str], line: int, column: str) -> str:
     return text
 
 
+def _name_key(name: str):
+    """Region order: digit runs compare as numbers, so 'SYN-9' comes before
+    'SYN-10'; the name itself breaks ties such as 'SYN-01' and 'SYN-1'."""
+    parts = re.split(r"(\d+)", name)
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)], name
+
+
 def parse_dataset(source: str | Iterable[str]) -> Dataset:
     """Parse panel CSV text into a Dataset (unscaled).
 
-    Rows are grouped by region in order of first appearance and sorted by
-    AbsTime within each region. Duplicate (region, year) pairs and
-    non-century spacing are rejected.
+    Rows are grouped by region, regions are ordered by name (numbers in a
+    name in numeric order), and rows are sorted by AbsTime within each
+    region, so the order of rows in the file never matters. Duplicate
+    (region, year) pairs and non-century spacing are rejected.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -184,7 +184,7 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:
-        raise DataFormatError("input is empty; expected a header row") from None
+        raise DataError("input is empty; expected a header row") from None
     if header and header[0].startswith("﻿"):
         header = [header[0].lstrip("﻿"), *header[1:]]
     header = [h.strip() for h in header]
@@ -192,15 +192,14 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
     if header[: len(expected)] != expected:
         missing = [name for name in expected if name not in header]
         if missing:
-            raise DataFormatError(f"header is missing column(s): {', '.join(missing)}")
-        raise DataFormatError(
+            raise DataError(f"header is missing column(s): {', '.join(missing)}")
+        raise DataError(
             f"header columns out of order; expected {','.join(expected)}"
         )
     extras = header[len(expected) :]
     if extras and extras != [SCALED_COLUMN]:
-        raise DataFormatError(f"unexpected extra column(s): {', '.join(extras)}")
+        raise DataError(f"unexpected extra column(s): {', '.join(extras)}")
 
-    order: list[str] = []
     rows: dict[str, list[tuple[Observation, int]]] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -225,22 +224,19 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
             row[6], _INSTITUTION_LABELS, line_no, "Institutions.Sequence"
         )
         obs = Observation(nga, pol_id, abs_time, spc1, culture, institution, rel_time)
-        if nga not in rows:
-            rows[nga] = []
-            order.append(nga)
-        rows[nga].append((obs, line_no))
+        rows.setdefault(nga, []).append((obs, line_no))
 
     regions = []
-    for nga in order:
+    for nga in sorted(rows, key=_name_key):
         entries = sorted(rows[nga], key=lambda pair: pair[0].abs_time)
         for (prev, _), (cur, cur_line) in zip(entries, entries[1:]):
             gap = cur.abs_time - prev.abs_time
             if gap == 0:
-                raise DuplicateTimeError(
+                raise DataError(
                     f"region {nga!r}: duplicate AbsTime {cur.abs_time} (line {cur_line})"
                 )
             if gap % 100 != 0:
-                raise SpacingError(
+                raise DataError(
                     f"region {nga!r}: AbsTime step {prev.abs_time} -> {cur.abs_time} "
                     f"is not a century multiple (line {cur_line})"
                 )
@@ -250,7 +246,10 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
 
 def load_dataset(path) -> Dataset:
     with open(path, encoding="utf-8", newline="") as handle:
-        return parse_dataset(handle)
+        try:
+            return parse_dataset(handle)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def serialize_dataset(dataset: Dataset) -> str:
@@ -291,7 +290,7 @@ def minmax_scale(dataset: Dataset, extrema: tuple[float, float] | None = None) -
             raise ParameterError(f"extrema must satisfy min < max, got ({lo}, {hi})")
     else:
         if values.size < 2 or np.unique(values).size < 2:
-            raise DegenerateScaleError(
+            raise DataError(
                 "need at least 2 distinct raw values to derive a scale"
             )
         lo, hi = float(values.min()), float(values.max())

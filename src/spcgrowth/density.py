@@ -19,16 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBandwidthError,
-    InsufficientDataError,
-    ParameterError,
-    UnimodalDensityError,
-)
+from .errors import NumericalError, ParameterError
 
 logger = logging.getLogger(__name__)
 
 AUTO_BANDWIDTH = "auto"
+GRID_SIZE = 1024
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -58,26 +54,24 @@ def scott_bandwidth(samples: np.ndarray) -> float:
     sd = float(np.std(samples, ddof=1))
     # identical samples land at sd ~ 1e-17 rather than exactly 0
     if sd <= 1e-12 * max(1.0, float(np.max(np.abs(samples)))):
-        raise DegenerateBandwidthError("zero sample variance; supply an explicit bandwidth")
+        raise NumericalError("zero sample variance; supply an explicit bandwidth")
     return sd * samples.size ** (-1.0 / 5.0)
 
 
 def gaussian_kde(
     samples,
     bandwidth: float | str = AUTO_BANDWIDTH,
-    grid_size: int = 1024,
-    clip: tuple[float, float] | None = None,
     grid: np.ndarray | None = None,
 ) -> DensityEstimate:
     """Estimate the density of ``samples`` on a uniform grid.
 
-    The grid spans [min - 4h, max + 4h], optionally intersected with
-    ``clip``; pass ``grid`` to evaluate on an explicit set of points
-    instead (e.g. to compare two estimates pointwise).
+    The grid has GRID_SIZE points spanning [min - 4h, max + 4h]; pass
+    ``grid`` to evaluate on an explicit set of points instead (e.g. to
+    compare two estimates pointwise).
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 2:
-        raise InsufficientDataError(f"need at least 2 samples, got {samples.size}")
+        raise NumericalError(f"need at least 2 samples, got {samples.size}")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("samples must be finite")
 
@@ -89,15 +83,7 @@ def gaussian_kde(
             raise ParameterError(f"bandwidth must be finite and positive, got {h}")
 
     if grid is None:
-        lo = samples.min() - 4.0 * h
-        hi = samples.max() + 4.0 * h
-        if clip is not None:
-            lo, hi = max(lo, clip[0]), min(hi, clip[1])
-            if not lo < hi:
-                raise ParameterError("clip range excludes all sample mass")
-        if grid_size < 2:
-            raise ParameterError("grid_size must be at least 2")
-        grid = np.linspace(lo, hi, grid_size)
+        grid = np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, GRID_SIZE)
     else:
         grid = np.asarray(grid, dtype=float)
 
@@ -126,7 +112,7 @@ def _local_maxima(density: np.ndarray) -> list[int]:
 def find_bimodal_threshold(estimate: DensityEstimate) -> BimodalThreshold:
     """Locate the minimum between the two highest local maxima.
 
-    Raises UnimodalDensityError when fewer than two local maxima exist,
+    Raises NumericalError when fewer than two local maxima exist,
     in which case no low/high threshold is defined and the pipeline must
     abort with a diagnostic.
     """
@@ -137,7 +123,7 @@ def find_bimodal_threshold(estimate: DensityEstimate) -> BimodalThreshold:
 
     maxima = _local_maxima(density)
     if len(maxima) < 2:
-        raise UnimodalDensityError(
+        raise NumericalError(
             f"density has {len(maxima)} local maxima; threshold between two "
             "modes is undefined (try a smaller bandwidth)"
         )

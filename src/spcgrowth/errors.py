@@ -1,10 +1,22 @@
 """Exception hierarchy.
 
-Two broad families matter to callers: ``DataError`` for problems with the
-input data itself (malformed files, impossible values) and
-``NumericalError`` for computations that cannot produce a meaningful
-result on otherwise valid data. The command line maps these to distinct
-exit codes.
+A run fails in one of two ways a caller can act on, and the command line
+maps each to its own exit code:
+
+- ``DataError`` (exit 2): the input panel is unusable. The file cannot be
+  read or decoded, the header is wrong, a row does not parse (then it is a
+  ``RowParseError`` with the 1-based ``.line``), a (region, year) pair
+  repeats, a region's years are not century steps, or every raw score is
+  the same.
+- ``NumericalError`` (exit 3): valid data yields no usable result, for
+  example too few samples, a zero-variance bandwidth, a unimodal density,
+  a singular fit, a level the curve never crosses, an empty bootstrap
+  ensemble or inverted plateau thresholds.
+
+``ParameterError`` (exit 2, also a ``ValueError``) is an argument that
+violates a documented precondition, including a value that must have been
+prepared first, such as an unscaled region. Each message names the
+condition.
 """
 
 
@@ -16,10 +28,6 @@ class DataError(SpcGrowthError):
     """Input data is malformed or violates the panel format."""
 
 
-class DataFormatError(DataError):
-    """Header or column structure is wrong."""
-
-
 class RowParseError(DataError):
     """A row failed to parse; carries the 1-based line number."""
 
@@ -28,69 +36,9 @@ class RowParseError(DataError):
         self.line = line
 
 
-class DuplicateTimeError(DataError):
-    """Two rows share the same (region, year) pair."""
-
-
-class SpacingError(DataError):
-    """Observations within a region are not spaced in century multiples."""
-
-
-class DegenerateScaleError(DataError):
-    """All raw values identical; min-max scaling undefined."""
-
-
 class ParameterError(SpcGrowthError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class StateError(SpcGrowthError):
-    """Operation requires a state (e.g. scaled data) that is absent."""
-
-
 class NumericalError(SpcGrowthError):
-    """A numeric procedure cannot produce a usable result."""
-
-
-class InsufficientDataError(NumericalError):
-    """Too few samples or points for the requested estimate."""
-
-
-class DegenerateBandwidthError(NumericalError):
-    """Automatic bandwidth selection failed (zero sample variance)."""
-
-
-class UnimodalDensityError(NumericalError):
-    """Density has fewer than two local maxima; no threshold exists."""
-
-
-class NoCentralSegmentError(NumericalError):
-    """The anchor observation is not inside a continuity-labelled run."""
-
-
-class NoCrossingError(NumericalError):
-    """Requested level lies outside the curve's open asymptote interval."""
-
-
-class SingularityError(NumericalError):
-    """Least-squares normal equations are irreparably singular."""
-
-
-class UndefinedMetricError(NumericalError):
-    """Metric denominator is zero (e.g. constant reference values)."""
-
-
-class InvertedThresholdsError(NumericalError):
-    """Lower plateau threshold is not below the upper one."""
-
-
-class EnsembleError(NumericalError):
-    """Every bootstrap iteration failed; no ensemble to summarise."""
-
-
-class EstimateError(NumericalError):
-    """No curve in the ensemble crosses both thresholds."""
-
-
-class FitInfeasibleError(NumericalError):
-    """Too few pooled points to attempt a fit."""
+    """A numeric procedure cannot produce a usable result on valid data."""

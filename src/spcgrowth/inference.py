@@ -23,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignedDataset, CentralSegment, ContinuityMode, central_segments
-from .errors import (
-    EnsembleError,
-    EstimateError,
-    FitInfeasibleError,
-    InvertedThresholdsError,
-    ParameterError,
-    SingularityError,
-    UndefinedMetricError,
-)
+from .errors import NumericalError, ParameterError
 from .logistic import (
     FitResult,
     LogisticParams,
@@ -137,11 +129,11 @@ def out_of_sample_validation(
             )
             predicted = logistic_eval(fit.params, t[test])
             rho2.append(coefficient_of_prediction(predicted, y[test]))
-        except (SingularityError, UndefinedMetricError) as exc:
+        except NumericalError as exc:
             logger.warning("validation repeat failed: %s", exc)
             failed += 1
     if not rho2:
-        raise EnsembleError("every validation repeat failed")
+        raise NumericalError("every validation repeat failed")
     values = np.array(rho2)
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return ValidationReport(
@@ -210,11 +202,11 @@ def bootstrap_fits(
                 times, center + shift, init=full_fit.params, weights=counts, within_ss=within_ss
             )
             params.append(fit.params)
-        except SingularityError as exc:
+        except NumericalError as exc:
             logger.warning("bootstrap iteration failed: %s", exc)
             failed += 1
     if not params:
-        raise EnsembleError("every bootstrap iteration failed")
+        raise NumericalError("every bootstrap iteration failed")
     return BootstrapEnsemble(
         n_iter=n_iter, param_sets=tuple(params), failed_fits=failed, seed=seed
     )
@@ -231,7 +223,7 @@ def plateau_thresholds(ensemble: BootstrapEnsemble, k_sigma: int) -> tuple[float
     th1 = float(lower.mean() + k_sigma * lower.std())
     th2 = float(upper.mean() - k_sigma * upper.std())
     if th1 >= th2:
-        raise InvertedThresholdsError(
+        raise NumericalError(
             f"thresholds inverted (th1={th1:.6g} >= th2={th2:.6g}); "
             "ensemble spread too large to separate the plateaus"
         )
@@ -258,7 +250,7 @@ def characteristic_timescale(
         else:
             excluded += 1
     if not t1:
-        raise EstimateError("no bootstrap curve crosses both thresholds")
+        raise NumericalError("no bootstrap curve crosses both thresholds")
     t1 = np.array(t1)
     t2 = np.array(t2)
     durations = t2 - t1
@@ -332,14 +324,14 @@ def continuity_comparison(
     """Refit the curve on pooled central segments for one continuity mode."""
     segments, skipped = central_segments(aligned, mode)
     if len(segments) < 2:
-        raise FitInfeasibleError(
+        raise NumericalError(
             f"continuity mode {mode.value}: only {len(segments)} region(s) "
             "have a central segment"
         )
     t = np.concatenate([s.rel_time for s in segments])
     y = np.concatenate([s.scaled for s in segments])
     if t.size < 5:
-        raise FitInfeasibleError(
+        raise NumericalError(
             f"continuity mode {mode.value}: only {t.size} pooled point(s)"
         )
     fit = fit_logistic(t, y, init=full_fit.params)

@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NoCrossingError,
-    ParameterError,
-    SingularityError,
-    UndefinedMetricError,
-)
+from .errors import NumericalError, ParameterError
 
 # Largest exponent fed to exp(); beyond this the curve has saturated anyway.
 EXP_CLAMP = 700.0
@@ -134,7 +129,7 @@ def logistic_inverse(params: LogisticParams, y: float) -> float:
         raise ParameterError("rate c must be nonzero to invert the curve")
     lo, hi = sorted((params.lower, params.upper))
     if not lo < y < hi:
-        raise NoCrossingError(
+        raise NumericalError(
             f"level {y} outside the open asymptote interval ({lo}, {hi})"
         )
     ratio = params.a / (y - params.b) - 1.0
@@ -234,7 +229,7 @@ def fit_logistic(
     ParameterError
         Fewer than 5 points, mismatched lengths, negative weights or
         ``within_ss``, or zero initial rate.
-    SingularityError
+    NumericalError
         Non-finite inputs, or normal equations singular at full damping.
     """
     t = np.asarray(t, dtype=float)
@@ -242,7 +237,7 @@ def fit_logistic(
     if t.shape != y.shape or t.ndim != 1:
         raise ParameterError("t and y must be 1-d arrays of equal length")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise SingularityError("non-finite values in fit input")
+        raise NumericalError("non-finite values in fit input")
     per_point = weights is None
     if per_point:
         times, inverse = np.unique(t, return_inverse=True)
@@ -271,7 +266,7 @@ def fit_logistic(
     res = _residuals(theta, times, means)
     objective = _objective(res, weights, within_ss)
     if not math.isfinite(objective):
-        raise SingularityError("objective not finite at initial parameters")
+        raise NumericalError("objective not finite at initial parameters")
 
     history = [objective]
     lam = 1e-3
@@ -283,7 +278,7 @@ def fit_logistic(
         jtj = wjac.T @ jac
         g = wjac.T @ res
         if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
-            raise SingularityError("Jacobian degenerate (non-finite entries)")
+            raise NumericalError("Jacobian degenerate (non-finite entries)")
         scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
 
         # Try increasingly damped steps until one decreases the objective.
@@ -360,6 +355,6 @@ def coefficient_of_prediction(predicted, actual) -> float:
         raise ParameterError("predicted and actual must have equal nonzero length")
     sst = float(np.sum((actual.mean() - actual) ** 2))
     if sst == 0.0:
-        raise UndefinedMetricError("actual values have zero variance")
+        raise NumericalError("actual values have zero variance")
     sse = float(np.sum((predicted - actual) ** 2))
     return 1.0 - sse / sst

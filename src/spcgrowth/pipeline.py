@@ -24,7 +24,7 @@ import numpy as np
 from .align import AlignedDataset, ContinuityMode, anchor_time, shift_to_reltime
 from .dataset import Dataset, load_dataset, minmax_scale
 from .density import AUTO_BANDWIDTH, BimodalThreshold, DensityEstimate, gaussian_kde, find_bimodal_threshold
-from .errors import ParameterError, StateError
+from .errors import ParameterError
 from .inference import (
     BootstrapEnsemble,
     ContinuityComparison,
@@ -302,7 +302,7 @@ def benchmark_check(bundle: ReportBundle, new_series_path) -> CheckReport:
     as a not-anchorable row rather than an error.
     """
     if bundle.dataset.scale_min is None:
-        raise StateError("bundle dataset carries no scaling extrema")
+        raise ParameterError("bundle dataset carries no scaling extrema")
     raw = load_dataset(new_series_path)
     scaled = minmax_scale(
         raw, extrema=(bundle.dataset.scale_min, bundle.dataset.scale_max)

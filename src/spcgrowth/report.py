@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import Dataset, serialize_dataset
-from .errors import StateError
+from .errors import ParameterError
 from .logistic import logistic_eval
 
 if TYPE_CHECKING:
@@ -429,7 +429,7 @@ def write_files(files: dict[str, str], out_dir) -> list[Path]:
 def write_outputs(bundle: ReportBundle, output_dir) -> list[Path]:
     """Write the text report, the JSON sidecar, and all plot artifacts."""
     if not bundle.complete:
-        raise StateError("bundle is incomplete; run the remaining stages first")
+        raise ParameterError("bundle is incomplete; run the remaining stages first")
     from .charts import chart_files
 
     files = report_files(bundle)

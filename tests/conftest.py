@@ -17,10 +17,10 @@ from spcgrowth import (  # noqa: E402
     SyntheticSpec,
     fit_logistic,
     generate_synthetic,
-    run_fit_stage,
     run_pipeline,
-    serialize_dataset,
 )
+from spcgrowth.dataset import serialize_dataset
+from spcgrowth.pipeline import run_fit_stage
 
 
 @pytest.fixture(scope="session")

@@ -6,25 +6,25 @@ from typing import Sequence
 
 import numpy as np
 
-from spcgrowth import (
+from spcgrowth import NumericalError, ParameterError
+from spcgrowth.align import AlignedDataset, AlignedRegion
+from spcgrowth.dataset import (
     CULTURAL_CONTINUITY,
     INSTITUTIONAL_CONTINUITY,
     OUTSIDE_CENTRAL,
-    AlignedDataset,
-    AlignedRegion,
     Dataset,
+    Observation,
+    RegionSeries,
+    recorded_rel_times,
+)
+from spcgrowth.logistic import (
+    DEFAULT_INIT_PARAMS,
     FitConfig,
     FitResult,
     LogisticParams,
-    Observation,
-    ParameterError,
-    RegionSeries,
-    SingularityError,
     logistic_eval,
     logistic_jacobian,
-    recorded_rel_times,
 )
-from spcgrowth.logistic import DEFAULT_INIT_PARAMS
 
 CULT = CULTURAL_CONTINUITY
 INST = INSTITUTIONAL_CONTINUITY
@@ -120,7 +120,7 @@ def reference_fit(t, y, init=None, config=None) -> FitResult:
     res = residuals(theta)
     objective = float(res @ res)
     if not math.isfinite(objective):
-        raise SingularityError("objective not finite at initial parameters")
+        raise NumericalError("objective not finite at initial parameters")
     history = [objective]
     lam = 1e-3
     iterations = 0
@@ -129,7 +129,7 @@ def reference_fit(t, y, init=None, config=None) -> FitResult:
         jtj = jac.T @ jac
         g = jac.T @ res
         if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
-            raise SingularityError("Jacobian degenerate (non-finite entries)")
+            raise NumericalError("Jacobian degenerate (non-finite entries)")
         step_taken = False
         for _ in range(60):
             damp = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))

@@ -21,24 +21,18 @@ from helpers import aligned_from_synthetic, build_dataset, make_region, normal_p
 
 from spcgrowth import (
     ContinuityMode,
-    DensityEstimate,
-    LogisticParams,
     PipelineConfig,
     SyntheticSpec,
-    add_bootstrap,
-    add_continuity,
-    add_validation,
     find_bimodal_threshold,
     fit_logistic,
     gaussian_kde,
     generate_synthetic,
-    logistic_eval,
-    logistic_inverse,
-    logistic_jacobian,
-    run_fit_stage,
     run_pipeline,
-    serialize_dataset,
 )
+from spcgrowth.dataset import serialize_dataset
+from spcgrowth.density import DensityEstimate
+from spcgrowth.logistic import LogisticParams, logistic_eval, logistic_inverse, logistic_jacobian
+from spcgrowth.pipeline import add_bootstrap, add_continuity, add_validation, run_fit_stage
 
 DATA_ENV = "SPCGROWTH_DATA"
 

@@ -14,15 +14,12 @@ from helpers import (
 
 from spcgrowth import (
     ContinuityMode,
-    NoCentralSegmentError,
+    NumericalError,
     ParameterError,
-    StateError,
-    anchor_time,
-    central_segments,
-    extract_central_sequence,
     minmax_scale,
     shift_to_reltime,
 )
+from spcgrowth.align import anchor_time, central_segments, extract_central_sequence
 
 
 class TestAnchor:
@@ -55,7 +52,7 @@ class TestAnchor:
             anchor_time(scaled_region("A", [0.1, 0.9]), bad)
 
     def test_unscaled_series_rejected(self):
-        with pytest.raises(StateError):
+        with pytest.raises(ParameterError, match="must be scaled before anchoring"):
             anchor_time(make_region("A", [0.1, 0.9]), 0.5)
 
 
@@ -163,7 +160,7 @@ class TestCentralSegments:
     def test_anchor_outside_the_sequence_is_an_error(self):
         labels = [CULT, CULT, OUT, CULT, CULT]
         region = labelled_aligned(labels, anchor=-800)  # anchor at the OUT point
-        with pytest.raises(NoCentralSegmentError):
+        with pytest.raises(NumericalError, match="anchor observation is labelled 'outside"):
             extract_central_sequence(region, ContinuityMode.CULTURAL)
 
     def test_modes_read_their_own_label_column(self):
@@ -182,7 +179,7 @@ class TestCentralSegments:
             "S", [0.2, 0.4, 0.6, 0.8], culture=[CULT, OUT, CULT, CULT]
         )
         bad = aligned_region(bad_series, -900)  # anchor lands on the OUT label
-        from spcgrowth import AlignedDataset
+        from spcgrowth.align import AlignedDataset
 
         aligned = AlignedDataset((good, bad), 0.5, (), ())
         segments, skipped = central_segments(aligned, ContinuityMode.CULTURAL)

@@ -7,23 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spcgrowth import (
-    DataFormatError,
-    DegenerateScaleError,
-    DuplicateTimeError,
-    LogisticParams,
+    DataError,
     ParameterError,
     RowParseError,
-    SpacingError,
     SyntheticSpec,
     fit_logistic,
     generate_synthetic,
-    logistic_eval,
     minmax_scale,
-    minmax_unscale,
-    parse_dataset,
-    recorded_rel_times,
-    serialize_dataset,
 )
+from spcgrowth.dataset import minmax_unscale, parse_dataset, recorded_rel_times, serialize_dataset
+from spcgrowth.logistic import LogisticParams, logistic_eval
 
 
 def panel_text(rows):
@@ -50,14 +43,18 @@ class TestParse:
         ds = parse_dataset(panel_text(shuffled))
         assert list(ds.region("Latium").abs_times) == [-600, -500, -400]
 
-    def test_regions_keep_first_appearance_order(self):
+    def test_regions_are_ordered_by_name(self):
         rows = [
             "Zulu,Z-P,-500,,0.2,,",
+            "Site-10,S-P,-500,,0.5,,",
             "Alpha,A-P,-500,,0.4,,",
+            "Site-010,S-P,-500,,0.5,,",
             "Zulu,Z-P,-400,,0.3,,",
+            "Site-9,S-P,-500,,0.5,,",
         ]
         ds = parse_dataset(panel_text(rows))
-        assert [r.nga for r in ds.regions] == ["Zulu", "Alpha"]
+        # numbers in a name in numeric order, ties broken by the name itself
+        assert [r.nga for r in ds.regions] == ["Alpha", "Site-9", "Site-010", "Site-10", "Zulu"]
 
     def test_header_only_input_is_an_empty_panel(self):
         ds = parse_dataset(PANEL_HEADER + "\n")
@@ -74,12 +71,12 @@ class TestParse:
 
     def test_missing_column_is_named(self):
         bad = PANEL_HEADER.replace(",Culture.Sequence", "")
-        with pytest.raises(DataFormatError) as err:
+        with pytest.raises(DataError, match="header is missing column") as err:
             parse_dataset(bad + "\nLatium,P,-600,,0.3,,\n")
         assert "Culture.Sequence" in str(err.value)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match="input is empty"):
             parse_dataset("")
 
     def test_duplicate_year_rejected(self):
@@ -87,7 +84,7 @@ class TestParse:
             "Latium,ItRomP,-600,,0.3,,",
             "Latium,ItRomP,-600,,0.4,,",
         ]
-        with pytest.raises(DuplicateTimeError):
+        with pytest.raises(DataError, match="duplicate AbsTime -600"):
             parse_dataset(panel_text(rows))
 
     def test_off_century_spacing_rejected(self):
@@ -95,7 +92,7 @@ class TestParse:
             "Latium,ItRomP,-600,,0.3,,",
             "Latium,ItRomP,-450,,0.4,,",
         ]
-        with pytest.raises(SpacingError):
+        with pytest.raises(DataError, match="not a century multiple"):
             parse_dataset(panel_text(rows))
 
     def test_unknown_continuity_label_rejected(self):
@@ -157,7 +154,7 @@ class TestScaling:
 
     def test_identical_values_rejected(self):
         ds = build_dataset([make_region("A", [0.7, 0.7, 0.7])])
-        with pytest.raises(DegenerateScaleError):
+        with pytest.raises(DataError, match="distinct raw values"):
             minmax_scale(ds)
 
     def test_explicit_extrema_override(self):

@@ -19,22 +19,23 @@ import spcgrowth
 from spcgrowth import (
     ContinuityMode,
     ParameterError,
-    StateError,
+    PipelineConfig,
+    SyntheticSpec,
     benchmark_check,
-    logistic_inverse,
-    run_fit_stage,
-    serialize_dataset,
-    write_outputs,
+    generate_synthetic,
+    run_pipeline,
 )
 from spcgrowth.cli import main
+from spcgrowth.dataset import serialize_dataset
+from spcgrowth.logistic import logistic_inverse
 from spcgrowth.pipeline import (
-    PipelineConfig,
     _config_sha256,
     _derived_seed,
     add_bootstrap,
     add_validation,
+    run_fit_stage,
 )
-from spcgrowth.report import plot_data_files, render_report_json, render_report_text
+from spcgrowth.report import plot_data_files, render_report_json, render_report_text, write_outputs
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -126,7 +127,7 @@ class TestPipelineConfig:
 class TestFitStage:
     def test_bundle_is_incomplete_without_inference(self, fit_bundle, tmp_path):
         assert not fit_bundle.complete
-        with pytest.raises(StateError):
+        with pytest.raises(ParameterError, match="bundle is incomplete"):
             write_outputs(fit_bundle, tmp_path / "out")
 
     def test_input_digest_matches_the_file_bytes(self, fit_bundle, noisy_panel_path):
@@ -166,8 +167,6 @@ class TestFullPipeline:
         assert direct.ensemble == full_bundle.ensemble
 
     def test_rerun_writes_byte_identical_outputs(self, noisy_panel_path, tmp_path):
-        from spcgrowth import run_pipeline
-
         outputs = []
         for name in ("one", "two"):
             config = PipelineConfig(
@@ -185,12 +184,33 @@ class TestFullPipeline:
         for rel in first:
             assert (outputs[0] / rel).read_bytes() == (outputs[1] / rel).read_bytes()
 
+    @pytest.mark.parametrize("reorder", ["shuffled rows", "reversed regions"])
+    def test_row_order_does_not_change_the_report(self, reorder, tmp_path):
+        # on this panel the threshold's last bits depend on the order in
+        # which the KDE sums the regions' scores
+        ds = generate_synthetic(SyntheticSpec(30, noise_sigma=0.05), seed=3)
+        header, *rows = serialize_dataset(ds).splitlines()
+        if reorder == "shuffled rows":
+            moved = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        else:
+            # a stable sort keeps each region's rows in their order
+            moved = sorted(rows, key=lambda row: row.split(",")[0], reverse=True)
+        reports = []
+        for name, body in (("given.csv", rows), ("moved.csv", moved)):
+            path = tmp_path / name
+            path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+            config = PipelineConfig(input_path=str(path), n_bootstrap=20, n_validation=5)
+            reports.append(json.loads(render_report_json(run_pipeline(config))))
+        digests = [report["provenance"].pop("input_sha256") for report in reports]
+        assert digests[0] != digests[1]
+        assert reports[0] == reports[1]
+
 
 class TestBenchmarkCheck:
     def test_series_sampled_from_the_fitted_curve_has_zero_divergence(
         self, full_bundle, tmp_path
     ):
-        from spcgrowth import logistic_eval
+        from spcgrowth.logistic import logistic_eval
 
         params = full_bundle.full_fit.params
         # the construction below re-anchors consistently only when the
@@ -405,6 +425,20 @@ class TestCli:
         )
         assert code == 2
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "check"])
+    def test_non_utf8_input_exits_2_naming_the_file(
+        self, command, noisy_panel_path, tmp_path, caplog, capsys
+    ):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + PANEL_HEADER.encode("utf-16-le"))  # UTF-16 with its BOM
+        if command == "fit":
+            argv = ["fit", "--input", str(bad)]
+        else:
+            argv = ["check", "--input", str(noisy_panel_path), str(bad)]
+        assert main(argv) == 2
+        assert f"{bad}: not UTF-8 text" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unsupported_k_sigma_exits_2(self, noisy_panel_path):
         code = main(
