@@ -13,6 +13,7 @@ Comma-separated UTF-8 with exactly this header:
   rows are rejected rather than resampled.
 - RelTime: optional integer year offset as present in the source file
   (empty for rows outside the central sequence).
+- Both year columns are rejected beyond +/-MAX_ABS_YEAR (10**15).
 - SPC1: raw social-complexity score (not yet min-max scaled).
 - Culture.Sequence: 'cultural.continuity' or 'outside.central'.
 - Institutions.Sequence: 'institutional.continuity' or 'outside.central'.
@@ -54,6 +55,10 @@ SCALED_COLUMN = "SPC1.scaled"
 CULTURAL_CONTINUITY = "cultural.continuity"
 INSTITUTIONAL_CONTINUITY = "institutional.continuity"
 OUTSIDE_CENTRAL = "outside.central"
+
+# Largest |AbsTime| or |RelTime| accepted. Years and their differences then
+# fit int64, and every year is exact as a float64 (below 2**53).
+MAX_ABS_YEAR = 10**15
 
 _CULTURE_LABELS = {CULTURAL_CONTINUITY, OUTSIDE_CENTRAL}
 _INSTITUTION_LABELS = {INSTITUTIONAL_CONTINUITY, OUTSIDE_CENTRAL}
@@ -139,16 +144,20 @@ def _parse_int(text: str, line: int, column: str) -> int:
     """Integer parse that tolerates integral floats like '1200.0'."""
     text = text.strip()
     try:
-        return int(text)
+        year = int(text)
     except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise RowParseError(line, f"{column} value {text!r} is not a number") from None
-    if not value.is_integer():  # also rejects nan and inf
-        raise RowParseError(line, f"{column} value {text!r} is not an integer year")
-    return int(value)
+        try:
+            value = float(text)
+        except ValueError:
+            raise RowParseError(line, f"{column} value {text!r} is not a number") from None
+        if not value.is_integer():  # also rejects nan and inf
+            raise RowParseError(line, f"{column} value {text!r} is not an integer year")
+        year = int(value)
+    if abs(year) > MAX_ABS_YEAR:
+        raise RowParseError(
+            line, f"{column} value {text!r} is outside +/-{MAX_ABS_YEAR:.0e}"
+        )
+    return year
 
 
 def _parse_label(text: str, allowed: set[str], line: int, column: str) -> str:

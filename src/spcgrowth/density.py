@@ -5,8 +5,12 @@ The estimate is the plain Gaussian-kernel sum
     rho(x) = 1 / (n h) * sum_i phi((x - x_i) / h)
 
 evaluated on a uniform grid, with phi the standard normal density. The
-automatic bandwidth is Scott's rule h = std(x) * n**(-1/5) (sample
-standard deviation). The threshold separating the low and high modes of a
+grid x sample terms are evaluated in blocks of grid rows holding at most
+_BLOCK_CELLS cells (one row when n exceeds it), so memory is O(grid + n)
+rather than O(grid * n). Each row's sum is the same reduction as over the
+full matrix, so the blocking leaves the result unchanged. The automatic
+bandwidth is Scott's rule h = std(x) * n**(-1/5) (sample standard
+deviation). The threshold separating the low and high modes of a
 bimodal distribution is the grid location of the minimum density strictly
 between the two highest local maxima.
 """
@@ -25,6 +29,9 @@ logger = logging.getLogger(__name__)
 
 AUTO_BANDWIDTH = "auto"
 GRID_SIZE = 1024
+
+# Most grid x sample cells evaluated at once (512 KiB of float64).
+_BLOCK_CELLS = 1 << 16
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -87,9 +94,22 @@ def gaussian_kde(
     else:
         grid = np.asarray(grid, dtype=float)
 
-    z = (grid[:, None] - samples[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * _SQRT_2PI)
-    return DensityEstimate(grid=grid, density=density, bandwidth=h, n_samples=samples.size)
+    n = samples.size
+    rows = max(1, _BLOCK_CELLS // n)
+    block = np.empty((min(rows, grid.size), n))
+    density = np.empty(grid.size)
+    # Far-off samples overflow z*z to inf for tiny bandwidths; exp(-inf) is 0.
+    with np.errstate(over="ignore"):
+        for start in range(0, grid.size, rows):
+            z = block[: min(rows, grid.size - start)]
+            np.subtract.outer(grid[start : start + rows], samples, out=z)
+            z /= h
+            z *= z
+            z *= -0.5  # exact, so exp sees the bits of -0.5 * z * z
+            np.exp(z, out=z)
+            z.sum(axis=1, out=density[start : start + rows])
+    density /= n * h * _SQRT_2PI
+    return DensityEstimate(grid=grid, density=density, bandwidth=h, n_samples=n)
 
 
 def _local_maxima(density: np.ndarray) -> list[int]:
@@ -114,7 +134,8 @@ def find_bimodal_threshold(estimate: DensityEstimate) -> BimodalThreshold:
 
     Raises NumericalError when fewer than two local maxima exist,
     in which case no low/high threshold is defined and the pipeline must
-    abort with a diagnostic.
+    abort with a diagnostic. The message tells a bandwidth too small for
+    the grid (zero density between the grid ends) from an oversmoothed one.
     """
     density = estimate.density
     grid = estimate.grid
@@ -123,6 +144,11 @@ def find_bimodal_threshold(estimate: DensityEstimate) -> BimodalThreshold:
 
     maxima = _local_maxima(density)
     if len(maxima) < 2:
+        if not density[1:-1].any():
+            raise NumericalError(
+                "density is zero at every interior grid point; bandwidth "
+                f"{estimate.bandwidth:g} is too small for the grid (try a larger bandwidth)"
+            )
         raise NumericalError(
             f"density has {len(maxima)} local maxima; threshold between two "
             "modes is undefined (try a smaller bandwidth)"

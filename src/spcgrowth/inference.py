@@ -96,6 +96,14 @@ def _split_indices(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     return perm[:half], perm[half:]  # train, test (test gets the odd point)
 
 
+def _log_failures(stage: str, failures: list[str], attempted: int) -> None:
+    """One summary WARNING for a stage's failed fits, none when all succeeded."""
+    if failures:
+        logger.warning(
+            "%s: %d of %d fits failed (first: %s)", stage, len(failures), attempted, failures[0]
+        )
+
+
 def out_of_sample_validation(
     aligned: AlignedDataset,
     full_fit: FitResult,
@@ -118,7 +126,7 @@ def out_of_sample_validation(
 
     children = np.random.SeedSequence(seed).spawn(n_repeats)
     rho2 = []
-    failed = 0
+    failures = []
     for child in children:
         rng = np.random.default_rng(child)
         train, test = _split_indices(rng, t.size)
@@ -130,8 +138,8 @@ def out_of_sample_validation(
             predicted = logistic_eval(fit.params, t[test])
             rho2.append(coefficient_of_prediction(predicted, y[test]))
         except NumericalError as exc:
-            logger.warning("validation repeat failed: %s", exc)
-            failed += 1
+            failures.append(str(exc))
+    _log_failures("validation", failures, n_repeats)
     if not rho2:
         raise NumericalError("every validation repeat failed")
     values = np.array(rho2)
@@ -142,7 +150,7 @@ def out_of_sample_validation(
         stderr_rho2=std / float(np.sqrt(values.size)),
         std_rho2=std,
         seed=seed,
-        n_failed=failed,
+        n_failed=len(failures),
     )
 
 
@@ -190,7 +198,7 @@ def bootstrap_fits(
 
     children = np.random.SeedSequence(seed).spawn(n_iter)
     params = []
-    failed = 0
+    failures = []
     for child in children:
         rng = np.random.default_rng(child)
         draw = rng.integers(0, n_regions, size=n_regions)
@@ -203,12 +211,12 @@ def bootstrap_fits(
             )
             params.append(fit.params)
         except NumericalError as exc:
-            logger.warning("bootstrap iteration failed: %s", exc)
-            failed += 1
+            failures.append(str(exc))
+    _log_failures("bootstrap", failures, n_iter)
     if not params:
         raise NumericalError("every bootstrap iteration failed")
     return BootstrapEnsemble(
-        n_iter=n_iter, param_sets=tuple(params), failed_fits=failed, seed=seed
+        n_iter=n_iter, param_sets=tuple(params), failed_fits=len(failures), seed=seed
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared builders for the test suite, and the per-point reference fitter."""
+"""Shared builders for the test suite, the per-point reference fitter and
+the dense KDE reference."""
 
 import math
 from dataclasses import replace
@@ -90,6 +91,14 @@ def normal_pdf(x, mu, sd):
     return np.exp(-0.5 * ((np.asarray(x, dtype=float) - mu) / sd) ** 2) / (
         sd * np.sqrt(2.0 * np.pi)
     )
+
+
+def dense_kde_reference(samples, bandwidth, grid):
+    """The Gaussian-kernel sum over the whole grid x sample matrix at once:
+    the differential reference for the blocked ``gaussian_kde``."""
+    samples = np.asarray(samples, dtype=float)
+    z = (grid[:, None] - samples[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 def _reference_gradient_norm(jac, res):

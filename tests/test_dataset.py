@@ -15,7 +15,13 @@ from spcgrowth import (
     generate_synthetic,
     minmax_scale,
 )
-from spcgrowth.dataset import minmax_unscale, parse_dataset, recorded_rel_times, serialize_dataset
+from spcgrowth.dataset import (
+    MAX_ABS_YEAR,
+    minmax_unscale,
+    parse_dataset,
+    recorded_rel_times,
+    serialize_dataset,
+)
 from spcgrowth.logistic import LogisticParams, logistic_eval
 
 
@@ -114,6 +120,28 @@ class TestParse:
     def test_non_integer_year_rejected(self, abs_time, rel_time):
         rows = [f"Latium,ItRomP,{abs_time},{rel_time},0.3,,"]
         with pytest.raises(RowParseError) as err:
+            parse_dataset(panel_text(rows))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("year", [MAX_ABS_YEAR, -MAX_ABS_YEAR])
+    def test_years_up_to_the_bound_are_accepted(self, year):
+        ds = parse_dataset(panel_text([f"Latium,ItRomP,{year},{year},0.3,,"]))
+        point = ds.regions[0].points[0]
+        assert point.abs_time == point.rel_time_recorded == year
+
+    @pytest.mark.parametrize(
+        "abs_time, rel_time, column",
+        [
+            (MAX_ABS_YEAR + 100, "", "AbsTime"),
+            (-MAX_ABS_YEAR - 100, "", "AbsTime"),
+            ("-1e20", "", "AbsTime"),
+            (-600, MAX_ABS_YEAR + 1, "RelTime"),
+            (-600, "-1e16", "RelTime"),
+        ],
+    )
+    def test_years_beyond_the_bound_rejected(self, abs_time, rel_time, column):
+        rows = [f"Latium,ItRomP,{abs_time},{rel_time},0.3,,"]
+        with pytest.raises(RowParseError, match=f"{column} value .* is outside") as err:
             parse_dataset(panel_text(rows))
         assert err.value.line == 2
 

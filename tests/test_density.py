@@ -1,11 +1,14 @@
 """Pooled-score density estimation and the bimodal valley threshold."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from helpers import normal_pdf
+from helpers import dense_kde_reference, normal_pdf
 
 from spcgrowth import NumericalError, ParameterError, find_bimodal_threshold, gaussian_kde
-from spcgrowth.density import GRID_SIZE, DensityEstimate, scott_bandwidth
+from spcgrowth.density import _BLOCK_CELLS, GRID_SIZE, DensityEstimate, scott_bandwidth
 
 # Height of N(mu, 0.05^2) at its mode: 1 / (0.05 * sqrt(2 pi)).
 NORMAL_PEAK_HEIGHT = 7.978845608028654
@@ -117,6 +120,64 @@ class TestKde:
             gaussian_kde(np.array([0.1, np.nan, 0.9]))
 
 
+def bimodal_sample(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(0.2, 0.05, n // 2), rng.normal(0.8, 0.05, n - n // 2)])
+
+
+def reference_rows(grid_size, n):
+    """Grid rows to compare against the dense reference: all of them while the
+    dense matrix is small, else every 31st row and the last, to keep its
+    memory small. Blocks then hold at most 16 rows, so the sampled rows fall
+    at every position within a block."""
+    if grid_size * n <= 1 << 22:
+        return np.arange(grid_size)
+    return np.r_[0:grid_size:31, grid_size - 1]
+
+
+BLOCK_ROWS_N = _BLOCK_CELLS // GRID_SIZE  # N where a block is exactly the grid
+
+
+class TestBlockedKde:
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, BLOCK_ROWS_N - 1, BLOCK_ROWS_N, BLOCK_ROWS_N + 1, 27_301, _BLOCK_CELLS + 1],
+    )
+    @pytest.mark.parametrize("bandwidth", ["auto", 0.03])
+    def test_equals_the_dense_sum_bit_for_bit(self, n, bandwidth):
+        samples = bimodal_sample(n)
+        est = gaussian_kde(samples, bandwidth=bandwidth)
+        rows = reference_rows(est.grid.size, n)
+        want = dense_kde_reference(samples, est.bandwidth, est.grid[rows])
+        assert np.array_equal(est.density[rows], want)
+
+    @pytest.mark.parametrize("n", [3, 700, 20_000])
+    def test_explicit_grid_equals_the_dense_sum_bit_for_bit(self, n):
+        # 1,000 rows: the last block is partial for 700 and 20,000 samples
+        samples = bimodal_sample(n, seed=1)
+        grid = np.linspace(-0.3, 1.3, 1000)
+        est = gaussian_kde(samples, bandwidth=0.04, grid=grid)
+        rows = reference_rows(grid.size, n)
+        assert np.array_equal(est.density[rows], dense_kde_reference(samples, 0.04, grid[rows]))
+
+    def test_memory_does_not_grow_as_grid_times_samples(self):
+        # the dense grid x N matrix would be 1024 * 50,000 * 8 B = 390 MB
+        samples = np.random.default_rng(3).uniform(size=50_000)
+        tracemalloc.start()
+        try:
+            gaussian_kde(samples, bandwidth=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_overflowing_terms_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = gaussian_kde(np.array([0.0, 1.0]), bandwidth=1e-300)
+        assert np.all(est.density[1:-1] == 0.0)
+
+
 class TestBimodalThreshold:
     def test_equal_mixture_valley(self):
         est = exact_mixture_estimate(0.5)
@@ -160,6 +221,12 @@ class TestBimodalThreshold:
         )
         est = gaussian_kde(draws, bandwidth=0.5)
         with pytest.raises(NumericalError, match="threshold between two modes is undefined"):
+            find_bimodal_threshold(est)
+
+    def test_too_small_bandwidth_is_named(self):
+        # every interior grid point lies thousands of bandwidths from a sample
+        est = gaussian_kde(np.array([0.1, 0.2, 0.8, 0.9]), bandwidth=1e-9)
+        with pytest.raises(NumericalError, match="too small for the grid"):
             find_bimodal_threshold(est)
 
     def test_plateau_peak_collapses_to_its_midpoint(self):

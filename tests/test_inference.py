@@ -1,5 +1,7 @@
 """Validation splits, region bootstrap, and timescale estimates."""
 
+import logging
+
 import numpy as np
 import pytest
 from helpers import (
@@ -86,16 +88,7 @@ class TestValidation:
 
     def test_failed_repeats_are_counted_not_hidden(self, aligned_noisy, monkeypatch):
         aligned, fit = aligned_noisy
-        real_fit = inference.fit_logistic
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise NumericalError("synthetic failure")
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "fit_logistic", flaky)
+        fail_every_third_fit(monkeypatch)
         report = out_of_sample_validation(aligned, fit, n_repeats=12, seed=3)
         assert report.n_failed == 4
         assert len(report.rho2_values) + report.n_failed == 12
@@ -135,6 +128,43 @@ class TestValidation:
         large = out_of_sample_validation(aligned, fit, n_repeats=100, seed=4)
         ratio = small.stderr_rho2 / large.stderr_rho2
         assert 1.5 < ratio < 2.5
+
+
+def fail_every_third_fit(monkeypatch):
+    real_fit = inference.fit_logistic
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] % 3 == 0:
+            raise NumericalError("synthetic failure")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_logistic", flaky)
+
+
+class TestFailureLog:
+    @pytest.mark.parametrize("stage", ["validation", "bootstrap"])
+    def test_one_warning_per_stage_with_the_count(self, stage, aligned_noisy, monkeypatch, caplog):
+        aligned, fit = aligned_noisy
+        fail_every_third_fit(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger=inference.__name__):
+            if stage == "validation":
+                failed = out_of_sample_validation(aligned, fit, n_repeats=12, seed=3).n_failed
+            else:
+                failed = bootstrap_fits(aligned, fit, n_iter=12, seed=3).failed_fits
+        assert failed == 4
+        records = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in records] == [
+            f"{stage}: 4 of 12 fits failed (first: synthetic failure)"
+        ]
+
+    def test_no_warning_when_every_fit_succeeds(self, aligned_noisy, caplog):
+        aligned, fit = aligned_noisy
+        with caplog.at_level(logging.WARNING, logger=inference.__name__):
+            out_of_sample_validation(aligned, fit, n_repeats=5, seed=3)
+            bootstrap_fits(aligned, fit, n_iter=5, seed=3)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestBootstrap:

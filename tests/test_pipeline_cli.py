@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,31 @@ class TestCli:
         assert main(["fit", "--input", str(panel)]) == 2
         assert "line 3" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row",
+        ["Latium,P,-500000000000000000000000,,0.5,,", "Latium,P,-500,1e20,0.5,,"],
+        ids=["AbsTime", "RelTime"],
+    )
+    def test_out_of_range_year_exits_2_with_its_line(self, tmp_path, row, caplog, capsys):
+        panel = tmp_path / "panel.csv"
+        rows = [PANEL_HEADER, "Latium,P,-600,,0.3,,", row]
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["fit", "--input", str(panel)]) == 2
+        assert "line 3" in caplog.text and "outside +/-1e+15" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_too_small_bandwidth_exits_3_without_a_warning(
+        self, noisy_panel_path, caplog, capsys
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--input", str(noisy_panel_path), "--bandwidth", "1e-300"])
+        assert code == 3
+        assert "bandwidth 1e-300 is too small for the grid" in caplog.text
+        assert "try a smaller bandwidth" not in caplog.text
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_unusable_bandwidth_exits_2(self, noisy_panel_path, value, caplog):
