@@ -8,7 +8,9 @@ alignment (they carry little information about growth duration).
 
 A region's central segment for a continuity mode is the maximal
 contiguous run of observations labelled continuous for that mode that
-contains the anchor observation.
+contains the anchor observation: the run of set entries in the mode's
+mask of the region (``RegionSeries.cultural`` or ``.institutional``)
+around the anchor index.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    CULTURAL_CONTINUITY,
-    INSTITUTIONAL_CONTINUITY,
-    Dataset,
-    Observation,
-    RegionSeries,
-)
+from .dataset import OUTSIDE_CENTRAL, Dataset, RegionSeries
 from .errors import NumericalError, ParameterError
 
 logger = logging.getLogger(__name__)
@@ -35,16 +31,11 @@ class ContinuityMode(enum.Enum):
     CULTURAL = "cultural"
     INSTITUTIONAL = "institutional"
 
-    @property
-    def continuity_label(self) -> str:
+    def continuous(self, series: RegionSeries) -> np.ndarray:
+        """The mask of ``series`` rows labelled continuous for this mode."""
         if self is ContinuityMode.CULTURAL:
-            return CULTURAL_CONTINUITY
-        return INSTITUTIONAL_CONTINUITY
-
-    def label_of(self, obs: Observation) -> str:
-        if self is ContinuityMode.CULTURAL:
-            return obs.culture_seq
-        return obs.institution_seq
+            return series.cultural
+        return series.institutional
 
 
 @dataclass(frozen=True)
@@ -81,27 +72,17 @@ class AlignedDataset:
     # alphabetical by region name.
     anchor_results: tuple[AnchorResult, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.regions)
-
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
         """All (rel_time, scaled) points concatenated across regions."""
         t = np.concatenate([r.rel_time for r in self.regions])
         y = np.concatenate([r.scaled for r in self.regions])
         return t.astype(float), y
 
-    def region(self, nga: str) -> AlignedRegion:
-        for r in self.regions:
-            if r.nga == nga:
-                return r
-        raise KeyError(nga)
-
 
 @dataclass(frozen=True)
 class CentralSegment:
     nga: str
     mode: ContinuityMode
-    points: tuple[Observation, ...]
     length: int
     rel_time: np.ndarray
     scaled: np.ndarray
@@ -127,7 +108,7 @@ def anchor_time(series: RegionSeries, threshold: float) -> AnchorResult:
     above = np.nonzero(scaled > threshold)[0]
     if above.size == 0:
         return AnchorResult(series.nga, None, False, ties)
-    year = int(series.points[int(above[0])].abs_time)
+    year = int(series.abs_times[above[0]])
     return AnchorResult(series.nga, year, True, ties)
 
 
@@ -171,23 +152,20 @@ def extract_central_sequence(
             f"region {region.nga!r} has no rel_time=0 observation"
         )
     anchor_idx = int(idx[0])
-    label = mode.continuity_label
-    points = region.series.points
-    if mode.label_of(points[anchor_idx]) != label:
+    continuous = mode.continuous(region.series)
+    if not continuous[anchor_idx]:
         raise NumericalError(
             f"region {region.nga!r}: anchor observation is labelled "
-            f"{mode.label_of(points[anchor_idx])!r} for mode {mode.value}"
+            f"{OUTSIDE_CENTRAL!r} for mode {mode.value}"
         )
-    start = anchor_idx
-    while start > 0 and mode.label_of(points[start - 1]) == label:
-        start -= 1
-    stop = anchor_idx + 1
-    while stop < len(points) and mode.label_of(points[stop]) == label:
-        stop += 1
+    # the run ends at the nearest rows outside the sequence on either side
+    breaks = np.flatnonzero(~continuous)
+    k = int(np.searchsorted(breaks, anchor_idx))
+    start = int(breaks[k - 1]) + 1 if k > 0 else 0
+    stop = int(breaks[k]) if k < breaks.size else continuous.size
     return CentralSegment(
         nga=region.nga,
         mode=mode,
-        points=points[start:stop],
         length=stop - start,
         rel_time=region.rel_time[start:stop].astype(float),
         scaled=region.scaled[start:stop],

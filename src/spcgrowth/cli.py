@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 data or usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -133,46 +134,49 @@ def _build_config(args: argparse.Namespace, need_out: bool = False) -> PipelineC
     return PipelineConfig(input_path=input_path, output_dir=out, **given)
 
 
-def _print_bundle(bundle, out_dir: str | None) -> None:
+@contextlib.contextmanager
+def _naming(path):
+    """Name ``path`` in the data errors raised while its panel is analysed.
+
+    The flags are checked before any panel is read, so a ParameterError
+    raised in here comes from the panel too.
+    """
+    try:
+        yield
+    except (DataError, ParameterError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+# subcommand -> the stage it runs after the fit stage
+_STAGES = {"fit": add_validation, "bootstrap": add_bootstrap, "continuity": add_continuity}
+
+
+def _cmd_stage(args: argparse.Namespace) -> int:
+    config = _build_config(args)
+    with _naming(config.input_path):
+        bundle = _STAGES[args.command](run_fit_stage(config))
     files = report_files(bundle)
     print(files["report.txt"], end="")
-    if out_dir is not None:
-        write_files(files, out_dir)
-        logger.info("wrote report files to %s", out_dir)
-
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    bundle = add_validation(run_fit_stage(config))
-    _print_bundle(bundle, config.output_dir)
-    return 0
-
-
-def _cmd_bootstrap(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    bundle = add_bootstrap(run_fit_stage(config))
-    _print_bundle(bundle, config.output_dir)
-    return 0
-
-
-def _cmd_continuity(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    bundle = add_continuity(run_fit_stage(config))
-    _print_bundle(bundle, config.output_dir)
+    if config.output_dir is not None:
+        write_files(files, config.output_dir)
+        logger.info("wrote report files to %s", config.output_dir)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _build_config(args, need_out=True)
-    run_pipeline(config)
+    with _naming(config.input_path):
+        run_pipeline(config)
     print(f"report written to {config.output_dir}")
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    bundle = run_fit_stage(config)
-    check = benchmark_check(bundle, args.new_series)
+    with _naming(config.input_path):
+        bundle = run_fit_stage(config)
+    with _naming(args.new_series):
+        check = benchmark_check(bundle, args.new_series)
     print(render_check_text(check), end="")
     return 0
 
@@ -199,7 +203,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     for flag, (field, _, metavar, help_text) in _RUN_OPTIONS.items():
         default = _default_text(field)
         parser.add_argument(flag, metavar=metavar, help=f"{help_text} (default {default})")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = {
-        "fit": ("derive the threshold, align, fit, and validate", _cmd_fit),
-        "bootstrap": ("bootstrap the fit and estimate growth timescales", _cmd_bootstrap),
-        "continuity": ("refit on continuity-restricted central segments", _cmd_continuity),
+        "fit": ("derive the threshold, align, fit, and validate", _cmd_stage),
+        "bootstrap": ("bootstrap the fit and estimate growth timescales", _cmd_stage),
+        "continuity": ("refit on continuity-restricted central segments", _cmd_stage),
         "report": ("run every stage and write all artifacts", _cmd_report),
         "check": ("score held-out series against a fitted run", _cmd_check),
         "synth": ("generate a synthetic panel", _cmd_synth),
@@ -223,11 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--regions", help=f"number of regions (default {_SYNTH_REGIONS})")
             cmd.add_argument("--noise", help=f"noise sigma (default {_SYNTH_NOISE})")
             cmd.add_argument("--seed", help=f"base random seed (default {_default_text('seed')})")
-            cmd.add_argument("--out", metavar="DIR", help="output directory")
         else:
             _add_common(cmd)
-        if name == "check":
+        if name == "check":  # prints its scores and writes nothing
             cmd.add_argument("new_series", help="panel CSV of held-out series")
+        else:
+            cmd.add_argument("--out", metavar="DIR", help="output directory")
         cmd.set_defaults(func=handler)
     return parser
 

@@ -21,7 +21,15 @@ Comma-separated UTF-8 with exactly this header:
 Empty continuity cells are read as 'outside.central'. Serialised output
 uses the same columns, plus 'SPC1.scaled' once scaling has been applied.
 
-Values are immutable after construction; scaling returns a new Dataset.
+In memory the panel is columnar: a Dataset holds one RegionSeries per
+region, and a RegionSeries holds one array per column (years as int64,
+scores as float64, a presence mask beside the RelTime values, and one
+boolean "continuous" mask per continuity column), never one object per
+row. Parsing streams the rows and builds these arrays per region;
+serialising writes them back byte for byte.
+
+Datasets are not modified after construction; scaling returns a new
+Dataset.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ import logging
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -64,41 +74,29 @@ _CULTURE_LABELS = {CULTURAL_CONTINUITY, OUTSIDE_CENTRAL}
 _INSTITUTION_LABELS = {INSTITUTIONAL_CONTINUITY, OUTSIDE_CENTRAL}
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One century-sampled row of the panel."""
-
-    nga: str
-    pol_id: str
-    abs_time: int
-    spc1_raw: float
-    culture_seq: str
-    institution_seq: str
-    rel_time_recorded: int | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionSeries:
-    """One region's observations, ordered by calendar year.
+    """One region's rows as parallel columns, ordered by calendar year.
 
-    ``spc1_scaled`` is None until min-max scaling fills it; scaled values
-    align index-for-index with ``points``.
+    Every array has one entry per row. ``rel_time_recorded`` holds the
+    RelTime column where ``rel_time_present`` is set (0 elsewhere);
+    ``cultural`` and ``institutional`` mark the rows labelled continuous
+    in Culture.Sequence and Institutions.Sequence. ``spc1_scaled`` is None
+    until min-max scaling fills it.
     """
 
     nga: str
-    points: tuple[Observation, ...]
+    pol_id: tuple[str, ...]
+    abs_times: np.ndarray  # int64
+    raw: np.ndarray  # float64
+    rel_time_recorded: np.ndarray  # int64
+    rel_time_present: np.ndarray  # bool
+    cultural: np.ndarray  # bool
+    institutional: np.ndarray  # bool
     spc1_scaled: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def abs_times(self) -> np.ndarray:
-        return np.array([p.abs_time for p in self.points], dtype=int)
-
-    @property
-    def raw(self) -> np.ndarray:
-        return np.array([p.spc1_raw for p in self.points], dtype=float)
+        return self.abs_times.size
 
     @property
     def scaled(self) -> np.ndarray:
@@ -115,18 +113,9 @@ class Dataset:
     scale_min: float | None = None
     scale_max: float | None = None
 
-    def __len__(self) -> int:
-        return len(self.regions)
-
     @property
     def is_scaled(self) -> bool:
         return self.scale_min is not None
-
-    def region(self, nga: str) -> RegionSeries:
-        for series in self.regions:
-            if series.nga == nga:
-                return series
-        raise KeyError(nga)
 
     def all_raw(self) -> np.ndarray:
         if not self.regions:
@@ -209,7 +198,8 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
     if extras and extras != [SCALED_COLUMN]:
         raise DataError(f"unexpected extra column(s): {', '.join(extras)}")
 
-    rows: dict[str, list[tuple[Observation, int]]] = {}
+    # region -> one tuple per row; the year leads, so sorting orders by it
+    rows: dict[str, list[tuple]] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -221,7 +211,7 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
         pol_id = row[1].strip()
         abs_time = _parse_int(row[2], line_no, "AbsTime")
         rel_text = row[3].strip()
-        rel_time = _parse_int(rel_text, line_no, "RelTime") if rel_text else None
+        rel_time = _parse_int(rel_text, line_no, "RelTime") if rel_text else 0
         try:
             spc1 = float(row[4])
         except ValueError:
@@ -232,24 +222,48 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
         institution = _parse_label(
             row[6], _INSTITUTION_LABELS, line_no, "Institutions.Sequence"
         )
-        obs = Observation(nga, pol_id, abs_time, spc1, culture, institution, rel_time)
-        rows.setdefault(nga, []).append((obs, line_no))
+        rows.setdefault(nga, []).append(
+            (
+                abs_time,
+                line_no,
+                pol_id,
+                spc1,
+                rel_time,
+                bool(rel_text),
+                culture == CULTURAL_CONTINUITY,
+                institution == INSTITUTIONAL_CONTINUITY,
+            )
+        )
 
     regions = []
     for nga in sorted(rows, key=_name_key):
-        entries = sorted(rows[nga], key=lambda pair: pair[0].abs_time)
-        for (prev, _), (cur, cur_line) in zip(entries, entries[1:]):
-            gap = cur.abs_time - prev.abs_time
-            if gap == 0:
+        entries = sorted(rows.pop(nga), key=itemgetter(0))
+        years, lines, pol_ids, raw, rel, present, cultural, institutional = zip(*entries)
+        abs_times = np.array(years, dtype=np.int64)
+        gaps = np.diff(abs_times)
+        bad = np.flatnonzero((gaps == 0) | (gaps % 100 != 0))
+        if bad.size:
+            i = int(bad[0]) + 1
+            if gaps[i - 1] == 0:
                 raise DataError(
-                    f"region {nga!r}: duplicate AbsTime {cur.abs_time} (line {cur_line})"
+                    f"region {nga!r}: duplicate AbsTime {years[i]} (line {lines[i]})"
                 )
-            if gap % 100 != 0:
-                raise DataError(
-                    f"region {nga!r}: AbsTime step {prev.abs_time} -> {cur.abs_time} "
-                    f"is not a century multiple (line {cur_line})"
-                )
-        regions.append(RegionSeries(nga, tuple(obs for obs, _ in entries)))
+            raise DataError(
+                f"region {nga!r}: AbsTime step {years[i - 1]} -> {years[i]} "
+                f"is not a century multiple (line {lines[i]})"
+            )
+        regions.append(
+            RegionSeries(
+                nga,
+                pol_ids,
+                abs_times,
+                np.array(raw, dtype=float),
+                np.array(rel, dtype=np.int64),
+                np.array(present, dtype=bool),
+                np.array(cultural, dtype=bool),
+                np.array(institutional, dtype=bool),
+            )
+        )
     return Dataset(tuple(regions))
 
 
@@ -258,7 +272,7 @@ def load_dataset(path) -> Dataset:
         try:
             return parse_dataset(handle)
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise DataError(f"not UTF-8 text ({exc.reason})") from None
 
 
 def serialize_dataset(dataset: Dataset) -> str:
@@ -267,20 +281,19 @@ def serialize_dataset(dataset: Dataset) -> str:
     writer = csv.writer(out, lineterminator="\n")
     columns = list(HEADER) + ([SCALED_COLUMN] if dataset.is_scaled else [])
     writer.writerow(columns)
-    for series in dataset.regions:
-        for i, p in enumerate(series.points):
-            row = [
-                p.nga,
-                p.pol_id,
-                str(p.abs_time),
-                "" if p.rel_time_recorded is None else str(p.rel_time_recorded),
-                repr(float(p.spc1_raw)),
-                p.culture_seq,
-                p.institution_seq,
-            ]
-            if dataset.is_scaled:
-                row.append(repr(float(series.scaled[i])))
-            writer.writerow(row)
+    for s in dataset.regions:
+        cells = [
+            repeat(s.nga),
+            s.pol_id,
+            s.abs_times.tolist(),
+            np.where(s.rel_time_present, s.rel_time_recorded.astype(str), "").tolist(),
+            map(repr, s.raw.tolist()),
+            np.where(s.cultural, CULTURAL_CONTINUITY, OUTSIDE_CENTRAL).tolist(),
+            np.where(s.institutional, INSTITUTIONAL_CONTINUITY, OUTSIDE_CENTRAL).tolist(),
+        ]
+        if dataset.is_scaled:
+            cells.append(map(repr, s.scaled.tolist()))
+        writer.writerows(zip(*cells))
     return out.getvalue()
 
 
@@ -304,16 +317,13 @@ def minmax_scale(dataset: Dataset, extrema: tuple[float, float] | None = None) -
             )
         lo, hi = float(values.min()), float(values.max())
     span = hi - lo
+    if not math.isfinite(span):
+        raise DataError(f"raw values from {lo!r} to {hi!r} span more than the float range")
     regions = tuple(
         replace(series, spc1_scaled=(series.raw - lo) / span)
         for series in dataset.regions
     )
     return Dataset(regions, scale_min=lo, scale_max=hi)
-
-
-def minmax_unscale(scaled, scale_min: float, scale_max: float) -> np.ndarray:
-    """Inverse of the scaling map, using stored extrema."""
-    return np.asarray(scaled, dtype=float) * (scale_max - scale_min) + scale_min
 
 
 @dataclass(frozen=True)
@@ -365,28 +375,21 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
     regions = []
     curve = np.asarray(logistic_eval(p, time_grid))
+    n = time_grid.size
+    continuous = np.ones(n, dtype=bool)
     for r in range(spec.n_regions):
-        noise = rng.normal(0.0, spec.noise_sigma, size=time_grid.size)
-        values = curve + noise
-        points = tuple(
-            Observation(
+        noise = rng.normal(0.0, spec.noise_sigma, size=n)
+        regions.append(
+            RegionSeries(
                 nga=f"SYN-{r:02d}",
-                pol_id=f"SYN-{r:02d}-P1",
-                abs_time=int(u + offsets[r]),
-                spc1_raw=float(v),
-                culture_seq=CULTURAL_CONTINUITY,
-                institution_seq=INSTITUTIONAL_CONTINUITY,
-                rel_time_recorded=int(u),
+                pol_id=(f"SYN-{r:02d}-P1",) * n,
+                abs_times=time_grid + offsets[r],
+                raw=curve + noise,
+                rel_time_recorded=time_grid,
+                rel_time_present=continuous,
+                cultural=continuous,
+                institutional=continuous,
             )
-            for u, v in zip(time_grid, values)
         )
-        regions.append(RegionSeries(f"SYN-{r:02d}", points))
     return Dataset(tuple(regions))
 
-
-def recorded_rel_times(series: RegionSeries) -> np.ndarray:
-    """RelTime column values; raises if any are missing."""
-    rels = [p.rel_time_recorded for p in series.points]
-    if any(r is None for r in rels):
-        raise ParameterError(f"region {series.nga!r} has rows without RelTime")
-    return np.array(rels, dtype=int)

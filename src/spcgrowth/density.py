@@ -43,17 +43,12 @@ class DensityEstimate:
     bandwidth: float
     n_samples: int
 
-    def integral(self) -> float:
-        """Trapezoidal mass under the estimate (about 1 when uncropped)."""
-        return float(np.trapezoid(self.density, self.grid))
-
 
 @dataclass(frozen=True)
 class BimodalThreshold:
     spc1_0: float
     left_peak: float
     right_peak: float
-    peak_densities: tuple[float, float]
     threshold_density: float
 
 
@@ -166,6 +161,5 @@ def find_bimodal_threshold(estimate: DensityEstimate) -> BimodalThreshold:
         spc1_0=float(grid[idx]),
         left_peak=float(grid[left]),
         right_peak=float(grid[right]),
-        peak_densities=(float(density[left]), float(density[right])),
         threshold_density=float(density[idx]),
     )

@@ -6,8 +6,8 @@ maps each to its own exit code:
 - ``DataError`` (exit 2): the input panel is unusable. The file cannot be
   read or decoded, the header is wrong, a row does not parse (then it is a
   ``RowParseError`` with the 1-based ``.line``), a (region, year) pair
-  repeats, a region's years are not century steps, or every raw score is
-  the same.
+  repeats, a region's years are not century steps, every raw score is
+  the same, or the scores span more than the float range.
 - ``NumericalError`` (exit 3): valid data yields no usable result, for
   example too few samples, a zero-variance bandwidth, a unimodal density,
   a singular fit, a level the curve never crosses, an empty bootstrap
@@ -16,7 +16,9 @@ maps each to its own exit code:
 ``ParameterError`` (exit 2, also a ``ValueError``) is an argument that
 violates a documented precondition, including a value that must have been
 prepared first, such as an unscaled region. Each message names the
-condition.
+condition. The command line reports a DataError or ParameterError raised
+while a panel is analysed as a DataError whose message starts with the
+panel's file name.
 """
 
 

@@ -71,7 +71,6 @@ class TimescaleEstimate:
     duration_mean: float
     n_crossing_curves: int
     n_excluded_curves: int
-    per_curve_durations: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,6 @@ def characteristic_timescale(
         duration_mean=float(durations.mean()),
         n_crossing_curves=int(durations.size),
         n_excluded_curves=excluded,
-        per_curve_durations=tuple(float(v) for v in durations),
     )
 
 

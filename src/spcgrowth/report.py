@@ -375,14 +375,13 @@ def _lengths_csv(comparison: ContinuityComparison) -> str:
 
 def _series_csv(bundle: ReportBundle, region) -> str:
     # One-region dataset with RelTime filled from the alignment.
-    points = tuple(
-        replace(p, rel_time_recorded=int(t))
-        for p, t in zip(region.series.points, region.rel_time)
+    series = replace(
+        region.series,
+        rel_time_recorded=region.rel_time,
+        rel_time_present=np.ones(region.rel_time.size, dtype=bool),
     )
     single = Dataset(
-        (replace(region.series, points=points),),
-        scale_min=bundle.dataset.scale_min,
-        scale_max=bundle.dataset.scale_max,
+        (series,), scale_min=bundle.dataset.scale_min, scale_max=bundle.dataset.scale_max
     )
     return serialize_dataset(single)
 
@@ -401,7 +400,13 @@ def plot_data_files(bundle: ReportBundle) -> dict[str, str]:
     for comparison in bundle.continuity:
         files[f"lengths_{comparison.mode.value}.csv"] = _lengths_csv(comparison)
     for region in bundle.aligned.regions:
-        files[f"series/{_slug(region.nga)}.csv"] = _series_csv(bundle, region)
+        # names such as "Rome" and "rome" share a slug: the later one in
+        # name order gets "-2", the next "-3", ...
+        path, n = f"series/{_slug(region.nga)}.csv", 1
+        while path in files:
+            n += 1
+            path = f"series/{_slug(region.nga)}-{n}.csv"
+        files[path] = _series_csv(bundle, region)
     return files
 
 

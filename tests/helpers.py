@@ -1,8 +1,8 @@
-"""Shared builders for the test suite, the per-point reference fitter and
-the dense KDE reference."""
+"""Shared builders and lookups for the test suite, the per-point reference
+fitter and the dense KDE reference."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -14,9 +14,7 @@ from spcgrowth.dataset import (
     INSTITUTIONAL_CONTINUITY,
     OUTSIDE_CENTRAL,
     Dataset,
-    Observation,
     RegionSeries,
-    recorded_rel_times,
 )
 from spcgrowth.logistic import (
     DEFAULT_INIT_PARAMS,
@@ -48,18 +46,47 @@ def make_region(nga, values, start=-1000, step=100, culture=None, institution=No
     n = len(values)
     culture = culture if culture is not None else [CULT] * n
     institution = institution if institution is not None else [INST] * n
-    points = tuple(
-        Observation(
-            nga=nga,
-            pol_id=f"{nga}-P1",
-            abs_time=start + step * i,
-            spc1_raw=float(values[i]),
-            culture_seq=culture[i],
-            institution_seq=institution[i],
-        )
-        for i in range(n)
+    return RegionSeries(
+        nga=nga,
+        pol_id=(f"{nga}-P1",) * n,
+        abs_times=start + step * np.arange(n, dtype=np.int64),
+        raw=np.asarray(values, dtype=float),
+        rel_time_recorded=np.zeros(n, dtype=np.int64),
+        rel_time_present=np.zeros(n, dtype=bool),
+        cultural=np.array([label == CULT for label in culture], dtype=bool),
+        institutional=np.array([label == INST for label in institution], dtype=bool),
     )
-    return RegionSeries(nga, points)
+
+
+def region_named(collection, nga):
+    """The region called ``nga`` in a Dataset or an AlignedDataset."""
+    for region in collection.regions:
+        if region.nga == nga:
+            return region
+    raise KeyError(nga)
+
+
+def series_fields(series: RegionSeries) -> dict:
+    """Every field of a RegionSeries, arrays as lists, for equality tests."""
+    values = {f.name: getattr(series, f.name) for f in fields(series)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+def recorded_rel_times(series: RegionSeries) -> np.ndarray:
+    """RelTime column values; raises if any are missing."""
+    if not series.rel_time_present.all():
+        raise ParameterError(f"region {series.nga!r} has rows without RelTime")
+    return series.rel_time_recorded
+
+
+def minmax_unscale(scaled, scale_min: float, scale_max: float) -> np.ndarray:
+    """Inverse of the scaling map, using stored extrema."""
+    return np.asarray(scaled, dtype=float) * (scale_max - scale_min) + scale_min
+
+
+def kde_mass(estimate) -> float:
+    """Trapezoidal mass under a density estimate (about 1 when uncropped)."""
+    return float(np.trapezoid(estimate.density, estimate.grid))
 
 
 def scaled_region(nga, values, start=-1000, culture=None, institution=None):

@@ -6,9 +6,11 @@ from helpers import (
     CULT,
     INST,
     OUT,
+    PANEL_HEADER,
     aligned_region,
     build_dataset,
     make_region,
+    region_named,
     scaled_region,
 )
 
@@ -20,6 +22,7 @@ from spcgrowth import (
     shift_to_reltime,
 )
 from spcgrowth.align import anchor_time, central_segments, extract_central_sequence
+from spcgrowth.dataset import parse_dataset
 
 
 class TestAnchor:
@@ -61,7 +64,7 @@ class TestShift:
         # crossing at the fifth century point puts the first point at -400
         ds = build_dataset([make_region("A", [0.1, 0.2, 0.3, 0.4, 0.9], start=-1000)])
         aligned = shift_to_reltime(minmax_scale(ds), 0.5)
-        region = aligned.region("A")
+        region = region_named(aligned, "A")
         assert list(region.rel_time) == [-400, -300, -200, -100, 0]
         assert region.scaled[region.rel_time == 0][0] > 0.5
 
@@ -73,7 +76,7 @@ class TestShift:
             ]
         )
         aligned = shift_to_reltime(minmax_scale(ds), 0.6)
-        assert len(aligned) == 1
+        assert len(aligned.regions) == 1
         assert aligned.discarded == ("Flat",)
         assert [a.nga for a in aligned.anchor_results] == ["Flat", "Grows"]
         flat = aligned.anchor_results[0]
@@ -94,8 +97,8 @@ class TestShift:
         ds = build_dataset([make_region("A", [0.1, 0.2, 0.5, 0.9], start=-2300)])
         scaled = minmax_scale(ds)
         aligned = shift_to_reltime(scaled, 0.5)
-        rel = aligned.region("A").rel_time
-        assert list(np.diff(rel)) == list(np.diff(scaled.region("A").abs_times))
+        rel = region_named(aligned, "A").rel_time
+        assert list(np.diff(rel)) == list(np.diff(region_named(scaled, "A").abs_times))
 
     def test_no_retained_point_above_threshold_before_rel_zero(self):
         from spcgrowth import SyntheticSpec, generate_synthetic
@@ -110,7 +113,7 @@ class TestShift:
     def test_reanchoring_a_shifted_region_gives_year_zero(self):
         ds = build_dataset([make_region("A", [0.1, 0.4, 0.9], start=-1000)])
         aligned = shift_to_reltime(minmax_scale(ds), 0.5)
-        region = aligned.region("A")
+        region = region_named(aligned, "A")
         replayed = scaled_region("A2", list(region.scaled), start=int(region.rel_time[0]))
         assert anchor_time(replayed, 0.5).anchor_year == 0
 
@@ -123,7 +126,7 @@ class TestShift:
             ]
         )
         aligned = shift_to_reltime(minmax_scale(ds), 0.5)
-        assert len(aligned) + len(aligned.discarded) == 3
+        assert len(aligned.regions) + len(aligned.discarded) == 3
         assert len(aligned.anchor_results) == 3
 
     def test_pooled_concatenates_all_retained_points(self):
@@ -147,15 +150,17 @@ class TestCentralSegments:
         region = labelled_aligned([CULT] * 5)
         seg = extract_central_sequence(region, ContinuityMode.CULTURAL)
         assert seg.length == 5
-        assert seg.points == region.series.points
+        assert list(seg.rel_time) == list(region.rel_time)
+        assert list(seg.scaled) == list(region.scaled)
 
     def test_run_is_clipped_at_the_nearest_breaks(self):
         labels = [OUT, CULT, CULT, CULT, CULT, OUT, CULT]
         region = labelled_aligned(labels, anchor=-700)  # anchor at index 3
         seg = extract_central_sequence(region, ContinuityMode.CULTURAL)
         assert seg.length == 4
-        assert [p.abs_time for p in seg.points] == [-900, -800, -700, -600]
+        assert list(seg.rel_time + region.anchor_year) == [-900, -800, -700, -600]
         assert list(seg.rel_time) == [-200, -100, 0, 100]
+        assert list(seg.scaled) == list(region.scaled[1:5])
 
     def test_anchor_outside_the_sequence_is_an_error(self):
         labels = [CULT, CULT, OUT, CULT, CULT]
@@ -171,7 +176,8 @@ class TestCentralSegments:
         inst = extract_central_sequence(region, ContinuityMode.INSTITUTIONAL)
         assert cult.length == 5
         assert inst.length == 2
-        assert [p.abs_time for p in inst.points] == [-800, -700]
+        assert list(inst.rel_time + region.anchor_year) == [-800, -700]
+        assert list(inst.scaled) == list(region.scaled[2:4])
 
     def test_skipped_regions_are_named(self):
         good = labelled_aligned([CULT] * 4, anchor=-800)
@@ -187,5 +193,13 @@ class TestCentralSegments:
         assert skipped == ["S"]
 
     def test_mode_labels(self):
-        assert ContinuityMode.CULTURAL.continuity_label == CULT
-        assert ContinuityMode.INSTITUTIONAL.continuity_label == INST
+        text = "\n".join(
+            [
+                PANEL_HEADER,
+                "R,P,-600,,0.1,cultural.continuity,outside.central",
+                "R,P,-500,,0.2,outside.central,institutional.continuity",
+            ]
+        )
+        (series,) = parse_dataset(text).regions
+        assert list(ContinuityMode.CULTURAL.continuous(series)) == [True, False]
+        assert list(ContinuityMode.INSTITUTIONAL.continuous(series)) == [False, True]

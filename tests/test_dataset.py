@@ -1,8 +1,21 @@
 """Panel parsing, global scaling, serialization, and synthetic generation."""
 
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from helpers import CULT, INST, OUT, PANEL_HEADER, build_dataset, make_region
+from helpers import (
+    PANEL_HEADER,
+    build_dataset,
+    make_region,
+    minmax_unscale,
+    recorded_rel_times,
+    region_named,
+    series_fields,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,13 +28,7 @@ from spcgrowth import (
     generate_synthetic,
     minmax_scale,
 )
-from spcgrowth.dataset import (
-    MAX_ABS_YEAR,
-    minmax_unscale,
-    parse_dataset,
-    recorded_rel_times,
-    serialize_dataset,
-)
+from spcgrowth.dataset import MAX_ABS_YEAR, parse_dataset, serialize_dataset
 from spcgrowth.logistic import LogisticParams, logistic_eval
 
 
@@ -39,15 +46,15 @@ LATIUM_ROWS = [
 class TestParse:
     def test_recorded_reltime_zero_names_the_anchor_year(self):
         ds = parse_dataset(panel_text(LATIUM_ROWS))
-        assert len(ds) == 1
-        series = ds.region("Latium")
-        zero = [p for p in series.points if p.rel_time_recorded == 0]
-        assert len(zero) == 1 and zero[0].abs_time == -500
+        assert len(ds.regions) == 1
+        series = region_named(ds, "Latium")
+        zero = series.rel_time_present & (series.rel_time_recorded == 0)
+        assert list(series.abs_times[zero]) == [-500]
 
     def test_rows_are_sorted_by_year_within_a_region(self):
         shuffled = [LATIUM_ROWS[2], LATIUM_ROWS[0], LATIUM_ROWS[1]]
         ds = parse_dataset(panel_text(shuffled))
-        assert list(ds.region("Latium").abs_times) == [-600, -500, -400]
+        assert list(region_named(ds, "Latium").abs_times) == [-600, -500, -400]
 
     def test_regions_are_ordered_by_name(self):
         rows = [
@@ -64,7 +71,7 @@ class TestParse:
 
     def test_header_only_input_is_an_empty_panel(self):
         ds = parse_dataset(PANEL_HEADER + "\n")
-        assert len(ds) == 0
+        assert len(ds.regions) == 0
         assert ds.n_points() == 0
 
     @pytest.mark.parametrize("score", ["abc", "nan", "inf", "-inf", "1e400"])
@@ -109,8 +116,8 @@ class TestParse:
     def test_blank_labels_mean_outside_the_central_sequence(self):
         rows = ["Latium,ItRomP,-600,,0.3,,"]
         ds = parse_dataset(panel_text(rows))
-        p = ds.region("Latium").points[0]
-        assert p.culture_seq == OUT and p.institution_seq == OUT
+        series = region_named(ds, "Latium")
+        assert not series.cultural[0] and not series.institutional[0]
 
     @pytest.mark.parametrize(
         "abs_time, rel_time",
@@ -126,8 +133,9 @@ class TestParse:
     @pytest.mark.parametrize("year", [MAX_ABS_YEAR, -MAX_ABS_YEAR])
     def test_years_up_to_the_bound_are_accepted(self, year):
         ds = parse_dataset(panel_text([f"Latium,ItRomP,{year},{year},0.3,,"]))
-        point = ds.regions[0].points[0]
-        assert point.abs_time == point.rel_time_recorded == year
+        series = ds.regions[0]
+        assert series.rel_time_present[0]
+        assert series.abs_times[0] == series.rel_time_recorded[0] == year
 
     @pytest.mark.parametrize(
         "abs_time, rel_time, column",
@@ -148,14 +156,17 @@ class TestParse:
     def test_round_trip_preserves_every_field(self):
         ds = generate_synthetic(SyntheticSpec(3, noise_sigma=0.02), seed=1)
         again = parse_dataset(serialize_dataset(ds))
-        assert ds.regions == again.regions
+        assert [series_fields(s) for s in again.regions] == [
+            series_fields(s) for s in ds.regions
+        ]
 
     def test_scaled_serialization_gains_a_column_and_still_parses(self):
         ds = minmax_scale(generate_synthetic(SyntheticSpec(2, noise_sigma=0.02), seed=1))
         text = serialize_dataset(ds)
         assert text.splitlines()[0].endswith(",SPC1.scaled")
         again = parse_dataset(text)  # scaled column is ignored on ingest
-        assert again.regions[0].points == ds.regions[0].points
+        unscaled = {**series_fields(ds.regions[0]), "spc1_scaled": None}
+        assert series_fields(again.regions[0]) == unscaled
 
 
 class TestScaling:
@@ -164,31 +175,36 @@ class TestScaling:
             [make_region("A", [2.0, 4.0]), make_region("B", [6.0])]
         )
         scaled = minmax_scale(ds)
-        assert list(scaled.region("A").scaled) == [0.0, 0.5]
-        assert list(scaled.region("B").scaled) == [1.0]
+        assert list(region_named(scaled, "A").scaled) == [0.0, 0.5]
+        assert list(region_named(scaled, "B").scaled) == [1.0]
         assert (scaled.scale_min, scaled.scale_max) == (2.0, 6.0)
 
     def test_unit_range_data_is_unchanged(self):
         ds = build_dataset([make_region("A", [0.0, 0.25, 1.0])])
         scaled = minmax_scale(ds)
-        assert np.allclose(scaled.region("A").scaled, [0.0, 0.25, 1.0], atol=0)
+        assert np.allclose(region_named(scaled, "A").scaled, [0.0, 0.25, 1.0], atol=0)
 
     def test_scaling_is_global_not_per_region(self):
         ds = build_dataset(
             [make_region("Low", [1.0, 2.0]), make_region("High", [1.0, 10.0])]
         )
         scaled = minmax_scale(ds)
-        assert scaled.region("Low").scaled.max() < 0.2
+        assert region_named(scaled, "Low").scaled.max() < 0.2
 
     def test_identical_values_rejected(self):
         ds = build_dataset([make_region("A", [0.7, 0.7, 0.7])])
         with pytest.raises(DataError, match="distinct raw values"):
             minmax_scale(ds)
 
+    def test_range_wider_than_a_float_rejected(self):
+        ds = build_dataset([make_region("A", [-1.7e308, 0.0, 1.7e308])])
+        with pytest.raises(DataError, match="span more than the float range"):
+            minmax_scale(ds)
+
     def test_explicit_extrema_override(self):
         ds = build_dataset([make_region("A", [2.0, 4.0])])
         scaled = minmax_scale(ds, extrema=(0.0, 8.0))
-        assert list(scaled.region("A").scaled) == [0.25, 0.5]
+        assert list(region_named(scaled, "A").scaled) == [0.25, 0.5]
 
     def test_inverted_extrema_rejected(self):
         ds = build_dataset([make_region("A", [2.0, 4.0])])
@@ -201,15 +217,15 @@ class TestScaling:
     def test_order_preserving(self, values):
         values = [v / 8.0 for v in values]
         ds = build_dataset([make_region("A", values)])
-        scaled = minmax_scale(ds).region("A").scaled
+        scaled = region_named(minmax_scale(ds), "A").scaled
         order = np.argsort(np.asarray(values))
         assert np.all(np.diff(scaled[order]) > 0)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30, unique=True))
     def test_unscale_round_trips(self, values):
         ds = minmax_scale(build_dataset([make_region("A", values)]))
-        back = minmax_unscale(ds.region("A").scaled, ds.scale_min, ds.scale_max)
-        raw = ds.region("A").raw
+        back = minmax_unscale(region_named(ds, "A").scaled, ds.scale_min, ds.scale_max)
+        raw = region_named(ds, "A").raw
         span = ds.scale_max - ds.scale_min
         assert np.all(np.abs(back - raw) <= 1e-12 * max(1.0, span))
 
@@ -251,7 +267,7 @@ class TestSynthetic:
         )
         a, b = ds.regions
         assert np.all(np.diff(a.abs_times) == 100)
-        assert list(b.abs_times - a.abs_times) == [700] * len(a.points)
+        assert list(b.abs_times - a.abs_times) == [700] * len(a)
 
     def test_bad_region_count_rejected(self):
         with pytest.raises(ParameterError):
@@ -278,3 +294,32 @@ class TestSynthetic:
     def test_duplicate_region_names_rejected(self):
         with pytest.raises(ParameterError):
             build_dataset([make_region("A", [0.1]), make_region("A", [0.2])])
+
+
+def _bench_workloads():
+    """``perfbench/workloads.py``, loaded from its file (perfbench is not a
+    package)."""
+    if "bench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+class TestBenchmarkPanels:
+    """The panels the benchmark runs are pinned by SHA-256 in
+    ``perfbench/reference.json``; a change to the generator or the
+    serialiser that moves one byte fails here."""
+
+    @pytest.mark.parametrize("name, seed", [("paper", 0), ("paper", 1), ("wide", 0)])
+    def test_panel_bytes_match_the_reference(self, name, seed):
+        workloads = _bench_workloads()
+        reference = workloads.load_reference(workloads.REFERENCE_PATH)
+        workload = workloads.WORKLOADS[name]
+        entry = workloads.panel_entry(reference, workload, seed)
+        spec = SyntheticSpec(n_regions=workload.regions, noise_sigma=workload.noise)
+        text = serialize_dataset(generate_synthetic(spec, seed=entry["generator_seed"]))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == entry["sha256"]
+        assert serialize_dataset(parse_dataset(text)) == text

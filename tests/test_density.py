@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import dense_kde_reference, normal_pdf
+from helpers import dense_kde_reference, kde_mass, normal_pdf
 
 from spcgrowth import NumericalError, ParameterError, find_bimodal_threshold, gaussian_kde
 from spcgrowth.density import _BLOCK_CELLS, GRID_SIZE, DensityEstimate, scott_bandwidth
@@ -58,7 +58,7 @@ class TestKde:
         est = gaussian_kde(draws)
         at_mode = est.density[np.argmin(np.abs(est.grid - 0.3))]
         assert at_mode == pytest.approx(NORMAL_PEAK_HEIGHT, rel=0.05)
-        assert 0.99 <= est.integral() <= 1.01
+        assert 0.99 <= kde_mass(est) <= 1.01
 
     def test_mixture_sample_shows_both_modes(self):
         rng = np.random.default_rng(4)
@@ -69,7 +69,7 @@ class TestKde:
         th = find_bimodal_threshold(est)
         assert th.left_peak == pytest.approx(0.2, abs=0.05)
         assert th.right_peak == pytest.approx(0.8, abs=0.05)
-        assert 0.99 <= est.integral() <= 1.01
+        assert 0.99 <= kde_mass(est) <= 1.01
 
     def test_pooled_density_is_the_weighted_average(self):
         rng = np.random.default_rng(6)
@@ -198,9 +198,12 @@ class TestBimodalThreshold:
 
     def test_threshold_sits_between_the_peaks_below_them(self):
         for w in (0.5, 0.7, 0.3):
-            th = find_bimodal_threshold(exact_mixture_estimate(w))
+            est = exact_mixture_estimate(w)
+            th = find_bimodal_threshold(est)
             assert th.left_peak < th.spc1_0 < th.right_peak
-            assert th.threshold_density <= min(th.peak_densities)
+            peaks = est.density[np.isin(est.grid, (th.left_peak, th.right_peak))]
+            assert peaks.size == 2
+            assert th.threshold_density <= peaks.min()
 
     def test_grid_refinement_barely_moves_the_valley(self):
         coarse = find_bimodal_threshold(exact_mixture_estimate(0.5, 1024))

@@ -11,6 +11,7 @@ from helpers import (
     aligned_from_synthetic,
     aligned_region,
     assert_same_fit,
+    recorded_rel_times,
     reference_fit,
     scaled_region,
 )
@@ -31,7 +32,6 @@ from spcgrowth import (
     plateau_thresholds,
 )
 from spcgrowth.align import AlignedDataset
-from spcgrowth.dataset import recorded_rel_times
 from spcgrowth.inference import BootstrapEnsemble
 from spcgrowth.logistic import (
     LogisticParams,
@@ -251,13 +251,13 @@ class TestCharacteristicTimescale:
     def test_per_curve_durations_match_the_inverse(self, noisy_ensemble):
         th1, th2 = plateau_thresholds(noisy_ensemble, 3)
         est = characteristic_timescale(noisy_ensemble, th1, th2, k_sigma=3)
-        recomputed = [
-            logistic_inverse(p, th2) - logistic_inverse(p, th1)
-            for p in noisy_ensemble.param_sets
-            if p.lower < th1 and th2 < p.upper
-        ]
-        assert len(recomputed) == est.n_crossing_curves
-        assert np.allclose(est.per_curve_durations, recomputed, atol=1e-9)
+        crossing = [p for p in noisy_ensemble.param_sets if p.lower < th1 and th2 < p.upper]
+        t1 = np.array([logistic_inverse(p, th1) for p in crossing])
+        t2 = np.array([logistic_inverse(p, th2) for p in crossing])
+        assert len(crossing) == est.n_crossing_curves
+        assert est.t1_mean == pytest.approx(t1.mean(), abs=1e-9)
+        assert est.t2_mean == pytest.approx(t2.mean(), abs=1e-9)
+        assert est.duration_mean == pytest.approx((t2 - t1).mean(), abs=1e-9)
 
     def test_curves_missing_a_threshold_are_excluded(self):
         ens = ensemble_of((1.0, 0.0, 0.001, 0.0), (0.6, 0.3, 0.001, 0.0))

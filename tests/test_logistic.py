@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import assert_same_fit, reference_fit
+from helpers import assert_same_fit, recorded_rel_times, reference_fit
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -159,7 +159,6 @@ class TestJacobian:
 
 def noisy_pooled(seed=3, n_regions=8, sigma=0.05):
     from spcgrowth import SyntheticSpec, generate_synthetic
-    from spcgrowth.dataset import recorded_rel_times
 
     ds = generate_synthetic(SyntheticSpec(n_regions, noise_sigma=sigma), seed=seed)
     t = np.concatenate([recorded_rel_times(s) for s in ds.regions]).astype(float)

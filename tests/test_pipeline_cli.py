@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,30 @@ class TestPlotData:
         assert set(files) == fixed | series
         assert len(series) == len(full_bundle.aligned.regions)
 
+    def test_regions_whose_names_share_a_slug_get_one_file_each(self, tmp_path):
+        names = ["Rome", "rome", "A B", "A-B", "Ostia", "Veii"]
+        ds = generate_synthetic(SyntheticSpec(len(names), noise_sigma=0.05), seed=7)
+        renamed = [replace(s, nga=name) for s, name in zip(ds.regions, names)]
+        path = write_panel(tmp_path / "panel.csv", renamed)
+        config = PipelineConfig(input_path=str(path), n_bootstrap=50, n_validation=5)
+        bundle = run_pipeline(config)
+        assert len(bundle.aligned.regions) == len(names)
+        series = {
+            k: v for k, v in plot_data_files(bundle).items() if k.startswith("series/")
+        }
+        assert sorted(series) == [
+            "series/a-b-2.csv",
+            "series/a-b.csv",
+            "series/ostia.csv",
+            "series/rome-2.csv",
+            "series/rome.csv",
+            "series/veii.csv",
+        ]
+        # each file holds the rows of its own region
+        owners = {k: {row[0] for row in csv.reader(v.splitlines()[1:])} for k, v in series.items()}
+        assert sorted(name for (name,) in owners.values()) == sorted(names)
+        assert owners["series/rome.csv"] == {"Rome"}
+
     def test_residual_rows_cover_every_pooled_point(self, full_bundle):
         t, _ = full_bundle.aligned.pooled()
         rows = list(csv.reader(plot_data_files(full_bundle)["residuals.csv"].splitlines()))
@@ -418,6 +443,15 @@ class TestCli:
         assert code == 0
         assert "anchored = false" in out
         assert "n.anchored = 0" in out
+
+    def test_check_takes_no_output_directory(self, noisy_panel_path, tmp_path, capsys):
+        out_dir = tmp_path / "check"
+        with pytest.raises(SystemExit) as done:
+            main(["check", "--input", str(noisy_panel_path), "--out", str(out_dir),
+                  str(noisy_panel_path)])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "should-not-exist"
