@@ -200,6 +200,8 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
 
     # region -> one tuple per row; the year leads, so sorting orders by it
     rows: dict[str, list[tuple]] = {}
+    # one string per distinct PolID, not one per row
+    interned: dict[str, str] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -209,6 +211,7 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
         if not nga:
             raise RowParseError(line_no, "empty NGA name")
         pol_id = row[1].strip()
+        pol_id = interned.setdefault(pol_id, pol_id)
         abs_time = _parse_int(row[2], line_no, "AbsTime")
         rel_text = row[3].strip()
         rel_time = _parse_int(rel_text, line_no, "RelTime") if rel_text else 0

@@ -9,9 +9,10 @@ maps each to its own exit code:
   repeats, a region's years are not century steps, every raw score is
   the same, or the scores span more than the float range.
 - ``NumericalError`` (exit 3): valid data yields no usable result, for
-  example too few samples, a zero-variance bandwidth, a unimodal density,
-  a singular fit, a level the curve never crosses, an empty bootstrap
-  ensemble or inverted plateau thresholds.
+  example too few points for a fit, a validation split or a continuity
+  refit, a zero-variance bandwidth, a unimodal density, a fit whose
+  objective or Jacobian is not finite, a level the curve never crosses,
+  an empty bootstrap ensemble or inverted plateau thresholds.
 
 ``ParameterError`` (exit 2, also a ``ValueError``) is an argument that
 violates a documented precondition, including a value that must have been

@@ -27,14 +27,21 @@ from .errors import NumericalError, ParameterError
 from .logistic import (
     FitResult,
     LogisticParams,
+    TableFits,
     coefficient_of_prediction,
     fit_logistic,
+    fit_tables,
     logistic_eval,
     logistic_inverse,
     time_table,
 )
 
 logger = logging.getLogger(__name__)
+
+# Refits per call of ``fit_tables``: enough rows to share numpy's per-call
+# cost, few enough that a block's tables and (R, U, 4) Jacobian stay well
+# under a megabyte however many replicates run.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,8 @@ class ValidationReport:
     std_rho2: float  # sample standard deviation of the repeats
     seed: int
     n_failed: int = 0
+    lm_iterations: int = 0  # accepted LM steps over every repeat's fit
+    n_unconverged: int = 0  # fits kept although not converged
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,8 @@ class BootstrapEnsemble:
     param_sets: tuple[LogisticParams, ...]
     failed_fits: int
     seed: int
+    lm_iterations: int = 0  # accepted LM steps over every replicate's fit
+    n_unconverged: int = 0  # fits kept although not converged
 
     def lower_plateaus(self) -> np.ndarray:
         return np.array([p.b for p in self.param_sets])
@@ -103,6 +114,12 @@ def _log_failures(stage: str, failures: list[str], attempted: int) -> None:
         )
 
 
+def _unconverged(fits: TableFits) -> int:
+    """Rows of a block that fitted but did not converge."""
+    fitted = np.array([e is None for e in fits.errors])
+    return int(np.count_nonzero(fitted & ~fits.converged))
+
+
 def out_of_sample_validation(
     aligned: AlignedDataset,
     full_fit: FitResult,
@@ -114,30 +131,44 @@ def out_of_sample_validation(
     Each repeat fits the training half (warm-started from the full fit)
     and scores the prediction on the test half. Repeats whose training
     fit degenerates are excluded and counted. The training half is fitted
-    as counts over the pooled distinct times.
+    as counts over the pooled distinct times, ``_BLOCK_ROWS`` repeats to a
+    call of ``fit_tables``.
     """
     t, y = aligned.pooled()
     if t.size < 10:
-        raise ParameterError(f"need at least 10 pooled points, got {t.size}")
+        raise NumericalError(f"need at least 10 pooled points, got {t.size}")
     if n_repeats < 1:
         raise ParameterError("n_repeats must be >= 1")
     times, inverse = np.unique(t, return_inverse=True)
 
-    children = np.random.SeedSequence(seed).spawn(n_repeats)
+    seeds = np.random.SeedSequence(seed)
     rho2 = []
     failures = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        train, test = _split_indices(rng, t.size)
-        counts, means, within_ss = time_table(inverse[train], y[train], times.size)
-        try:
-            fit = fit_logistic(
-                times, means, init=full_fit.params, weights=counts, within_ss=within_ss
-            )
-            predicted = logistic_eval(fit.params, t[test])
-            rho2.append(coefficient_of_prediction(predicted, y[test]))
-        except NumericalError as exc:
-            failures.append(str(exc))
+    lm_iterations = n_unconverged = 0
+    # a block keeps its test halves, block x N/2 indices, until it is
+    # scored; the smallest dtype that holds an index keeps them small
+    index_type = np.min_scalar_type(t.size)
+    for start in range(0, n_repeats, _BLOCK_ROWS):
+        block = seeds.spawn(min(_BLOCK_ROWS, n_repeats - start))
+        counts, means = np.empty((2, len(block), times.size))
+        within_ss = np.empty(len(block))
+        tests = []
+        for r, child in enumerate(block):
+            train, test = _split_indices(np.random.default_rng(child), t.size)
+            counts[r], means[r], within_ss[r] = time_table(inverse[train], y[train], times.size)
+            tests.append(test.astype(index_type))
+        fits = fit_tables(times, means, counts, within_ss, init=full_fit.params)
+        lm_iterations += int(fits.iterations.sum())
+        n_unconverged += _unconverged(fits)
+        for params, error, test in zip(fits.params, fits.errors, tests):
+            if error is not None:
+                failures.append(error)
+                continue
+            predicted = logistic_eval(LogisticParams(*params), t[test])
+            try:
+                rho2.append(coefficient_of_prediction(predicted, y[test]))
+            except NumericalError as exc:
+                failures.append(str(exc))
     _log_failures("validation", failures, n_repeats)
     if not rho2:
         raise NumericalError("every validation repeat failed")
@@ -150,6 +181,8 @@ def out_of_sample_validation(
         std_rho2=std,
         seed=seed,
         n_failed=len(failures),
+        lm_iterations=lm_iterations,
+        n_unconverged=n_unconverged,
     )
 
 
@@ -171,6 +204,8 @@ def bootstrap_fits(
     and sums of squares are m @ the per-region tables, built once. Sums
     are taken of deviations from the pooled per-time means, so the
     replicate's within-time sum of squares has no large terms to cancel.
+    The tables are built and fitted ``_BLOCK_ROWS`` at a time, so memory
+    does not grow with ``n_iter``.
     """
     n_regions = len(aligned.regions)
     if n_regions < 1:
@@ -195,27 +230,38 @@ def bootstrap_fits(
         ]
     )
 
-    children = np.random.SeedSequence(seed).spawn(n_iter)
+    seeds = np.random.SeedSequence(seed)
     params = []
     failures = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        draw = rng.integers(0, n_regions, size=n_regions)
-        counts, sums, squares = (np.bincount(draw, minlength=n_regions) @ table).reshape(3, -1)
-        shift = sums / np.maximum(counts, 1.0)
-        within_ss = max(float(np.sum(squares - sums * shift)), 0.0)
-        try:
-            fit = fit_logistic(
-                times, center + shift, init=full_fit.params, weights=counts, within_ss=within_ss
-            )
-            params.append(fit.params)
-        except NumericalError as exc:
-            failures.append(str(exc))
+    lm_iterations = n_unconverged = 0
+    for start in range(0, n_iter, _BLOCK_ROWS):
+        block = seeds.spawn(min(_BLOCK_ROWS, n_iter - start))
+        counts, means = np.empty((2, len(block), times.size))
+        within_ss = np.empty(len(block))
+        for r, child in enumerate(block):
+            draw = np.random.default_rng(child).integers(0, n_regions, size=n_regions)
+            counts[r], sums, squares = (np.bincount(draw, minlength=n_regions) @ table).reshape(3, -1)
+            shift = sums / np.maximum(counts[r], 1.0)
+            means[r] = center + shift
+            within_ss[r] = max(float(np.sum(squares - sums * shift)), 0.0)
+        fits = fit_tables(times, means, counts, within_ss, init=full_fit.params)
+        lm_iterations += int(fits.iterations.sum())
+        n_unconverged += _unconverged(fits)
+        for row, error in zip(fits.params, fits.errors):
+            if error is None:
+                params.append(LogisticParams(*row))
+            else:
+                failures.append(error)
     _log_failures("bootstrap", failures, n_iter)
     if not params:
         raise NumericalError("every bootstrap iteration failed")
     return BootstrapEnsemble(
-        n_iter=n_iter, param_sets=tuple(params), failed_fits=len(failures), seed=seed
+        n_iter=n_iter,
+        param_sets=tuple(params),
+        failed_fits=len(failures),
+        seed=seed,
+        lm_iterations=lm_iterations,
+        n_unconverged=n_unconverged,
     )
 
 

@@ -29,12 +29,23 @@ normal matrix J^T W J, and the convergence cosine uses
 sum W f^2 - 2 f sum y + sum y^2 instead cancels catastrophically.) A
 bootstrap replicate or a training split is then just another weight
 vector over the same times.
+
+There is one LM loop, ``fit_tables``, and it fits R such tables over the
+same times at once. It keeps theta as (R, 4), the residuals as (R, U) and
+one damping level lambda, step count and active flag per row; the
+Jacobians are stacked as (R, U, 4), and J^T W J and J^T W r are formed by
+batched ``matmul`` and solved by batched ``np.linalg.solve``. The inner
+damping loop runs in rounds: each round, every active row tries its own
+lambda, and each row stops on its own tests. Every operation acts on one
+row at a time with the same BLAS and LAPACK calls as a lone fit, so a
+row's result does not depend on the other rows in its call.
+``fit_logistic`` is the R = 1 case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,8 +125,7 @@ class FitResult:
 def logistic_eval(params: LogisticParams, t) -> np.ndarray | float:
     """Evaluate the curve at time(s) ``t``; saturates instead of overflowing."""
     t_arr = np.asarray(t, dtype=float)
-    z = np.clip(-params.c * (t_arr - params.d), -EXP_CLAMP, EXP_CLAMP)
-    out = params.a / (1.0 + np.exp(z)) + params.b
+    out = _curves(params.as_array()[None, :], t_arr.ravel())[0].reshape(t_arr.shape)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -138,16 +148,48 @@ def logistic_inverse(params: LogisticParams, y: float) -> float:
 
 def logistic_jacobian(params: LogisticParams, t: np.ndarray) -> np.ndarray:
     """Partial derivatives of f w.r.t. (a, b, c, d), shape (n, 4)."""
-    t = np.asarray(t, dtype=float)
-    z = np.clip(-params.c * (t - params.d), -EXP_CLAMP, EXP_CLAMP)
+    t = np.asarray(t, dtype=float).ravel()
+    return _jacobians(params.as_array()[None, :], t)[0]
+
+
+def _curves(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """f at the times ``t`` (U,) for each row of ``theta`` (R, 4): (R, U)."""
+    a, b, c, d = (theta[:, k, None] for k in range(4))
+    z = np.clip(-c * (t - d), -EXP_CLAMP, EXP_CLAMP)
+    return a / (1.0 + np.exp(z)) + b
+
+
+def _jacobians(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """df/d(a, b, c, d) at the times ``t`` for each row of ``theta``: (R, U, 4)."""
+    a, _, c, d = (theta[:, k, None] for k in range(4))
+    z = np.clip(-c * (t - d), -EXP_CLAMP, EXP_CLAMP)
     s = 1.0 / (1.0 + np.exp(z))  # sigmoid
     sw = s * (1.0 - s)
-    jac = np.empty((t.size, 4))
-    jac[:, 0] = s
-    jac[:, 1] = 1.0
-    jac[:, 2] = params.a * sw * (t - params.d)
-    jac[:, 3] = -params.a * params.c * sw
+    jac = np.empty(s.shape + (4,))
+    jac[..., 0] = s
+    jac[..., 1] = 1.0
+    jac[..., 2] = a * sw * (t - d)
+    jac[..., 3] = -a * c * sw
     return jac
+
+
+def _objectives(res: np.ndarray, weights: np.ndarray, within_ss: np.ndarray) -> np.ndarray:
+    """Per-point sum of squares in centred form, per row: sum W_u res_u^2 + S_w."""
+    return (weights[:, None, :] @ (res * res)[:, :, None])[:, 0, 0] + within_ss
+
+
+def _solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each system; a singular one gives a row of NaN."""
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for k, (matrix, vector) in enumerate(zip(matrices, rhs)):
+            try:
+                out[k] = np.linalg.solve(matrix, vector)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def time_table(inverse: np.ndarray, y: np.ndarray, n_times: int):
@@ -164,25 +206,165 @@ def time_table(inverse: np.ndarray, y: np.ndarray, n_times: int):
     return counts, means, float(dev @ dev)
 
 
-def _objective(res: np.ndarray, weights: np.ndarray, within_ss: float) -> float:
-    """Per-point sum of squares in centred form: sum W_u res_u^2 + within_ss."""
-    return float(weights @ (res * res)) + within_ss
+@dataclass(frozen=True, eq=False)
+class TableFits:
+    """R fits over one set of distinct times, row r from table r.
 
-
-def _scaled_gradient_norm(
-    jac: np.ndarray, res: np.ndarray, weights: np.ndarray, rnorm: float
-) -> float:
-    """max_k |J_k . r| / (|J_k| |r|): cosine of the steepest column angle.
-
-    Over the points, J_k . r = sum W_u J_uk res_u and |J_k|^2 = sum W_u J_uk^2;
-    ``rnorm`` is the square root of the objective.
+    A row that failed has its message in ``errors`` (None for a row that
+    fitted) and NaN parameters; ``converged`` is False for it.
     """
-    if rnorm == 0.0:
-        return 0.0
-    g = (jac * weights[:, None]).T @ res
-    col = np.sqrt(weights @ (jac * jac))
+
+    params: np.ndarray  # (R, 4) canonical (a, b, c, d)
+    residuals: np.ndarray  # (R, U) predicted - mean
+    rmse: np.ndarray  # (R,)
+    n_points: np.ndarray  # (R,)
+    converged: np.ndarray  # (R,) bool
+    iterations: np.ndarray  # (R,) accepted steps
+    histories: tuple[tuple[float, ...], ...]
+    errors: tuple[str | None, ...]
+
+    def result(self, r: int) -> FitResult:
+        """Row ``r`` as a FitResult; NumericalError when the row failed."""
+        if self.errors[r] is not None:
+            raise NumericalError(self.errors[r])
+        return FitResult(
+            params=LogisticParams(*self.params[r]),
+            residuals=self.residuals[r],
+            rmse=float(self.rmse[r]),
+            n_points=int(self.n_points[r]),
+            converged=bool(self.converged[r]),
+            iterations=int(self.iterations[r]),
+            objective_history=self.histories[r],
+        )
+
+
+def fit_tables(
+    times: np.ndarray,
+    means: np.ndarray,
+    weights: np.ndarray,
+    within_ss: np.ndarray,
+    init: LogisticParams,
+    config: FitConfig | None = None,
+) -> TableFits:
+    """Levenberg-Marquardt fits of R per-time tables over the same times.
+
+    ``means`` and ``weights`` are (R, U) over ``times`` (U,), ``within_ss``
+    is (R,). Each row starts from ``init`` (canonicalised) with its own
+    damping and stops on its own tests, so a row gets the same bits
+    whichever rows share its call. Nothing raises for the batch: a row with
+    fewer than 5 points, a non-finite starting objective or a non-finite
+    Jacobian is marked failed with its message.
+    """
+    cfg = config or FitConfig()
+    n_rows = means.shape[0]
+    theta = np.tile(init.canonical().as_array(), (n_rows, 1))
+    res = _curves(theta, times) - means
+    objective = _objectives(res, weights, within_ss)
+    n_points = np.rint(weights.sum(axis=1)).astype(np.int64)
+    errors: list[str | None] = [None] * n_rows
+    for r in np.flatnonzero((n_points < 5) | ~np.isfinite(objective)):
+        if n_points[r] < 5:
+            errors[r] = f"need at least 5 points, got {n_points[r]}"
+        else:
+            errors[r] = "objective not finite at initial parameters"
+    histories = [[value] for value in objective.tolist()]
+    lam = np.full(n_rows, 1e-3)
+    iterations = np.zeros(n_rows, dtype=np.int64)
+    tries = np.zeros(n_rows, dtype=np.int64)  # damping levels tried this step
+    active = np.array([e is None for e in errors]) & (cfg.max_iter > 0)
+    stale = active.copy()  # rows whose normal equations are to be formed
+    jtj = np.zeros((n_rows, 4, 4))
+    grad = np.zeros((n_rows, 4))
+    scale = np.zeros((n_rows, 4, 4))
+    diag = np.arange(4)
+
+    # One round: rows that took a step form J^T W J and J^T W r at their
+    # new point, then every active row tries its current damping level.
+    while active.any():
+        rows = np.flatnonzero(stale)
+        if rows.size:
+            jac = _jacobians(theta[rows], times)
+            wjac_t = (jac * weights[rows, :, None]).transpose(0, 2, 1)
+            jtj[rows] = wjac_t @ jac
+            grad[rows] = (wjac_t @ res[rows, :, None])[..., 0]
+            degenerate = ~(
+                np.isfinite(jtj[rows]).all(axis=(1, 2)) & np.isfinite(grad[rows]).all(axis=1)
+            )
+            for r in rows[degenerate]:
+                errors[r] = "Jacobian degenerate (non-finite entries)"
+            active[rows[degenerate]] = False
+            scale[rows[:, None], diag, diag] = np.maximum(jtj[rows][:, diag, diag], 1e-12)
+            stale[rows] = False
+            tries[rows] = 0
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+
+        step = _solve(jtj[rows] + lam[rows, None, None] * scale[rows], -grad[rows])
+        solved = np.flatnonzero(np.isfinite(step).all(axis=1))
+        trial = theta[rows[solved]] + step[solved]
+        trial_res = _curves(trial, times) - means[rows[solved]]
+        trial_obj = _objectives(trial_res, weights[rows[solved]], within_ss[rows[solved]])
+        better = np.isfinite(trial_obj) & (trial_obj <= objective[rows[solved]])
+
+        taken = rows[solved[better]]
+        rel_decrease = (objective[taken] - trial_obj[better]) / np.maximum(objective[taken], 1e-300)
+        theta[taken] = trial[better]
+        res[taken] = trial_res[better]
+        objective[taken] = trial_obj[better]
+        for r, value in zip(taken.tolist(), objective[taken].tolist()):
+            histories[r].append(value)
+        lam[taken] = np.maximum(lam[taken] / 10.0, 1e-12)
+        iterations[taken] += 1
+        done = (rel_decrease < cfg.tol) | (iterations[taken] >= cfg.max_iter)
+        active[taken[done]] = False
+        stale[taken[~done]] = True
+
+        # A failed solve or a non-finite step only raises the damping; a
+        # step that does not decrease the objective stalls the row once
+        # the damping passes 1e15, and so do 60 levels without a step.
+        missed = np.ones(rows.size, dtype=bool)
+        missed[solved[better]] = False
+        rejected = np.zeros(rows.size, dtype=bool)
+        rejected[solved[~better]] = True
+        lam[rows[missed]] *= 10.0
+        tries[rows[missed]] += 1
+        stalled = (rejected & (lam[rows] > 1e15)) | (missed & (tries[rows] >= 60))
+        active[rows[stalled]] = False
+
+    fitted = np.array([e is None for e in errors])
+    theta[~fitted] = np.nan
+    # canonical orientation: the mirror (-a, a + b, -c, d) of every c <= 0
+    flip = fitted & ~(theta[:, 2] > 0)
+    a, b, c, d = theta[flip].T
+    theta[flip] = np.stack([-a, a + b, -c, d], axis=1)
+    res = _curves(theta, times) - means
+    rnorm = np.sqrt(_objectives(res, weights, within_ss))
+    # At a near-exact fit the residual direction is rounding noise, so the
+    # cosine test below is meaningless; call that converged outright.
+    ynorm = np.sqrt(_objectives(means, weights, within_ss))
+    exact = rnorm <= 1e-12 * np.maximum(1.0, ynorm)
+    # max_k |J_k . r| / (|J_k| |r|), the cosine of the steepest column
+    # angle, where over the points J_k . r = sum W_u J_uk res_u and
+    # |J_k|^2 = sum W_u J_uk^2.
+    jac = _jacobians(theta, times)
+    g = ((jac * weights[:, :, None]).transpose(0, 2, 1) @ res[:, :, None])[..., 0]
+    jac *= jac
+    col = np.sqrt(weights[:, None, :] @ jac)[:, 0]
     col[col == 0.0] = np.inf
-    return float(np.max(np.abs(g) / (col * rnorm)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.max(np.abs(g) / (col * rnorm[:, None]), axis=1)
+    cosine[rnorm == 0.0] = 0.0
+    return TableFits(
+        params=theta,
+        residuals=res,
+        rmse=rnorm / np.sqrt(weights.sum(axis=1)),
+        n_points=n_points,
+        converged=fitted & (exact | (cosine <= cfg.gtol)),
+        iterations=iterations,
+        histories=tuple(tuple(h) for h in histories),
+        errors=tuple(errors),
+    )
 
 
 def fit_logistic(
@@ -193,7 +375,8 @@ def fit_logistic(
     weights=None,
     within_ss: float = 0.0,
 ) -> FitResult:
-    """Least-squares logistic fit via Levenberg-Marquardt.
+    """Least-squares logistic fit via Levenberg-Marquardt: ``fit_tables``
+    on one table.
 
     Parameters
     ----------
@@ -227,10 +410,11 @@ def fit_logistic(
     Raises
     ------
     ParameterError
-        Fewer than 5 points, mismatched lengths, negative weights or
-        ``within_ss``, or zero initial rate.
+        Mismatched lengths, negative weights or ``within_ss``, or zero
+        initial rate.
     NumericalError
-        Non-finite inputs, or normal equations singular at full damping.
+        Fewer than 5 points, non-finite inputs, a non-finite objective at
+        the start, or a non-finite Jacobian.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -243,7 +427,6 @@ def fit_logistic(
         times, inverse = np.unique(t, return_inverse=True)
         counts, means, within_ss = time_table(inverse, y, times.size)
         weights = counts.astype(float)
-        n_points = t.size
     else:
         times, means = t, y
         weights = np.asarray(weights, dtype=float)
@@ -251,97 +434,18 @@ def fit_logistic(
             raise ParameterError("weights must be finite, >= 0 and one per time")
         if not (math.isfinite(within_ss) and within_ss >= 0):
             raise ParameterError(f"within_ss must be finite and >= 0, got {within_ss}")
-        n_points = int(round(float(weights.sum())))
-    if n_points < 5:
-        raise ParameterError(f"need at least 5 points, got {n_points}")
-
     if init is None:
         init = LogisticParams(*DEFAULT_INIT_PARAMS)
     if init.c == 0:
         raise ParameterError("initial rate c must be nonzero")
-    cfg = config or FitConfig()
 
-    params = init.canonical()
-    theta = params.as_array()
-    res = _residuals(theta, times, means)
-    objective = _objective(res, weights, within_ss)
-    if not math.isfinite(objective):
-        raise NumericalError("objective not finite at initial parameters")
-
-    history = [objective]
-    lam = 1e-3
-    iterations = 0
-
-    for _ in range(cfg.max_iter):
-        jac = logistic_jacobian(LogisticParams(*theta), times)
-        wjac = jac * weights[:, None]
-        jtj = wjac.T @ jac
-        g = wjac.T @ res
-        if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
-            raise NumericalError("Jacobian degenerate (non-finite entries)")
-        scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
-
-        # Try increasingly damped steps until one decreases the objective.
-        step_taken = False
-        for _ in range(60):
-            damp = jtj + lam * scale
-            try:
-                delta = np.linalg.solve(damp, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(delta)):
-                lam *= 10.0
-                continue
-            trial = theta + delta
-            trial_res = _residuals(trial, times, means)
-            trial_obj = _objective(trial_res, weights, within_ss)
-            if math.isfinite(trial_obj) and trial_obj <= objective:
-                theta, res = trial, trial_res
-                rel_decrease = (objective - trial_obj) / max(objective, 1e-300)
-                objective = trial_obj
-                history.append(objective)
-                lam = max(lam / 10.0, 1e-12)
-                iterations += 1
-                step_taken = True
-                break
-            lam *= 10.0
-            if lam > 1e15:
-                break
-        if not step_taken:
-            break  # stalled: no damping level improves the objective
-        if rel_decrease < cfg.tol:
-            break
-
-    final = LogisticParams(*theta).canonical()
-    theta = final.as_array()
-    res = _residuals(theta, times, means)
-    rnorm = math.sqrt(_objective(res, weights, within_ss))
-    # At a near-exact fit the residual direction is rounding noise, so the
-    # cosine test below is meaningless; call that converged outright.
-    ynorm = math.sqrt(_objective(means, weights, within_ss))
-    exact = rnorm <= 1e-12 * max(1.0, ynorm)
-    converged = exact or (
-        _scaled_gradient_norm(logistic_jacobian(final, times), res, weights, rnorm) <= cfg.gtol
-    )
-    if per_point:
-        res = _residuals(theta, t, y)
-        rmse = float(np.sqrt(np.mean(res**2)))
-    else:
-        rmse = rnorm / math.sqrt(weights.sum())
-    return FitResult(
-        params=final,
-        residuals=res,
-        rmse=rmse,
-        n_points=n_points,
-        converged=converged,
-        iterations=iterations,
-        objective_history=tuple(history),
-    )
-
-
-def _residuals(theta: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return logistic_eval(LogisticParams(*theta), t) - y
+    fit = fit_tables(
+        times, means[None, :], weights[None, :], np.array([within_ss]), init, config
+    ).result(0)
+    if not per_point:
+        return fit
+    res = logistic_eval(fit.params, t) - y
+    return replace(fit, residuals=res, rmse=float(np.sqrt(np.mean(res**2))))
 
 
 def coefficient_of_prediction(predicted, actual) -> float:

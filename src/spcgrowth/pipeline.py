@@ -224,6 +224,18 @@ def run_fit_stage(config: PipelineConfig) -> ReportBundle:
     )
 
 
+def _log_fits(stage: str, fits: int, lm_iterations: int, unconverged: int, failed: int) -> None:
+    """One INFO line of what a refit stage's fits did."""
+    logger.info(
+        "%s: %d fits, %d LM iterations, %d unconverged, %d failed",
+        stage,
+        fits,
+        lm_iterations,
+        unconverged,
+        failed,
+    )
+
+
 def add_validation(bundle: ReportBundle) -> ReportBundle:
     validation = out_of_sample_validation(
         bundle.aligned,
@@ -237,6 +249,13 @@ def add_validation(bundle: ReportBundle) -> ReportBundle:
         validation.stderr_rho2,
         len(validation.rho2_values),
     )
+    _log_fits(
+        "validation",
+        bundle.config.n_validation,
+        validation.lm_iterations,
+        validation.n_unconverged,
+        validation.n_failed,
+    )
     return replace(bundle, validation=validation)
 
 
@@ -248,6 +267,13 @@ def add_bootstrap(bundle: ReportBundle) -> ReportBundle:
         bundle.full_fit,
         n_iter=bundle.config.n_bootstrap,
         seed=_derived_seed(bundle.config.seed, _BOOTSTRAP_STREAM),
+    )
+    _log_fits(
+        "bootstrap",
+        ensemble.n_iter,
+        ensemble.lm_iterations,
+        ensemble.n_unconverged,
+        ensemble.failed_fits,
     )
     timescales = []
     durations = None

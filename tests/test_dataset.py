@@ -69,6 +69,19 @@ class TestParse:
         # numbers in a name in numeric order, ties broken by the name itself
         assert [r.nga for r in ds.regions] == ["Alpha", "Site-9", "Site-010", "Site-10", "Zulu"]
 
+    def test_equal_pol_ids_parse_to_one_string(self):
+        rows = [
+            "Zulu,Shared-P,-500,,0.2,,",
+            "Alpha, Shared-P,-500,,0.4,,",
+            "Zulu,Shared-P,-400,,0.3,,",
+            "Alpha,Own-P,-400,,0.5,,",
+            "Zulu,Shared-P ,-300,,0.3,,",
+        ]
+        ds = parse_dataset(panel_text(rows))
+        pol_ids = [p for r in ds.regions for p in r.pol_id]
+        assert pol_ids == ["Shared-P", "Own-P", "Shared-P", "Shared-P", "Shared-P"]
+        assert len({id(p) for p in pol_ids}) == 2
+
     def test_header_only_input_is_an_empty_panel(self):
         ds = parse_dataset(PANEL_HEADER + "\n")
         assert len(ds.regions) == 0

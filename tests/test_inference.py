@@ -1,6 +1,8 @@
 """Validation splits, region bootstrap, and timescale estimates."""
 
 import logging
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from helpers import (
 )
 
 import spcgrowth.inference as inference
+import spcgrowth.pipeline as pipeline
 from spcgrowth import (
     ContinuityMode,
     NumericalError,
@@ -39,6 +42,7 @@ from spcgrowth.logistic import (
     logistic_eval,
     logistic_inverse,
 )
+from spcgrowth.report import render_report_json
 
 # closed form for a unit logistic with c = 0.001: time between the 0.2 and
 # 0.8 crossings is (2 / c) * ln(0.8 / 0.2) = 2000 * ln(4)
@@ -95,11 +99,13 @@ class TestValidation:
 
     def test_all_repeats_failing_is_an_error(self, aligned_noisy, monkeypatch):
         aligned, fit = aligned_noisy
+        real_fit = inference.fit_tables
 
         def always_fails(*args, **kwargs):
-            raise NumericalError("synthetic failure")
+            fits = real_fit(*args, **kwargs)
+            return replace(fits, errors=("synthetic failure",) * len(fits.errors))
 
-        monkeypatch.setattr(inference, "fit_logistic", always_fails)
+        monkeypatch.setattr(inference, "fit_tables", always_fails)
         with pytest.raises(NumericalError, match="every validation repeat failed"):
             out_of_sample_validation(aligned, fit, n_repeats=5, seed=0)
 
@@ -107,7 +113,7 @@ class TestValidation:
         region = aligned_region(scaled_region("A", [0.1, 0.2, 0.6, 0.8, 0.9]), -600)
         aligned = AlignedDataset((region,), 0.5, (), ())
         fit_params = LogisticParams(1.0, 0.0, 0.002, 0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(NumericalError, match="need at least 10 pooled points, got 5"):
             out_of_sample_validation(
                 aligned,
                 fit_logistic(region.rel_time.astype(float), region.scaled, init=fit_params),
@@ -131,16 +137,19 @@ class TestValidation:
 
 
 def fail_every_third_fit(monkeypatch):
-    real_fit = inference.fit_logistic
-    calls = {"n": 0}
+    """Mark every third row the batched fitter returns as failed."""
+    real_fit = inference.fit_tables
+    rows = {"n": 0}
 
     def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise NumericalError("synthetic failure")
-        return real_fit(*args, **kwargs)
+        fits = real_fit(*args, **kwargs)
+        errors = []
+        for error in fits.errors:
+            rows["n"] += 1
+            errors.append("synthetic failure" if rows["n"] % 3 == 0 else error)
+        return replace(fits, errors=tuple(errors))
 
-    monkeypatch.setattr(inference, "fit_logistic", flaky)
+    monkeypatch.setattr(inference, "fit_tables", flaky)
 
 
 class TestFailureLog:
@@ -165,6 +174,86 @@ class TestFailureLog:
             out_of_sample_validation(aligned, fit, n_repeats=5, seed=3)
             bootstrap_fits(aligned, fit, n_iter=5, seed=3)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+class TestFitCountLog:
+    """add_validation and add_bootstrap each state their refits' counts in
+    one INFO line, read from the rows the batched fitter returned."""
+
+    @pytest.mark.parametrize("stage", ["validation", "bootstrap"])
+    def test_one_info_line_per_stage_with_the_counts(self, stage, fit_bundle, monkeypatch, caplog):
+        config = replace(fit_bundle.config, n_validation=12, n_bootstrap=12)
+        fail_every_third_fit(monkeypatch)
+        flaky = inference.fit_tables
+        iterations = []
+
+        def every_fourth_unconverged(*args, **kwargs):
+            block = flaky(*args, **kwargs)
+            numbers = len(iterations) + 1 + np.arange(block.converged.size)
+            iterations.extend(block.iterations.tolist())
+            return replace(block, converged=block.converged & (numbers % 4 != 0))
+
+        monkeypatch.setattr(inference, "fit_tables", every_fourth_unconverged)
+        add_stage = pipeline.add_validation if stage == "validation" else pipeline.add_bootstrap
+        with caplog.at_level(logging.INFO, logger=pipeline.__name__):
+            bundle = add_stage(replace(fit_bundle, config=config))
+        lines = [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == pipeline.__name__ and "LM iterations" in r.getMessage()
+        ]
+        assert len(iterations) == 12 and sum(iterations) >= 12
+        # rows 3, 6, 9 and 12 failed; rows 4 and 8 fitted without converging
+        assert lines == [
+            f"{stage}: 12 fits, {sum(iterations)} LM iterations, 2 unconverged, 4 failed"
+        ]
+        assert "LM iterations" not in render_report_json(bundle)
+        assert "lm_iterations" not in render_report_json(bundle)
+
+
+class TestBatchedFits:
+    def test_a_row_fits_the_same_alone_as_in_a_batch_of_1000(self, aligned_noisy, monkeypatch):
+        aligned, full = aligned_noisy
+        real_fit = inference.fit_tables
+        blocks = []
+
+        def keep(times, means, weights, within_ss, init, config=None):
+            block = real_fit(times, means, weights, within_ss, init, config)
+            blocks.append((times, means, weights, within_ss, block))
+            return block
+
+        monkeypatch.setattr(inference, "fit_tables", keep)
+        bootstrap_fits(aligned, full, n_iter=1000, seed=13)
+        times = blocks[0][0]
+        means, weights, within_ss = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+        batch = real_fit(times, means, weights, within_ss, full.params)
+        assert len(batch.errors) == 1000 and len(blocks) > 1
+        assert np.array_equal(batch.params, np.concatenate([b[4].params for b in blocks]))
+        assert np.array_equal(batch.iterations, np.concatenate([b[4].iterations for b in blocks]))
+        # a distant start makes rows reject steps, so their damping paths part
+        far = LogisticParams(0.3, 0.5, 0.02, 1500.0)
+        far_batch = real_fit(times, means, weights, within_ss, far)
+        for init, fits in ((full.params, batch), (far, far_batch)):
+            for r in range(0, 1000, 10):
+                one = slice(r, r + 1)
+                alone = real_fit(times, means[one], weights[one], within_ss[one], init)
+                assert np.array_equal(alone.params[0], fits.params[r])
+                assert alone.iterations[0] == fits.iterations[r]
+                assert alone.converged[0] == fits.converged[r]
+                assert alone.histories[0] == fits.histories[r]
+
+    def test_bootstrap_memory_does_not_grow_with_the_replicates(self, aligned_noisy):
+        aligned, full = aligned_noisy
+        bootstrap_fits(aligned, full, n_iter=10, seed=1)  # first-call allocations
+        peaks = []
+        for n_iter in (200, 2000):
+            tracemalloc.start()
+            try:
+                bootstrap_fits(aligned, full, n_iter=n_iter, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20, peaks
 
 
 class TestBootstrap:
@@ -381,16 +470,16 @@ class TestContinuityComparison:
 
 
 def record_fits(monkeypatch) -> list:
-    """Every FitResult the inference stages get from ``fit_logistic``."""
+    """Every row the inference stages get from ``fit_tables``, as a FitResult."""
     fits = []
-    real_fit = inference.fit_logistic
+    real_fit = inference.fit_tables
 
     def recording(*args, **kwargs):
-        fit = real_fit(*args, **kwargs)
-        fits.append(fit)
-        return fit
+        block = real_fit(*args, **kwargs)
+        fits.extend(block.result(r) for r in range(len(block.errors)))
+        return block
 
-    monkeypatch.setattr(inference, "fit_logistic", recording)
+    monkeypatch.setattr(inference, "fit_tables", recording)
     return fits
 
 

@@ -10,7 +10,9 @@ from spcgrowth import NumericalError, ParameterError, fit_logistic
 from spcgrowth.logistic import (
     FitConfig,
     LogisticParams,
+    _solve,
     coefficient_of_prediction,
+    fit_tables,
     logistic_eval,
     logistic_inverse,
     logistic_jacobian,
@@ -223,7 +225,7 @@ class TestFit:
 
     def test_too_few_points_rejected(self):
         t = np.arange(4.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(NumericalError, match="need at least 5 points, got 4"):
             fit_logistic(t, t)
 
     def test_non_finite_values_rejected(self):
@@ -323,7 +325,6 @@ class TestTableFit:
             ([1, 1, np.inf, 2, 2, 2], 0.0),
             ([1, 1, 1, 2, 2, 2], -1.0),
             ([1, 1, 1, 2, 2, 2], np.nan),
-            ([1, 1, 0, 1, 1, 0], 0.0),
         ],
     )
     def test_bad_tables_rejected(self, weights, within_ss):
@@ -331,6 +332,41 @@ class TestTableFit:
         means = np.asarray(logistic_eval(SLOW, times))
         with pytest.raises(ParameterError):
             fit_logistic(times, means, weights=weights, within_ss=within_ss)
+
+    def test_table_of_fewer_than_five_points_is_a_numerical_error(self):
+        times = np.arange(-250.0, 350.0, 100.0)
+        means = np.asarray(logistic_eval(SLOW, times))
+        with pytest.raises(NumericalError, match="need at least 5 points, got 4"):
+            fit_logistic(times, means, weights=[1, 1, 0, 1, 1, 0])
+
+
+class TestBatchedCore:
+    """``fit_tables``: rows of one call fit on their own."""
+
+    def test_a_failed_row_leaves_the_others_untouched(self):
+        times = np.arange(-2000.0, 2100.0, 100.0)
+        rng = np.random.default_rng(4)
+        means = np.asarray(logistic_eval(SLOW, times)) + rng.normal(0.0, 0.05, (3, times.size))
+        weights = np.ones_like(means)
+        weights[1] = 0.0
+        weights[1, :4] = 1.0
+        batch = fit_tables(times, means, weights, np.zeros(3), SLOW)
+        assert batch.errors == (None, "need at least 5 points, got 4", None)
+        assert np.all(np.isnan(batch.params[1])) and not batch.converged[1]
+        with pytest.raises(NumericalError, match="need at least 5 points, got 4"):
+            batch.result(1)
+        for r in (0, 2):
+            alone = fit_tables(times, means[r : r + 1], weights[r : r + 1], np.zeros(1), SLOW)
+            assert np.array_equal(alone.params[0], batch.params[r])
+            assert alone.histories[0] == batch.histories[r]
+
+    def test_a_singular_system_gives_nan_for_its_row_only(self):
+        matrices = np.stack([np.eye(4), np.zeros((4, 4)), 2.0 * np.eye(4)])
+        rhs = np.arange(12.0).reshape(3, 4)
+        steps = _solve(matrices, rhs)
+        assert np.all(np.isnan(steps[1]))
+        assert np.array_equal(steps[0], np.linalg.solve(matrices[0], rhs[0]))
+        assert np.array_equal(steps[2], np.linalg.solve(matrices[2], rhs[2]))
 
 
 class TestCoefficientOfPrediction:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import PANEL_HEADER, build_dataset, make_region
+from helpers import CULT, OUT, PANEL_HEADER, build_dataset, make_region
 
 import spcgrowth
 from spcgrowth import (
@@ -533,6 +533,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    # too few points is a numerical failure at every stage
+    def test_too_few_points_for_the_full_fit_exits_3(self, tmp_path, caplog):
+        regions = [make_region(f"R{i}", [0.1, 0.9]) for i in range(2)]
+        panel = write_panel(tmp_path / "panel.csv", regions)
+        assert main(["fit", "--input", str(panel)]) == 3
+        assert "need at least 5 points, got 4" in caplog.text
+
+    def test_too_few_points_for_validation_exits_3(self, tmp_path, caplog):
+        regions = [make_region(f"R{i}", [0.1, 0.2, 0.8, 0.9]) for i in range(2)]
+        panel = write_panel(tmp_path / "panel.csv", regions)
+        assert main(["fit", "--input", str(panel)]) == 3
+        assert "need at least 10 pooled points, got 8" in caplog.text
+
+    def test_too_few_points_for_a_continuity_mode_exits_3(self, tmp_path, caplog):
+        culture = [OUT, CULT, CULT, OUT]
+        regions = [make_region(f"R{i}", [0.1, 0.2, 0.8, 0.9], culture=culture) for i in range(2)]
+        panel = write_panel(tmp_path / "panel.csv", regions)
+        assert main(["continuity", "--input", str(panel)]) == 3
+        assert "continuity mode cultural: only 4 pooled point(s)" in caplog.text
 
     def test_unimodal_panel_exits_3(self, tmp_path):
         rng = np.random.default_rng(0)
