@@ -349,6 +349,8 @@ class SyntheticSpec:
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Draw a synthetic panel; bit-identical for a fixed (spec, seed)."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if spec.n_regions < 1:
         raise ParameterError("n_regions must be >= 1")
     if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):

@@ -13,6 +13,11 @@ moment bounds over the resulting parameter ensemble,
 with the population standard deviation (divide by N). The characteristic
 growth duration is the mean gap between each curve's crossings of th1
 and th2, over the curves whose asymptote interval contains both.
+
+Validation and bootstrap share one refit driver, ``_refit``. It fits a
+stage's replicates with ``fit_tables``, which stops each on the
+``logistic`` constants ``MAX_ITER``, ``TOL`` and ``GTOL``, and logs the
+stage's counts.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .errors import NumericalError, ParameterError
 from .logistic import (
     FitResult,
     LogisticParams,
-    TableFits,
     coefficient_of_prediction,
     fit_logistic,
     fit_tables,
@@ -56,20 +60,14 @@ class ValidationReport:
     n_unconverged: int = 0  # fits kept although not converged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapEnsemble:
     n_iter: int
-    param_sets: tuple[LogisticParams, ...]
+    params: np.ndarray  # (K, 4) canonical (a, b, c, d) of the K fits kept
     failed_fits: int
     seed: int
     lm_iterations: int = 0  # accepted LM steps over every replicate's fit
     n_unconverged: int = 0  # fits kept although not converged
-
-    def lower_plateaus(self) -> np.ndarray:
-        return np.array([p.b for p in self.param_sets])
-
-    def upper_plateaus(self) -> np.ndarray:
-        return np.array([p.a + p.b for p in self.param_sets])
 
 
 @dataclass(frozen=True)
@@ -106,18 +104,48 @@ def _split_indices(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     return perm[:half], perm[half:]  # train, test (test gets the odd point)
 
 
-def _log_failures(stage: str, failures: list[str], attempted: int) -> None:
-    """One summary WARNING for a stage's failed fits, none when all succeeded."""
+def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw, score):
+    """Fit and score a stage's ``n_fits`` refits over ``times``.
+
+    Refit k draws from the k-th child of ``SeedSequence(seed)``: ``draw(rng)``
+    returns its ``(counts, means, within_ss)`` table plus what ``score``
+    needs. Tables are built, fitted and scored ``_BLOCK_ROWS`` at a time, so
+    memory does not grow with ``n_fits``. ``score(params, drawn)`` makes a
+    fitted (a, b, c, d) row the stage's value; a row that failed to fit, or
+    whose score raises NumericalError, is dropped and counted. Logs one INFO
+    line of the counts and, when a fit failed, one WARNING with the first
+    reason. Returns ``(values, n_failed, lm_iterations, n_unconverged)``.
+    """
+    seeds = np.random.SeedSequence(seed)
+    values, failures = [], []
+    lm_iterations = n_unconverged = 0
+    for start in range(0, n_fits, _BLOCK_ROWS):
+        block = seeds.spawn(min(_BLOCK_ROWS, n_fits - start))
+        counts, means = np.empty((2, len(block), times.size))
+        within_ss = np.empty(len(block))
+        drawn = []
+        for r, child in enumerate(block):
+            counts[r], means[r], within_ss[r], extra = draw(np.random.default_rng(child))
+            drawn.append(extra)
+        fits = fit_tables(times, means, counts, within_ss, init)
+        fitted = np.array([e is None for e in fits.errors])
+        lm_iterations += int(fits.iterations.sum())
+        n_unconverged += int(np.count_nonzero(fitted & ~fits.converged))
+        for params, error, extra in zip(fits.params, fits.errors, drawn):
+            if error is None:
+                try:
+                    values.append(score(params, extra))
+                    continue
+                except NumericalError as exc:
+                    error = str(exc)
+            failures.append(error)
+    tally = (n_fits, lm_iterations, n_unconverged, len(failures))
+    logger.info("%s: %d fits, %d LM iterations, %d unconverged, %d failed", stage, *tally)
     if failures:
         logger.warning(
-            "%s: %d of %d fits failed (first: %s)", stage, len(failures), attempted, failures[0]
+            "%s: %d of %d fits failed (first: %s)", stage, len(failures), n_fits, failures[0]
         )
-
-
-def _unconverged(fits: TableFits) -> int:
-    """Rows of a block that fitted but did not converge."""
-    fitted = np.array([e is None for e in fits.errors])
-    return int(np.count_nonzero(fitted & ~fits.converged))
+    return values, len(failures), lm_iterations, n_unconverged
 
 
 def out_of_sample_validation(
@@ -131,8 +159,7 @@ def out_of_sample_validation(
     Each repeat fits the training half (warm-started from the full fit)
     and scores the prediction on the test half. Repeats whose training
     fit degenerates are excluded and counted. The training half is fitted
-    as counts over the pooled distinct times, ``_BLOCK_ROWS`` repeats to a
-    call of ``fit_tables``.
+    as counts over the pooled distinct times.
     """
     t, y = aligned.pooled()
     if t.size < 10:
@@ -140,36 +167,21 @@ def out_of_sample_validation(
     if n_repeats < 1:
         raise ParameterError("n_repeats must be >= 1")
     times, inverse = np.unique(t, return_inverse=True)
-
-    seeds = np.random.SeedSequence(seed)
-    rho2 = []
-    failures = []
-    lm_iterations = n_unconverged = 0
     # a block keeps its test halves, block x N/2 indices, until it is
     # scored; the smallest dtype that holds an index keeps them small
     index_type = np.min_scalar_type(t.size)
-    for start in range(0, n_repeats, _BLOCK_ROWS):
-        block = seeds.spawn(min(_BLOCK_ROWS, n_repeats - start))
-        counts, means = np.empty((2, len(block), times.size))
-        within_ss = np.empty(len(block))
-        tests = []
-        for r, child in enumerate(block):
-            train, test = _split_indices(np.random.default_rng(child), t.size)
-            counts[r], means[r], within_ss[r] = time_table(inverse[train], y[train], times.size)
-            tests.append(test.astype(index_type))
-        fits = fit_tables(times, means, counts, within_ss, init=full_fit.params)
-        lm_iterations += int(fits.iterations.sum())
-        n_unconverged += _unconverged(fits)
-        for params, error, test in zip(fits.params, fits.errors, tests):
-            if error is not None:
-                failures.append(error)
-                continue
-            predicted = logistic_eval(LogisticParams(*params), t[test])
-            try:
-                rho2.append(coefficient_of_prediction(predicted, y[test]))
-            except NumericalError as exc:
-                failures.append(str(exc))
-    _log_failures("validation", failures, n_repeats)
+
+    def draw(rng):
+        train, test = _split_indices(rng, t.size)
+        return *time_table(inverse[train], y[train], times.size), test.astype(index_type)
+
+    def score(params, test):
+        predicted = logistic_eval(LogisticParams(*params), t[test])
+        return coefficient_of_prediction(predicted, y[test])
+
+    rho2, n_failed, lm_iterations, n_unconverged = _refit(
+        "validation", n_repeats, seed, times, full_fit.params, draw, score
+    )
     if not rho2:
         raise NumericalError("every validation repeat failed")
     values = np.array(rho2)
@@ -180,7 +192,7 @@ def out_of_sample_validation(
         stderr_rho2=std / float(np.sqrt(values.size)),
         std_rho2=std,
         seed=seed,
-        n_failed=len(failures),
+        n_failed=n_failed,
         lm_iterations=lm_iterations,
         n_unconverged=n_unconverged,
     )
@@ -204,8 +216,6 @@ def bootstrap_fits(
     and sums of squares are m @ the per-region tables, built once. Sums
     are taken of deviations from the pooled per-time means, so the
     replicate's within-time sum of squares has no large terms to cancel.
-    The tables are built and fitted ``_BLOCK_ROWS`` at a time, so memory
-    does not grow with ``n_iter``.
     """
     n_regions = len(aligned.regions)
     if n_regions < 1:
@@ -230,35 +240,21 @@ def bootstrap_fits(
         ]
     )
 
-    seeds = np.random.SeedSequence(seed)
-    params = []
-    failures = []
-    lm_iterations = n_unconverged = 0
-    for start in range(0, n_iter, _BLOCK_ROWS):
-        block = seeds.spawn(min(_BLOCK_ROWS, n_iter - start))
-        counts, means = np.empty((2, len(block), times.size))
-        within_ss = np.empty(len(block))
-        for r, child in enumerate(block):
-            draw = np.random.default_rng(child).integers(0, n_regions, size=n_regions)
-            counts[r], sums, squares = (np.bincount(draw, minlength=n_regions) @ table).reshape(3, -1)
-            shift = sums / np.maximum(counts[r], 1.0)
-            means[r] = center + shift
-            within_ss[r] = max(float(np.sum(squares - sums * shift)), 0.0)
-        fits = fit_tables(times, means, counts, within_ss, init=full_fit.params)
-        lm_iterations += int(fits.iterations.sum())
-        n_unconverged += _unconverged(fits)
-        for row, error in zip(fits.params, fits.errors):
-            if error is None:
-                params.append(LogisticParams(*row))
-            else:
-                failures.append(error)
-    _log_failures("bootstrap", failures, n_iter)
+    def draw(rng):
+        drawn = rng.integers(0, n_regions, size=n_regions)
+        counts, sums, squares = (np.bincount(drawn, minlength=n_regions) @ table).reshape(3, -1)
+        shift = sums / np.maximum(counts, 1.0)
+        return counts, center + shift, max(float(np.sum(squares - sums * shift)), 0.0), None
+
+    params, n_failed, lm_iterations, n_unconverged = _refit(
+        "bootstrap", n_iter, seed, times, full_fit.params, draw, lambda row, _: row
+    )
     if not params:
         raise NumericalError("every bootstrap iteration failed")
     return BootstrapEnsemble(
         n_iter=n_iter,
-        param_sets=tuple(params),
-        failed_fits=len(failures),
+        params=np.array(params),
+        failed_fits=n_failed,
         seed=seed,
         lm_iterations=lm_iterations,
         n_unconverged=n_unconverged,
@@ -269,10 +265,10 @@ def plateau_thresholds(ensemble: BootstrapEnsemble, k_sigma: int) -> tuple[float
     """Conservative plateau bounds from ensemble moments (population sd)."""
     if k_sigma not in (1, 3):
         raise ParameterError(f"k_sigma must be 1 or 3, got {k_sigma}")
-    if not ensemble.param_sets:
+    if not len(ensemble.params):
         raise ParameterError("ensemble is empty")
-    lower = ensemble.lower_plateaus()
-    upper = ensemble.upper_plateaus()
+    lower = ensemble.params[:, 1]
+    upper = ensemble.params[:, 0] + lower
     th1 = float(lower.mean() + k_sigma * lower.std())
     th2 = float(upper.mean() - k_sigma * upper.std())
     if th1 >= th2:
@@ -294,18 +290,14 @@ def characteristic_timescale(
     """
     if not th1 < th2:
         raise ParameterError(f"need th1 < th2, got ({th1}, {th2})")
-    t1, t2 = [], []
-    excluded = 0
-    for p in ensemble.param_sets:
-        if p.lower < th1 and th2 < p.upper:
-            t1.append(logistic_inverse(p, th1))
-            t2.append(logistic_inverse(p, th2))
-        else:
-            excluded += 1
-    if not t1:
+    a, b = ensemble.params[:, 0], ensemble.params[:, 1]
+    crossing = (np.minimum(b, a + b) < th1) & (th2 < np.maximum(b, a + b))
+    if not crossing.any():
         raise NumericalError("no bootstrap curve crosses both thresholds")
-    t1 = np.array(t1)
-    t2 = np.array(t2)
+    # one curve at a time, so each crossing is math.log's, as for a lone curve
+    curves = [LogisticParams(*row) for row in ensemble.params[crossing].tolist()]
+    t1 = np.array([logistic_inverse(p, th1) for p in curves])
+    t2 = np.array([logistic_inverse(p, th2) for p in curves])
     durations = t2 - t1
     return TimescaleEstimate(
         th1=float(th1),
@@ -315,7 +307,7 @@ def characteristic_timescale(
         t2_mean=float(t2.mean()),
         duration_mean=float(durations.mean()),
         n_crossing_curves=int(durations.size),
-        n_excluded_curves=excluded,
+        n_excluded_curves=int(np.count_nonzero(~crossing)),
     )
 
 

@@ -39,7 +39,10 @@ damping loop runs in rounds: each round, every active row tries its own
 lambda, and each row stops on its own tests. Every operation acts on one
 row at a time with the same BLAS and LAPACK calls as a lone fit, so a
 row's result does not depend on the other rows in its call.
-``fit_logistic`` is the R = 1 case.
+``fit_logistic`` is the R = 1 case. Every fit stops on the module
+constants: after ``MAX_ITER`` accepted steps, or on a step that lowers the
+objective by less than ``TOL`` relative; it counts as converged when its
+residual is orthogonal to the Jacobian columns within ``GTOL``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,14 @@ EXP_CLAMP = 700.0
 # Data scaled to [0, 1] and anchored near the growth phase: unit plateau gap,
 # zero lower asymptote, a transition of order two millennia, midpoint at 0.
 DEFAULT_INIT_PARAMS = (1.0, 0.0, 0.002, 0.0)
+
+# Most accepted LM steps per fit.
+MAX_ITER = 500
+# Relative decrease of the objective below which iteration stops.
+TOL = 1e-10
+# Orthogonality |J_k . r| / (|J_k| |r|) below which the fit counts as
+# converged at a stationary point (scale-free gradient criterion).
+GTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,16 +104,6 @@ class LogisticParams:
     def canonical(self) -> "LogisticParams":
         """This curve with c > 0 (identity when already canonical)."""
         return self if self.c > 0 else self.mirrored()
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    max_iter: int = 500
-    # Relative decrease of the objective below which iteration stops.
-    tol: float = 1e-10
-    # Orthogonality |J_k . r| / (|J_k| |r|) below which the fit counts as
-    # converged at a stationary point (scale-free gradient criterion).
-    gtol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,6 @@ def fit_tables(
     weights: np.ndarray,
     within_ss: np.ndarray,
     init: LogisticParams,
-    config: FitConfig | None = None,
 ) -> TableFits:
     """Levenberg-Marquardt fits of R per-time tables over the same times.
 
@@ -255,7 +255,6 @@ def fit_tables(
     fewer than 5 points, a non-finite starting objective or a non-finite
     Jacobian is marked failed with its message.
     """
-    cfg = config or FitConfig()
     n_rows = means.shape[0]
     theta = np.tile(init.canonical().as_array(), (n_rows, 1))
     res = _curves(theta, times) - means
@@ -271,7 +270,7 @@ def fit_tables(
     lam = np.full(n_rows, 1e-3)
     iterations = np.zeros(n_rows, dtype=np.int64)
     tries = np.zeros(n_rows, dtype=np.int64)  # damping levels tried this step
-    active = np.array([e is None for e in errors]) & (cfg.max_iter > 0)
+    active = np.array([e is None for e in errors]) & (MAX_ITER > 0)
     stale = active.copy()  # rows whose normal equations are to be formed
     jtj = np.zeros((n_rows, 4, 4))
     grad = np.zeros((n_rows, 4))
@@ -316,7 +315,7 @@ def fit_tables(
             histories[r].append(value)
         lam[taken] = np.maximum(lam[taken] / 10.0, 1e-12)
         iterations[taken] += 1
-        done = (rel_decrease < cfg.tol) | (iterations[taken] >= cfg.max_iter)
+        done = (rel_decrease < TOL) | (iterations[taken] >= MAX_ITER)
         active[taken[done]] = False
         stale[taken[~done]] = True
 
@@ -360,7 +359,7 @@ def fit_tables(
         residuals=res,
         rmse=rnorm / np.sqrt(weights.sum(axis=1)),
         n_points=n_points,
-        converged=fitted & (exact | (cosine <= cfg.gtol)),
+        converged=fitted & (exact | (cosine <= GTOL)),
         iterations=iterations,
         histories=tuple(tuple(h) for h in histories),
         errors=tuple(errors),
@@ -371,7 +370,6 @@ def fit_logistic(
     t,
     y,
     init: LogisticParams | None = None,
-    config: FitConfig | None = None,
     weights=None,
     within_ss: float = 0.0,
 ) -> FitResult:
@@ -389,7 +387,6 @@ def fit_logistic(
         Starting point. A negative-rate start is canonicalised to its
         c > 0 mirror before optimisation, so the returned rate is always
         positive. Defaults to ``DEFAULT_INIT_PARAMS``.
-    config : FitConfig, optional
     weights : array-like, optional
         Number of points at each time of the table (0 allowed); at least
         5 in total.
@@ -402,7 +399,7 @@ def fit_logistic(
     -------
     FitResult
         ``converged`` is True when the residual is orthogonal to the
-        Jacobian columns within ``config.gtol``; otherwise the best
+        Jacobian columns within ``GTOL``; otherwise the best
         iterate is returned with ``converged=False`` and the caller
         decides whether to accept it. ``residuals`` are per point, or
         per table row when ``weights`` is given.
@@ -439,9 +436,7 @@ def fit_logistic(
     if init.c == 0:
         raise ParameterError("initial rate c must be nonzero")
 
-    fit = fit_tables(
-        times, means[None, :], weights[None, :], np.array([within_ss]), init, config
-    ).result(0)
+    fit = fit_tables(times, means[None, :], weights[None, :], np.array([within_ss]), init).result(0)
     if not per_point:
         return fit
     res = logistic_eval(fit.params, t) - y

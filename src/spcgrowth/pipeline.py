@@ -72,6 +72,8 @@ class PipelineConfig:
         if self.n_validation < 1:
             raise ParameterError(f"n_validation must be >= 1, got {self.n_validation}")
         ks = tuple(sorted(set(self.k_sigma_list)))
+        if not ks:
+            raise ParameterError("k_sigma_list must name at least one of 1 and 3")
         if any(k not in (1, 3) for k in ks):
             raise ParameterError(f"k_sigma_list must be a subset of {{1, 3}}, got {self.k_sigma_list}")
         object.__setattr__(self, "k_sigma_list", ks)
@@ -80,6 +82,8 @@ class PipelineConfig:
                 raise ParameterError(f"bandwidth must be {AUTO_BANDWIDTH!r} or a positive number, got {self.bandwidth!r}")
         elif not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ParameterError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        if not self.continuity_modes:
+            raise ParameterError("continuity_modes must name at least one mode")
         modes = []
         for mode in self.continuity_modes:
             if not isinstance(mode, ContinuityMode):
@@ -224,18 +228,6 @@ def run_fit_stage(config: PipelineConfig) -> ReportBundle:
     )
 
 
-def _log_fits(stage: str, fits: int, lm_iterations: int, unconverged: int, failed: int) -> None:
-    """One INFO line of what a refit stage's fits did."""
-    logger.info(
-        "%s: %d fits, %d LM iterations, %d unconverged, %d failed",
-        stage,
-        fits,
-        lm_iterations,
-        unconverged,
-        failed,
-    )
-
-
 def add_validation(bundle: ReportBundle) -> ReportBundle:
     validation = out_of_sample_validation(
         bundle.aligned,
@@ -249,13 +241,6 @@ def add_validation(bundle: ReportBundle) -> ReportBundle:
         validation.stderr_rho2,
         len(validation.rho2_values),
     )
-    _log_fits(
-        "validation",
-        bundle.config.n_validation,
-        validation.lm_iterations,
-        validation.n_unconverged,
-        validation.n_failed,
-    )
     return replace(bundle, validation=validation)
 
 
@@ -267,13 +252,6 @@ def add_bootstrap(bundle: ReportBundle) -> ReportBundle:
         bundle.full_fit,
         n_iter=bundle.config.n_bootstrap,
         seed=_derived_seed(bundle.config.seed, _BOOTSTRAP_STREAM),
-    )
-    _log_fits(
-        "bootstrap",
-        ensemble.n_iter,
-        ensemble.lm_iterations,
-        ensemble.n_unconverged,
-        ensemble.failed_fits,
     )
     timescales = []
     durations = None

@@ -115,7 +115,7 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
         data["bootstrap"] = {
             "n_iter": e.n_iter,
             "n_failed": e.failed_fits,
-            "n_fits": len(e.param_sets),
+            "n_fits": len(e.params),
             "seed": e.seed,
         }
     if bundle.timescales:
@@ -242,7 +242,7 @@ def render_report_text(bundle: ReportBundle) -> str:
         lines += ["[bootstrap]"]
         lines += [f"n.iter = {e.n_iter}"]
         lines += [f"n.failed = {e.failed_fits}"]
-        lines += [f"n.fits = {len(e.param_sets)}"]
+        lines += [f"n.fits = {len(e.params)}"]
         lines += [f"seed = {e.seed}", ""]
 
     for ts in bundle.timescales:

@@ -1,13 +1,16 @@
 """Shared builders and lookups for the test suite, the per-point reference
-fitter and the dense KDE reference."""
+fitter, the dense KDE reference and the benchmark's modules."""
 
+import importlib.util
 import math
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from spcgrowth import NumericalError, ParameterError
+from spcgrowth import NumericalError, ParameterError, logistic
 from spcgrowth.align import AlignedDataset, AlignedRegion
 from spcgrowth.dataset import (
     CULTURAL_CONTINUITY,
@@ -18,7 +21,6 @@ from spcgrowth.dataset import (
 )
 from spcgrowth.logistic import (
     DEFAULT_INIT_PARAMS,
-    FitConfig,
     FitResult,
     LogisticParams,
     logistic_eval,
@@ -30,6 +32,19 @@ INST = INSTITUTIONAL_CONTINUITY
 OUT = OUTSIDE_CENTRAL
 
 PANEL_HEADER = "NGA,PolID,AbsTime,RelTime,SPC1,Culture.Sequence,Institutions.Sequence"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_module(stem: str):
+    """``perfbench/<stem>.py``, loaded once from its file (perfbench is not
+    a package) as the module ``bench_<stem>``."""
+    name = f"bench_{stem}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{stem}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def build_dataset(regions: Sequence[RegionSeries]) -> Dataset:
@@ -138,16 +153,16 @@ def _reference_gradient_norm(jac, res):
     return float(np.max(np.abs(g) / (col * rnorm)))
 
 
-def reference_fit(t, y, init=None, config=None) -> FitResult:
+def reference_fit(t, y, init=None) -> FitResult:
     """Levenberg-Marquardt over every point: the differential reference.
 
     The same damping, stopping and convergence tests as ``fit_logistic``,
-    evaluated point by point instead of over the per-time table.
+    on the same ``logistic`` constants, evaluated point by point instead of
+    over the per-time table.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     init = init if init is not None else LogisticParams(*DEFAULT_INIT_PARAMS)
-    cfg = config or FitConfig()
 
     def residuals(theta):
         return logistic_eval(LogisticParams(*theta), t) - y
@@ -160,7 +175,7 @@ def reference_fit(t, y, init=None, config=None) -> FitResult:
     history = [objective]
     lam = 1e-3
     iterations = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(logistic.MAX_ITER):
         jac = logistic_jacobian(LogisticParams(*theta), t)
         jtj = jac.T @ jac
         g = jac.T @ res
@@ -194,14 +209,14 @@ def reference_fit(t, y, init=None, config=None) -> FitResult:
                 break
         if not step_taken:
             break
-        if rel_decrease < cfg.tol:
+        if rel_decrease < logistic.TOL:
             break
 
     final = LogisticParams(*theta).canonical()
     res = residuals(final.as_array())
     rnorm = float(np.linalg.norm(res))
     exact = rnorm <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
-    converged = exact or _reference_gradient_norm(logistic_jacobian(final, t), res) <= cfg.gtol
+    converged = exact or _reference_gradient_norm(logistic_jacobian(final, t), res) <= logistic.GTOL
     return FitResult(
         params=final,
         residuals=res,

@@ -1,14 +1,12 @@
 """Panel parsing, global scaling, serialization, and synthetic generation."""
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import (
     PANEL_HEADER,
+    bench_module,
     build_dataset,
     make_region,
     minmax_unscale,
@@ -309,18 +307,6 @@ class TestSynthetic:
             build_dataset([make_region("A", [0.1]), make_region("A", [0.2])])
 
 
-def _bench_workloads():
-    """``perfbench/workloads.py``, loaded from its file (perfbench is not a
-    package)."""
-    if "bench_workloads" not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up here
-        spec.loader.exec_module(module)
-    return sys.modules["bench_workloads"]
-
-
 class TestBenchmarkPanels:
     """The panels the benchmark runs are pinned by SHA-256 in
     ``perfbench/reference.json``; a change to the generator or the
@@ -328,7 +314,7 @@ class TestBenchmarkPanels:
 
     @pytest.mark.parametrize("name, seed", [("paper", 0), ("paper", 1), ("wide", 0)])
     def test_panel_bytes_match_the_reference(self, name, seed):
-        workloads = _bench_workloads()
+        workloads = bench_module("workloads")
         reference = workloads.load_reference(workloads.REFERENCE_PATH)
         workload = workloads.WORKLOADS[name]
         entry = workloads.panel_entry(reference, workload, seed)

@@ -50,10 +50,10 @@ UNIT_CURVE_DURATION = 2772.588722239781
 
 
 def ensemble_of(*param_tuples, n_iter=None, failed=0, seed=0):
-    params = tuple(LogisticParams(*p) for p in param_tuples)
+    params = np.array(param_tuples, dtype=float).reshape(-1, 4)
     return BootstrapEnsemble(
         n_iter=n_iter if n_iter is not None else len(params) + failed,
-        param_sets=params,
+        params=params,
         failed_fits=failed,
         seed=seed,
     )
@@ -178,7 +178,8 @@ class TestFailureLog:
 
 class TestFitCountLog:
     """add_validation and add_bootstrap each state their refits' counts in
-    one INFO line, read from the rows the batched fitter returned."""
+    one INFO line from the refit driver, read from the rows the batched
+    fitter returned."""
 
     @pytest.mark.parametrize("stage", ["validation", "bootstrap"])
     def test_one_info_line_per_stage_with_the_counts(self, stage, fit_bundle, monkeypatch, caplog):
@@ -195,12 +196,12 @@ class TestFitCountLog:
 
         monkeypatch.setattr(inference, "fit_tables", every_fourth_unconverged)
         add_stage = pipeline.add_validation if stage == "validation" else pipeline.add_bootstrap
-        with caplog.at_level(logging.INFO, logger=pipeline.__name__):
+        with caplog.at_level(logging.INFO, logger=inference.__name__):
             bundle = add_stage(replace(fit_bundle, config=config))
         lines = [
             r.getMessage()
             for r in caplog.records
-            if r.name == pipeline.__name__ and "LM iterations" in r.getMessage()
+            if r.name == inference.__name__ and "LM iterations" in r.getMessage()
         ]
         assert len(iterations) == 12 and sum(iterations) >= 12
         # rows 3, 6, 9 and 12 failed; rows 4 and 8 fitted without converging
@@ -217,8 +218,8 @@ class TestBatchedFits:
         real_fit = inference.fit_tables
         blocks = []
 
-        def keep(times, means, weights, within_ss, init, config=None):
-            block = real_fit(times, means, weights, within_ss, init, config)
+        def keep(times, means, weights, within_ss, init):
+            block = real_fit(times, means, weights, within_ss, init)
             blocks.append((times, means, weights, within_ss, block))
             return block
 
@@ -261,13 +262,13 @@ class TestBootstrap:
         aligned, fit = aligned_noisy
         a = bootstrap_fits(aligned, fit, n_iter=20, seed=8)
         b = bootstrap_fits(aligned, fit, n_iter=20, seed=8)
-        assert a.param_sets == b.param_sets
+        assert np.array_equal(a.params, b.params)
 
     def test_successes_plus_failures_cover_every_iteration(self, noisy_ensemble):
-        assert len(noisy_ensemble.param_sets) + noisy_ensemble.failed_fits == 200
+        assert noisy_ensemble.params.shape == (200 - noisy_ensemble.failed_fits, 4)
 
     def test_every_fit_is_canonical(self, noisy_ensemble):
-        assert all(p.c > 0 for p in noisy_ensemble.param_sets)
+        assert (noisy_ensemble.params[:, 2] > 0).all()
 
     def test_single_region_resamples_are_degenerate(self):
         # with one region every draw pools the same points
@@ -275,11 +276,11 @@ class TestBootstrap:
         aligned = aligned_from_synthetic(ds)
         fit = fit_logistic(*aligned.pooled())
         ens = bootstrap_fits(aligned, fit, n_iter=10, seed=2)
-        ups = ens.upper_plateaus()
+        ups = ens.params[:, 0] + ens.params[:, 1]
         assert ups.max() - ups.min() < 1e-12
 
     def test_upper_plateau_consistent_with_generator(self, noisy_ensemble):
-        ups = noisy_ensemble.upper_plateaus()
+        ups = noisy_ensemble.params[:, 0] + noisy_ensemble.params[:, 1]
         assert abs(ups.mean() - 1.0) <= 2.0 * ups.std()
 
     def test_zero_iterations_rejected(self, aligned_noisy):
@@ -318,7 +319,7 @@ class TestPlateauThresholds:
             plateau_thresholds(ens, 2)
 
     def test_empty_ensemble_rejected(self):
-        ens = BootstrapEnsemble(n_iter=1, param_sets=(), failed_fits=1, seed=0)
+        ens = BootstrapEnsemble(n_iter=1, params=np.empty((0, 4)), failed_fits=1, seed=0)
         with pytest.raises(ParameterError):
             plateau_thresholds(ens, 3)
 
@@ -340,7 +341,8 @@ class TestCharacteristicTimescale:
     def test_per_curve_durations_match_the_inverse(self, noisy_ensemble):
         th1, th2 = plateau_thresholds(noisy_ensemble, 3)
         est = characteristic_timescale(noisy_ensemble, th1, th2, k_sigma=3)
-        crossing = [p for p in noisy_ensemble.param_sets if p.lower < th1 and th2 < p.upper]
+        curves = [LogisticParams(*row) for row in noisy_ensemble.params]
+        crossing = [p for p in curves if p.lower < th1 and th2 < p.upper]
         t1 = np.array([logistic_inverse(p, th1) for p in crossing])
         t2 = np.array([logistic_inverse(p, th2) for p in crossing])
         assert len(crossing) == est.n_crossing_curves
@@ -513,14 +515,14 @@ class TestAgainstPerPointReference:
         assert ensemble.failed_fits == 0 and len(fits) == 50
         n = len(aligned.regions)
         for child, fit, params in zip(
-            np.random.SeedSequence(13).spawn(50), fits, ensemble.param_sets
+            np.random.SeedSequence(13).spawn(50), fits, ensemble.params
         ):
             draw = np.random.default_rng(child).integers(0, n, size=n)
             t = np.concatenate([aligned.regions[i].rel_time for i in draw]).astype(float)
             y = np.concatenate([aligned.regions[i].scaled for i in draw])
             assert fit.n_points == t.size
             assert_same_fit(fit, reference_fit(t, y, init=full.params))
-            assert params == fit.params
+            assert LogisticParams(*params) == fit.params
 
     def test_validation_splits(self, aligned_noisy, monkeypatch):
         aligned, full = aligned_noisy

@@ -6,9 +6,8 @@ from helpers import assert_same_fit, recorded_rel_times, reference_fit
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from spcgrowth import NumericalError, ParameterError, fit_logistic
+from spcgrowth import NumericalError, ParameterError, fit_logistic, logistic
 from spcgrowth.logistic import (
-    FitConfig,
     LogisticParams,
     _solve,
     coefficient_of_prediction,
@@ -244,9 +243,10 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit_logistic(t, y, init=LogisticParams(1.0, 0.0, 0.0, 0.0))
 
-    def test_iteration_cap_respected(self):
+    def test_iteration_cap_respected(self, monkeypatch):
         t, y = noisy_pooled(seed=5)
-        fit = fit_logistic(t, y, config=FitConfig(max_iter=3))
+        monkeypatch.setattr(logistic, "MAX_ITER", 3)
+        fit = fit_logistic(t, y)
         assert fit.iterations <= 3
 
 

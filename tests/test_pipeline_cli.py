@@ -10,12 +10,20 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import CULT, OUT, PANEL_HEADER, build_dataset, make_region
+from helpers import (
+    BENCH_DIR,
+    CULT,
+    OUT,
+    PANEL_HEADER,
+    bench_module,
+    build_dataset,
+    make_region,
+)
 
 import spcgrowth
 from spcgrowth import (
@@ -54,6 +62,13 @@ func = getattr(importlib.import_module(module), attr)
 sys.argv[0] = "spcgrowth"
 sys.exit(func())
 """
+
+
+def child_env() -> dict:
+    """This environment, with the package under test first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
+    return env
 
 
 def assert_lists_subcommands(help_text: str) -> None:
@@ -166,7 +181,9 @@ class TestFullPipeline:
             input_path=str(noisy_panel_path), seed=0, n_bootstrap=150, n_validation=25
         )
         direct = add_bootstrap(run_fit_stage(config))
-        assert direct.ensemble == full_bundle.ensemble
+        for field in fields(direct.ensemble):
+            got, want = (getattr(e, field.name) for e in (direct.ensemble, full_bundle.ensemble))
+            assert np.array_equal(got, want), field.name
 
     def test_rerun_writes_byte_identical_outputs(self, noisy_panel_path, tmp_path):
         outputs = []
@@ -534,6 +551,37 @@ class TestCli:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_negative_synth_seed_exits_2(self, source, tmp_path, monkeypatch, caplog, capsys):
+        argv = ["synth", "--regions", "2", "--out", str(tmp_path / "synth")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("SPCGROWTH_SEED", "-1")
+        assert main(argv) == 2
+        assert "seed must be >= 0, got -1" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
+
+    # an empty list would drop the growth-period or continuity sections
+    @pytest.mark.parametrize(
+        "flag, field", [("--k-sigma", "k_sigma_list"), ("--modes", "continuity_modes")]
+    )
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_empty_list_option_exits_2_naming_the_field(
+        self, flag, field, source, noisy_panel_path, tmp_path, monkeypatch, caplog, capsys
+    ):
+        out_dir = tmp_path / "report"
+        argv = ["report", "--input", str(noisy_panel_path), "--out", str(out_dir)]
+        if source == "flag":
+            argv += [flag, ","]
+        else:
+            monkeypatch.setenv("SPCGROWTH_" + flag[2:].upper().replace("-", "_"), "")
+        assert main(argv) == 2
+        assert field in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out_dir.exists()
+
     # too few points is a numerical failure at every stage
     def test_too_few_points_for_the_full_fit_exits_3(self, tmp_path, caplog):
         regions = [make_region(f"R{i}", [0.1, 0.9]) for i in range(2)]
@@ -602,19 +650,39 @@ class TestCli:
         tomllib = pytest.importorskip("tomllib")
         with PYPROJECT.open("rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["spcgrowth"]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-c", CONSOLE_SCRIPT, target, "--help"],
             capture_output=True,
             text=True,
             timeout=60,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert_lists_subcommands(proc.stdout)
+
+    def test_benchmark_tracer_spans_every_stage(self, noisy_panel_path, tmp_path):
+        """``perfbench/traced.py`` rebinds stage functions by name; each one
+        it names must still exist and still be called, and the continuity
+        refits must still reach its fit counter. The tracer rebinds names
+        for its whole process, so it runs in a child interpreter."""
+        spanned = bench_module("traced").SPANNED
+        spans_path = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(BENCH_DIR / "traced.py"), str(spans_path), "--",
+             "report", "--input", str(noisy_panel_path), "--out", str(tmp_path / "out"),
+             "--bootstrap", "20", "--validation", "5"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(spans_path.read_text(encoding="utf-8"))
+        assert record["exit"] == 0
+        names = [span["name"] for span in record["spans"]]
+        assert set(spanned.values()) <= set(names)
+        continuity = [span for span in record["spans"] if span["name"] == "inference.continuity"]
+        assert any(span.get("fits", {}).get("attempted", 0) > 0 for span in continuity)
 
     @pytest.mark.skipif(
         shutil.which("spcgrowth") is None,
