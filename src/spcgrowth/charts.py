@@ -4,6 +4,11 @@ No plotting framework: each chart is assembled from SVG primitives with
 fixed pixel formatting, so identical inputs give identical bytes. The
 charts are overlays for quick inspection; the CSV artifacts hold the
 same data in full precision.
+
+A chart's points are handled a column at a time: ``_Frame`` maps a whole
+array of data values to pixels with one expression, and a polyline or a
+set of dots is formatted with one ``%`` per block of up to 1,024 points
+(``"%.2f"`` gives the same text as ``f"{x:.2f}"``, ``-0.00`` included).
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ SERIES_COLORS = [
 FULL_CURVE_COLOR = "#111111"
 MODE_COLORS = {"cultural": "#d62728", "institutional": "#2ca02c"}
 WINDOW_FILL = "#f5c46a"
+# points formatted by one ``%``; bounds its format string and coordinate tuple
+_BLOCK_POINTS = 1024
 
 
 def _escape(text: str) -> str:
@@ -44,7 +51,12 @@ def _escape(text: str) -> str:
 
 
 class _Frame:
-    """Maps data coordinates into a pixel box."""
+    """Maps data coordinates into a pixel box.
+
+    ``x`` and ``y`` take a number or a whole array: numpy applies the same
+    operations in the same order to every element, so an array maps to
+    the same bits as its values one at a time.
+    """
 
     def __init__(self, box, x_range, y_range):
         self.left, self.top, self.right, self.bottom = box
@@ -57,22 +69,39 @@ class _Frame:
         self.x_lo, self.x_hi = float(x_lo), float(x_hi)
         self.y_lo, self.y_hi = float(y_lo), float(y_hi)
 
-    def x(self, value: float) -> float:
-        frac = (value - self.x_lo) / (self.x_hi - self.x_lo)
-        return self.left + frac * (self.right - self.left)
+    def x(self, value):
+        span = self.right - self.left
+        return self.left + (value - self.x_lo) / (self.x_hi - self.x_lo) * span
 
-    def y(self, value: float) -> float:
-        frac = (value - self.y_lo) / (self.y_hi - self.y_lo)
-        return self.bottom - frac * (self.bottom - self.top)
+    def y(self, value):
+        span = self.bottom - self.top
+        return self.bottom - (value - self.y_lo) / (self.y_hi - self.y_lo) * span
+
+    def _pixels(self, template: str, sep: str, xs, ys) -> list[str]:
+        """``template``, whose two ``%.2f`` fields take a point's pixel x and
+        y, filled for every point and joined by ``sep``: one string per
+        block of ``_BLOCK_POINTS`` points, so the format string and the
+        tuple of coordinates for one ``%`` stay small."""
+        pairs = np.column_stack(
+            (self.x(np.asarray(xs, dtype=float)), self.y(np.asarray(ys, dtype=float)))
+        )
+        return [
+            sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+            for block in np.split(pairs, range(_BLOCK_POINTS, len(pairs), _BLOCK_POINTS))
+        ]
 
     def polyline(self, xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
-        points = " ".join(
-            f"{self.x(float(a)):.2f},{self.y(float(b)):.2f}" for a, b in zip(xs, ys)
-        )
+        points = " ".join(self._pixels("%.2f,%.2f", " ", xs, ys))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
             f'{extra} points="{points}"/>'
+        )
+
+    def circles(self, xs, ys) -> list[str]:
+        """One dot per point, a line each, as body lines of a document."""
+        return self._pixels(
+            '<circle cx="%.2f" cy="%.2f" r="2" fill="#1f77b4" fill-opacity="0.6"/>', "\n", xs, ys
         )
 
     def axes(self) -> list[str]:
@@ -113,7 +142,7 @@ def _document(width: int, height: int, title: str, body: list[str]) -> str:
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="16" '
         f'font-family="sans-serif">{_escape(title)}</text>',
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    return "\n".join(head + body + ["</svg>", ""])
 
 
 def _curve_grid(bundle: ReportBundle, n: int = 257) -> np.ndarray:
@@ -277,11 +306,7 @@ def residuals_chart(bundle: ReportBundle) -> str:
             f'y2="{py:.2f}" stroke="#d62728" stroke-width="1" '
             'stroke-dasharray="4 3"/>'
         )
-    for t, r in zip(pooled_t, residuals):
-        body.append(
-            f'<circle cx="{frame.x(float(t)):.2f}" cy="{frame.y(float(r)):.2f}" '
-            'r="2" fill="#1f77b4" fill-opacity="0.6"/>'
-        )
+    body += frame.circles(pooled_t, residuals)
     body += frame.axes()
     return _document(width, height, "residuals against the fitted curve", body)
 

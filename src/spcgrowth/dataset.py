@@ -6,7 +6,8 @@ Comma-separated UTF-8 with exactly this header:
 
     NGA,PolID,AbsTime,RelTime,SPC1,Culture.Sequence,Institutions.Sequence
 
-- NGA: region name; rows are grouped per region.
+- NGA: region name; rows are grouped per region. A name holding a
+  control character (Unicode category Cc) is rejected.
 - PolID: polity identifier for the row.
 - AbsTime: calendar year, integer, negative = BCE. Within one region the
   years are strictly increasing and spaced in multiples of 100; violating
@@ -69,6 +70,9 @@ OUTSIDE_CENTRAL = "outside.central"
 # Largest |AbsTime| or |RelTime| accepted. Years and their differences then
 # fit int64, and every year is exact as a float64 (below 2**53).
 MAX_ABS_YEAR = 10**15
+
+# Unicode category Cc: C0 controls, DEL and C1 controls
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 _CULTURE_LABELS = {CULTURAL_CONTINUITY, OUTSIDE_CENTRAL}
 _INSTITUTION_LABELS = {INSTITUTIONAL_CONTINUITY, OUTSIDE_CENTRAL}
@@ -225,7 +229,13 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
         institution = _parse_label(
             row[6], _INSTITUTION_LABELS, line_no, "Institutions.Sequence"
         )
-        rows.setdefault(nga, []).append(
+        region = rows.get(nga)
+        if region is None:
+            # names reach the SVG charts and the line-oriented text report
+            if _CONTROL_CHAR.search(nga):
+                raise RowParseError(line_no, f"NGA name {nga!r} contains a control character")
+            region = rows[nga] = []
+        region.append(
             (
                 abs_time,
                 line_no,
@@ -278,26 +288,41 @@ def load_dataset(path) -> Dataset:
             raise DataError(f"not UTF-8 text ({exc.reason})") from None
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted the way ``csv.writer`` quotes it
+    with "\\n" line ends: in double quotes, with each quote doubled, when
+    it holds a comma, a double quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def serialize_dataset(dataset: Dataset) -> str:
-    """Render a Dataset back to CSV; scaled datasets gain SPC1.scaled."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    """Render a Dataset back to CSV; scaled datasets gain SPC1.scaled.
+
+    Each region is formatted a column at a time: its name and each
+    distinct PolID are quoted once, and every row fills one template.
+    """
     columns = list(HEADER) + ([SCALED_COLUMN] if dataset.is_scaled else [])
-    writer.writerow(columns)
+    parts = [",".join(columns) + "\n"]
     for s in dataset.regions:
+        quoted = {p: csv_field(p) for p in set(s.pol_id)}
         cells = [
-            repeat(s.nga),
-            s.pol_id,
+            repeat(csv_field(s.nga)),
+            [quoted[p] for p in s.pol_id],
             s.abs_times.tolist(),
             np.where(s.rel_time_present, s.rel_time_recorded.astype(str), "").tolist(),
-            map(repr, s.raw.tolist()),
+            s.raw.tolist(),
             np.where(s.cultural, CULTURAL_CONTINUITY, OUTSIDE_CENTRAL).tolist(),
             np.where(s.institutional, INSTITUTIONAL_CONTINUITY, OUTSIDE_CENTRAL).tolist(),
         ]
+        template = "%s,%s,%d,%s,%r,%s,%s"
         if dataset.is_scaled:
-            cells.append(map(repr, s.scaled.tolist()))
-        writer.writerows(zip(*cells))
-    return out.getvalue()
+            cells.append(s.scaled.tolist())
+            template += ",%r"
+        template += "\n"
+        parts += [template % row for row in zip(*cells)]
+    return "".join(parts)
 
 
 def minmax_scale(dataset: Dataset, extrema: tuple[float, float] | None = None) -> Dataset:

@@ -8,23 +8,27 @@ that computed the same values produce the same bytes.
 
 ``plot_data_files`` holds the quantitative content of each figure as CSV
 (the SVG renderings in ``charts`` are overlays on top of these, never the
-source of truth). ``write_files`` is the one place output files are
-written.
+source of truth). The long CSVs are formatted a column at a time: each
+region's or curve's columns are taken out with ``tolist()`` once, and
+every row fills one ``%d``/``%r`` template, with names quoted by
+``dataset.csv_field``. ``write_files`` is the one place output files are
+written; ``write_outputs`` renders and writes one group at a time (the
+reports, the plot data, the charts), so only one group's text is held
+at once.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset, serialize_dataset
+from .dataset import Dataset, csv_field, serialize_dataset
 from .errors import ParameterError
 from .logistic import logistic_eval
 
@@ -53,11 +57,13 @@ def _slug(name: str) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    return "".join(",".join(map(csv_field, row)) + "\n" for row in [header, *rows])
+
+
+def _template_rows(template: str, *columns) -> list[str]:
+    """One ``template`` line per row of the columns (``tolist()`` lists, or
+    ``repeat`` for a field that is the same on every row)."""
+    return [template % row for row in zip(*columns)]
 
 
 def bundle_to_dict(bundle: ReportBundle) -> dict:
@@ -319,31 +325,37 @@ def render_check_text(check: CheckReport) -> str:
 def _curves_csv(bundle: ReportBundle) -> str:
     t, _ = bundle.aligned.pooled()
     grid = np.linspace(float(t.min()), float(t.max()), CURVE_SAMPLES)
-    rows = []
+    parts = ["curve,rel_time,value\n"]
     curves = [("full", bundle.full_fit)] + [
         (c.mode.value, c.fit) for c in bundle.continuity
     ]
     for name, fit in curves:
         values = logistic_eval(fit.params, grid)
-        rows += [[name, _f(x), _f(y)] for x, y in zip(grid, values)]
-    return _csv_text(["curve", "rel_time", "value"], rows)
+        parts += _template_rows(
+            "%s,%r,%r\n", repeat(csv_field(name)), grid.tolist(), values.tolist()
+        )
+    return "".join(parts)
 
 
 def _kde_csv(bundle: ReportBundle) -> str:
-    rows = [
-        [_f(x), _f(y)]
-        for x, y in zip(bundle.density.grid, bundle.density.density)
-    ]
-    return _csv_text(["grid", "density"], rows)
+    density = bundle.density
+    rows = _template_rows("%r,%r\n", density.grid.tolist(), density.density.tolist())
+    return "".join(["grid,density\n", *rows])
 
 
 def _residuals_csv(bundle: ReportBundle) -> str:
-    rows = []
+    parts = ["nga,rel_time,scaled,predicted,residual\n"]
     for region in bundle.aligned.regions:
         predicted = logistic_eval(bundle.full_fit.params, region.rel_time.astype(float))
-        for t, y, p in zip(region.rel_time, region.scaled, predicted):
-            rows.append([region.nga, str(int(t)), _f(y), _f(p), _f(p - y)])
-    return _csv_text(["nga", "rel_time", "scaled", "predicted", "residual"], rows)
+        parts += _template_rows(
+            "%s,%d,%r,%r,%r\n",
+            repeat(csv_field(region.nga)),
+            region.rel_time.tolist(),
+            region.scaled.tolist(),
+            predicted.tolist(),
+            (predicted - region.scaled).tolist(),
+        )
+    return "".join(parts)
 
 
 def _growth_window_csv(bundle: ReportBundle) -> str:
@@ -437,7 +449,9 @@ def write_outputs(bundle: ReportBundle, output_dir) -> list[Path]:
         raise ParameterError("bundle is incomplete; run the remaining stages first")
     from .charts import chart_files
 
-    files = report_files(bundle)
-    files.update(plot_data_files(bundle))
-    files.update(chart_files(bundle))
-    return write_files(files, output_dir)
+    # each group is written, and its text freed, before the next renders
+    root = Path(output_dir)
+    written = []
+    for render in (report_files, plot_data_files, chart_files):
+        written += write_files(render(bundle), root)
+    return sorted(written, key=lambda path: path.relative_to(root).as_posix())

@@ -1,7 +1,10 @@
 """Shared builders and lookups for the test suite, the per-point reference
-fitter, the dense KDE reference and the benchmark's modules."""
+fitter, the dense KDE reference, the per-row output renderers and the
+benchmark's modules."""
 
+import csv
 import importlib.util
+import io
 import math
 import sys
 from dataclasses import fields, replace
@@ -10,12 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
-from spcgrowth import NumericalError, ParameterError, logistic
+from spcgrowth import NumericalError, ParameterError, charts, logistic
 from spcgrowth.align import AlignedDataset, AlignedRegion
 from spcgrowth.dataset import (
     CULTURAL_CONTINUITY,
+    HEADER,
     INSTITUTIONAL_CONTINUITY,
     OUTSIDE_CENTRAL,
+    SCALED_COLUMN,
     Dataset,
     RegionSeries,
 )
@@ -26,6 +31,7 @@ from spcgrowth.logistic import (
     logistic_eval,
     logistic_jacobian,
 )
+from spcgrowth.report import CURVE_SAMPLES
 
 CULT = CULTURAL_CONTINUITY
 INST = INSTITUTIONAL_CONTINUITY
@@ -238,3 +244,149 @@ def assert_same_fit(got: FitResult, want: FitResult, rel: float = 1e-12) -> None
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert np.allclose(got.objective_history, want.objective_history, rtol=rel, atol=0)
+
+
+def reference_csv(header: list[str], rows) -> str:
+    """CSV text as ``csv.writer`` writes it, one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _repr(value) -> str:
+    return repr(float(value))
+
+
+def reference_series_rows(series: RegionSeries, rel_time=None) -> list[list[str]]:
+    """A region's panel rows, one cell at a time; ``rel_time`` (an aligned
+    region's) fills every RelTime cell in place of the recorded ones."""
+    rows = []
+    for i in range(len(series)):
+        if rel_time is not None:
+            rel = str(int(rel_time[i]))
+        else:
+            rel = str(int(series.rel_time_recorded[i])) if series.rel_time_present[i] else ""
+        row = [
+            series.nga,
+            series.pol_id[i],
+            str(int(series.abs_times[i])),
+            rel,
+            _repr(series.raw[i]),
+            CULT if series.cultural[i] else OUT,
+            INST if series.institutional[i] else OUT,
+        ]
+        if series.spc1_scaled is not None:
+            row.append(_repr(series.spc1_scaled[i]))
+        rows.append(row)
+    return rows
+
+
+def reference_serialize(dataset: Dataset) -> str:
+    """``serialize_dataset`` row by row through ``csv.writer``."""
+    header = list(HEADER) + ([SCALED_COLUMN] if dataset.is_scaled else [])
+    return reference_csv(header, [row for s in dataset.regions for row in reference_series_rows(s)])
+
+
+def reference_plot_data(bundle) -> tuple[dict[str, str], list[str]]:
+    """Every plot-data CSV rendered row by row through ``csv.writer`` with
+    ``repr`` per number: the fixed files by name, and the series files in
+    region order."""
+    t, _ = bundle.aligned.pooled()
+    grid = np.linspace(float(t.min()), float(t.max()), CURVE_SAMPLES)
+    curves = [("full", bundle.full_fit)] + [(c.mode.value, c.fit) for c in bundle.continuity]
+    residual_rows = []
+    for region in bundle.aligned.regions:
+        predicted = logistic_eval(bundle.full_fit.params, region.rel_time.astype(float))
+        for rel, y, p in zip(region.rel_time, region.scaled, predicted):
+            residual_rows.append([region.nga, str(int(rel)), _repr(y), _repr(p), _repr(p - y)])
+    files = {
+        "curves.csv": reference_csv(
+            ["curve", "rel_time", "value"],
+            [
+                [name, _repr(x), _repr(y)]
+                for name, fit in curves
+                for x, y in zip(grid, logistic_eval(fit.params, grid))
+            ],
+        ),
+        "kde.csv": reference_csv(
+            ["grid", "density"],
+            [[_repr(x), _repr(y)] for x, y in zip(bundle.density.grid, bundle.density.density)],
+        ),
+        "residuals.csv": reference_csv(
+            ["nga", "rel_time", "scaled", "predicted", "residual"], residual_rows
+        ),
+        "growth_window.csv": reference_csv(
+            ["k_sigma", "bound", "rel_time", "curve_value"],
+            [
+                row
+                for ts in bundle.timescales
+                for row in (
+                    [str(ts.k_sigma), "lower", _repr(ts.t1_mean), _repr(ts.th1)],
+                    [str(ts.k_sigma), "upper", _repr(ts.t2_mean), _repr(ts.th2)],
+                )
+            ],
+        ),
+        "durations.csv": reference_csv(
+            ["nga", "tau1", "tau2", "duration"],
+            [
+                [e.nga, _repr(e.tau1), _repr(e.tau2), _repr(e.duration)]
+                for e in bundle.durations.per_nga
+            ],
+        ),
+    }
+    for comparison in bundle.continuity:
+        files[f"lengths_{comparison.mode.value}.csv"] = reference_csv(
+            ["rank", "nga", "length"],
+            [
+                [str(rank), nga, str(length)]
+                for rank, (nga, length) in enumerate(comparison.length_ranking(), start=1)
+            ],
+        )
+    header = list(HEADER) + [SCALED_COLUMN]
+    series = [
+        reference_csv(header, reference_series_rows(r.series, r.rel_time))
+        for r in bundle.aligned.regions
+    ]
+    return files, series
+
+
+class ReferenceFrame(charts._Frame):
+    """``charts._Frame`` mapping and formatting one point at a time: each
+    coordinate through scalar ``x``/``y`` and ``f"{v:.2f}"``."""
+
+    def x(self, value: float) -> float:
+        frac = (value - self.x_lo) / (self.x_hi - self.x_lo)
+        return self.left + frac * (self.right - self.left)
+
+    def y(self, value: float) -> float:
+        frac = (value - self.y_lo) / (self.y_hi - self.y_lo)
+        return self.bottom - frac * (self.bottom - self.top)
+
+    def polyline(self, xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
+        points = " ".join(
+            f"{self.x(float(a)):.2f},{self.y(float(b)):.2f}" for a, b in zip(xs, ys)
+        )
+        extra = f' stroke-dasharray="{dash}"' if dash else ""
+        return (
+            f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
+            f'{extra} points="{points}"/>'
+        )
+
+    def circles(self, xs, ys) -> list[str]:
+        return [
+            f'<circle cx="{self.x(float(a)):.2f}" cy="{self.y(float(b)):.2f}" '
+            'r="2" fill="#1f77b4" fill-opacity="0.6"/>'
+            for a, b in zip(xs, ys)
+        ]
+
+
+def reference_chart_files(bundle) -> dict[str, str]:
+    """``charts.chart_files`` with every frame a ``ReferenceFrame``."""
+    original = charts._Frame
+    charts._Frame = ReferenceFrame
+    try:
+        return charts.chart_files(bundle)
+    finally:
+        charts._Frame = original

@@ -29,7 +29,8 @@ EXTREME_YEARS = (MAX_ABS_YEAR - 900, -MAX_ABS_YEAR, 10**20)
 
 # Replacement text for one cell.
 JUNK = ("", " ", "nan", "inf", "-inf", "1e400", "abc", "1.5", "-0", "1e20", "0x10",
-        "99999999999999999999999", "\x00", '"', "cultural.continuity", "Ω")
+        "99999999999999999999999", "\x00", '"', "cultural.continuity", "Ω",
+        "Alpha\x01Beta", '"Line\nBreak"')
 
 
 def rare(draw, common, unusual):

@@ -265,6 +265,20 @@ class TestTableFit:
         assert np.max(np.abs(fit.residuals - ref.residuals)) <= 1e-12
         assert fit.rmse == pytest.approx(ref.rmse, rel=1e-12)
 
+    def test_a_row_stalls_once_rejected_steps_push_the_damping_past_1e15(self):
+        # From this start on all-zero data the fit takes one step to a far,
+        # nearly linear curve. Every later step is rejected: 20 of them take
+        # the damping from 1e-4 past 1e15 (well inside the 60-level cap),
+        # and the row stops there. One more level, 1e16, would take a step.
+        t = np.arange(6) * 100.0
+        y = np.zeros(6)
+        init = LogisticParams(
+            89717.71977191755, -1.2055726429721836, 4.818433904418441e-07, 1638.8993387279502
+        )
+        fit = fit_logistic(t, y, init=init)
+        assert_same_fit(fit, reference_fit(t, y, init=init))
+        assert fit.iterations == 1 and not fit.converged
+
     def test_the_table_is_fitted_over_the_distinct_times(self):
         t, y = noisy_pooled(seed=5)
         times, inverse = np.unique(t, return_inverse=True)

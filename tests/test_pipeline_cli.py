@@ -508,6 +508,25 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name",
+        ['"Alpha\x01Beta"', '"Line\nBreak"', '"Tab\tStop"', '"Del\x7f"', '"Next\x85Line"'],
+        ids=["SOH", "newline", "tab", "DEL", "NEL"],
+    )
+    def test_control_character_in_a_region_name_exits_2_with_its_line(
+        self, tmp_path, name, caplog, capsys
+    ):
+        # such a name would reach regions.svg (not well-formed XML) and the
+        # line-oriented report.txt
+        panel = tmp_path / "panel.csv"
+        rows = [PANEL_HEADER, "Latium,P,-600,,0.3,,", f"{name},P,-500,,0.5,,"]
+        panel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["report", "--input", str(panel), "--out", str(out)]) == 2
+        assert "line 3" in caplog.text and "control character" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "row",
         ["Latium,P,-500000000000000000000000,,0.5,,", "Latium,P,-500,1e20,0.5,,"],
         ids=["AbsTime", "RelTime"],

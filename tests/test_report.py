@@ -1,0 +1,118 @@
+"""The column-at-a-time output layer against per-row references, and the
+memory that writing the outputs takes."""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from helpers import (
+    ReferenceFrame,
+    reference_chart_files,
+    reference_csv,
+    reference_plot_data,
+    reference_serialize,
+)
+
+from spcgrowth import PipelineConfig, SyntheticSpec, generate_synthetic, run_pipeline
+from spcgrowth.charts import _Frame, chart_files
+from spcgrowth.dataset import HEADER, csv_field, load_dataset, serialize_dataset
+from spcgrowth.report import plot_data_files, write_outputs
+
+# names csv.writer quotes (comma, double quote), a non-ASCII one, two that
+# share a slug, and a percent sign, which a row template must not read
+AWKWARD_NAMES = ["Latium, Rome", 'The "Old" Town', "Zürich", "Rome", "rome", "100% Land"]
+
+
+@pytest.fixture(scope="module")
+def awkward_bundle(tmp_path_factory):
+    """Complete bundle for a panel with awkward names, parsed from a file
+    written by the per-row reference."""
+    ds = generate_synthetic(SyntheticSpec(len(AWKWARD_NAMES), noise_sigma=0.05), seed=7)
+    renamed = [
+        replace(s, nga=name, pol_id=(f"{name}, P1",) * len(s))
+        for s, name in zip(ds.regions, AWKWARD_NAMES)
+    ]
+    pol_ids = ('P"1', "P,2", "P3")
+    renamed[0] = replace(renamed[0], pol_id=tuple(pol_ids[i % 3] for i in range(len(renamed[0]))))
+    path = tmp_path_factory.mktemp("awkward") / "panel.csv"
+    path.write_text(reference_serialize(replace(ds, regions=tuple(renamed))), encoding="utf-8")
+    bundle = run_pipeline(PipelineConfig(input_path=str(path), n_bootstrap=50, n_validation=5))
+    assert sorted(r.nga for r in bundle.aligned.regions) == sorted(AWKWARD_NAMES)
+    return bundle, path
+
+
+def test_csv_field_quotes_like_csv_writer():
+    for text in ["", "a", " a ", "a,b", 'a"b', '"', "a\nb", "a\tb", "Ω", "a'b", "%d"]:
+        assert csv_field(text) + ",x\n" == reference_csv([text, "x"], []), repr(text)
+
+
+def test_panel_serialises_like_the_per_row_writer(awkward_bundle):
+    _, path = awkward_bundle
+    parsed = load_dataset(path)
+    assert serialize_dataset(parsed) == reference_serialize(parsed)
+    scaled = awkward_bundle[0].dataset
+    assert serialize_dataset(scaled) == reference_serialize(scaled)
+    assert serialize_dataset(replace(scaled, regions=())) == ",".join(HEADER) + ",SPC1.scaled\n"
+
+
+def test_plot_data_matches_the_per_row_reference(awkward_bundle):
+    bundle, _ = awkward_bundle
+    files = plot_data_files(bundle)
+    fixed, series = reference_plot_data(bundle)
+    assert {k: v for k, v in files.items() if not k.startswith("series/")} == fixed
+    assert [v for k, v in files.items() if k.startswith("series/")] == series
+
+
+def test_charts_match_the_per_point_reference(awkward_bundle):
+    bundle, _ = awkward_bundle
+    assert chart_files(bundle) == reference_chart_files(bundle)
+
+
+def test_array_pixels_have_the_bits_of_scalar_pixels():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.normal(0.0, 1e3, 4000), rng.uniform(-1.0, 2.0, 4000)])
+    frames = [
+        ((60, 40, 740, 440), (-4500.0, 5100.0), (-0.05, 1.05)),
+        ((10, 52, 160, 160), (-1234.5, 987.25), (-0.3, 0.7)),
+        ((0, 0, 100, 100), (0.0, 1.0), (0.0, 1.0)),
+    ]
+    for box, x_range, y_range in frames:
+        frame = _Frame(box, x_range, y_range)
+        scalar = ReferenceFrame(box, x_range, y_range)
+        assert frame.x(values).tolist() == [scalar.x(v) for v in values.tolist()]
+        assert frame.y(values).tolist() == [scalar.y(v) for v in values.tolist()]
+
+
+def test_polyline_and_dots_format_like_f_strings_including_negative_zero():
+    # pixels just left of and below the box edge at 0 print as -0.00
+    box, x_range, y_range = (0, 0, 100, 100), (0.0, 1.0), (0.0, 1.0)
+    frame = _Frame(box, x_range, y_range)
+    scalar = ReferenceFrame(box, x_range, y_range)
+    xs = np.array([-1e-6, 0.0, 0.5, 0.123456, 1.0 + 1e-9] * 500)
+    ys = np.array([1.0 + 1e-6, 1.0, 0.25, -3e-5, 0.987654] * 500)
+    line = frame.polyline(xs, ys, "#000", 2.0, "4 3")
+    assert "-0.00,-0.00" in line
+    assert line == scalar.polyline(xs, ys, "#000", 2.0, "4 3")
+    assert "\n".join(frame.circles(xs, ys)) == "\n".join(scalar.circles(xs, ys))
+
+
+def test_writing_holds_less_than_the_bytes_it_writes(tmp_path):
+    # Rendered and written one group at a time, the outputs of this
+    # 60-region panel peak at about 0.84x the bytes written (tracemalloc,
+    # above the finished bundle); holding every file's text in one dict
+    # before writing peaks at about 1.3x.
+    ds = generate_synthetic(SyntheticSpec(60, noise_sigma=0.05), seed=7)
+    path = tmp_path / "panel.csv"
+    path.write_text(serialize_dataset(ds), encoding="utf-8")
+    bundle = run_pipeline(PipelineConfig(input_path=str(path), n_bootstrap=20, n_validation=5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        written = write_outputs(bundle, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    total = sum(p.stat().st_size for p in written)
+    assert total > 1_500_000
+    assert peak < total, f"peak {peak} bytes for {total} bytes written"
