@@ -26,8 +26,10 @@ In memory the panel is columnar: a Dataset holds one RegionSeries per
 region, and a RegionSeries holds one array per column (years as int64,
 scores as float64, a presence mask beside the RelTime values, and one
 boolean "continuous" mask per continuity column), never one object per
-row. Parsing streams the rows and builds these arrays per region;
-serialising writes them back byte for byte.
+row. Parsing reads the rows in blocks of a few hundred and converts each
+block a column at a time; serialising writes the arrays back byte for
+byte. A line number in an error is the physical line of the text, so a
+quoted field that spans lines counts each of them.
 
 Datasets are not modified after construction; scaling returns a new
 Dataset.
@@ -41,9 +43,8 @@ import logging
 import math
 import re
 from dataclasses import dataclass, replace
-from itertools import repeat
-from operator import itemgetter
-from typing import Iterable
+from itertools import islice, repeat
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -74,8 +75,13 @@ MAX_ABS_YEAR = 10**15
 # Unicode category Cc: C0 controls, DEL and C1 controls
 _CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
-_CULTURE_LABELS = {CULTURAL_CONTINUITY, OUTSIDE_CENTRAL}
-_INSTITUTION_LABELS = {INSTITUTIONAL_CONTINUITY, OUTSIDE_CENTRAL}
+# stripped label -> "continuous"; a blank cell means outside.central
+_CULTURAL = {"": False, OUTSIDE_CENTRAL: False, CULTURAL_CONTINUITY: True}
+_INSTITUTIONAL = {"": False, OUTSIDE_CENTRAL: False, INSTITUTIONAL_CONTINUITY: True}
+
+# Rows parsed at once: a block's rows are held as Python lists until its
+# columns are converted, so this bounds the parse's memory above the panel.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +139,9 @@ class Dataset:
         return sum(len(s) for s in self.regions)
 
 
-def _parse_int(text: str, line: int, column: str) -> int:
-    """Integer parse that tolerates integral floats like '1200.0'."""
+def _check_year(text: str, line: int, column: str) -> None:
+    """A year is an integer, or an integral float like '1200.0', within
+    +/-MAX_ABS_YEAR."""
     text = text.strip()
     try:
         year = int(text)
@@ -150,18 +157,43 @@ def _parse_int(text: str, line: int, column: str) -> int:
         raise RowParseError(
             line, f"{column} value {text!r} is outside +/-{MAX_ABS_YEAR:.0e}"
         )
-    return year
 
 
-def _parse_label(text: str, allowed: set[str], line: int, column: str) -> str:
+def _check_label(text: str, flags: dict[str, bool], line: int, column: str) -> None:
     text = text.strip()
-    if not text:
-        return OUTSIDE_CENTRAL
-    if text not in allowed:
-        raise RowParseError(
-            line, f"{column} label {text!r} not one of {sorted(allowed)}"
-        )
-    return text
+    if text not in flags:
+        allowed = sorted(filter(None, flags))
+        raise RowParseError(line, f"{column} label {text!r} not one of {allowed}")
+
+
+def _check_row(row: list[str], line: int) -> None:
+    """Every per-row check in column order; RowParseError at the first bad cell."""
+    if len(row) < len(HEADER):
+        raise RowParseError(line, f"expected {len(HEADER)} fields, got {len(row)}")
+    nga = row[0].strip()
+    if not nga:
+        raise RowParseError(line, "empty NGA name")
+    _check_year(row[2], line, "AbsTime")
+    rel_text = row[3].strip()
+    if rel_text:
+        _check_year(rel_text, line, "RelTime")
+    try:
+        spc1 = float(row[4])
+    except ValueError:
+        raise RowParseError(line, f"SPC1 value {row[4]!r} is not a number") from None
+    if not math.isfinite(spc1):
+        raise RowParseError(line, f"SPC1 value {row[4]!r} is not finite")
+    _check_label(row[5], _CULTURAL, line, "Culture.Sequence")
+    _check_label(row[6], _INSTITUTIONAL, line, "Institutions.Sequence")
+    if _CONTROL_CHAR.search(nga):
+        raise RowParseError(line, f"NGA name {nga!r} contains a control character")
+
+
+def _raise_first_bad_row(rows: list[list[str]], lines: list[int]) -> NoReturn:
+    """Name the first row of a block that failed a column check."""
+    for row, line in zip(rows, lines):
+        _check_row(row, line)
+    raise AssertionError(f"lines {lines[0]}-{lines[-1]} failed a column check, but no row did")
 
 
 def _name_key(name: str):
@@ -171,6 +203,176 @@ def _name_key(name: str):
     return [int(p) if i % 2 else p for i, p in enumerate(parts)], name
 
 
+def _read_blocks(reader) -> Iterator[tuple[list[list[str]], list[int]]]:
+    """The non-blank rows of ``reader`` with the physical line each starts
+    on, in blocks of at most ``_BLOCK_ROWS``. Malformed CSV is a
+    RowParseError naming the line it was seen on; the rows read before it
+    come first, so a bad row among them is named first."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        first = reader.line_num + 1
+        for row in reader:
+            if row and (row[0].strip() or "".join(row).strip()):
+                rows.append(row)
+                lines.append(first)
+                if len(rows) == _BLOCK_ROWS:
+                    yield rows, lines
+                    rows, lines = [], []
+            first = reader.line_num + 1
+    except (csv.Error, UnicodeDecodeError) as exc:
+        line = reader.line_num
+        if rows:
+            yield rows, lines
+        if isinstance(exc, UnicodeDecodeError):
+            raise
+        raise RowParseError(line, f"malformed CSV: {exc}") from None
+    if rows:
+        yield rows, lines
+
+
+def _lookup(cells: tuple[str, ...], table: dict, convert) -> list | None:
+    """``table[cell]`` for every cell, first filling ``table`` with
+    ``convert(cell)`` for each distinct new cell; None when ``convert``
+    rejects one (returns None)."""
+    for cell in set(cells).difference(table):
+        value = convert(cell)
+        if value is None:
+            return None
+        table[cell] = value
+    return list(map(table.__getitem__, cells))
+
+
+def _floats(cells: Iterable[str]) -> np.ndarray | None:
+    """``float(cell)`` for every cell; None when one is not a number."""
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _years(cells: Iterable[str]) -> np.ndarray | None:
+    """Integral years within +/-MAX_ABS_YEAR as int64; None otherwise."""
+    values = _floats(cells)
+    if values is None:
+        return None
+    if not np.all((np.abs(values) <= MAX_ABS_YEAR) & (np.trunc(values) == values)):
+        return None  # nan and inf fail both tests
+    return values.astype(np.int64)
+
+
+class _Columns:
+    """The panel's columns, filled one block of rows at a time.
+
+    Each block's cells are converted a column at a time: numbers with one
+    ``float`` per cell, and the NGA, PolID and label cells once per
+    distinct cell, so a name is stripped and checked once however many
+    rows repeat it.
+    """
+
+    def __init__(self):
+        self.names: dict[str, int] = {}  # region name -> code
+        self.pol_ids: dict[str, int] = {}  # distinct PolID -> code
+        # raw cell -> its code or flag, for NGA, PolID and the two label columns
+        self._cells: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+        self.blocks: list[tuple[np.ndarray, ...]] = []
+
+    def _name_code(self, cell: str) -> int | None:
+        name = cell.strip()
+        # names reach the SVG charts and the line-oriented text report
+        if not name or _CONTROL_CHAR.search(name):
+            return None
+        return self.names.setdefault(name, len(self.names))
+
+    def _pol_code(self, cell: str) -> int:
+        return self.pol_ids.setdefault(cell.strip(), len(self.pol_ids))
+
+    def add(self, rows: list[list[str]], lines: list[int]) -> bool:
+        """Append a block; False, appending nothing, when a row in it fails
+        a check."""
+        if min(map(len, rows)) < len(HEADER):
+            return False
+        nga, pol, abs_time, rel_time, spc1, culture, institution = islice(
+            zip(*rows), len(HEADER)
+        )
+        names, pols, cultures, institutions = self._cells
+        rel_text = list(map(str.strip, rel_time))
+        present = np.array(list(map(bool, rel_text)), dtype=bool)
+        region = _lookup(nga, names, self._name_code)
+        pol_code = _lookup(pol, pols, self._pol_code)
+        years = _years(abs_time)
+        rel_values = _years(filter(None, rel_text))
+        raw = _floats(spc1)
+        cultural = _lookup(culture, cultures, lambda c: _CULTURAL.get(c.strip()))
+        institutional = _lookup(institution, institutions, lambda c: _INSTITUTIONAL.get(c.strip()))
+        columns = (region, pol_code, years, rel_values, raw, cultural, institutional)
+        if any(c is None for c in columns) or not np.isfinite(raw).all():
+            return False
+        rel = np.zeros(len(rows), dtype=np.int64)
+        rel[present] = rel_values
+        self.blocks.append(
+            (
+                np.array(region, dtype=np.int64),
+                np.array(pol_code, dtype=np.int64),
+                years,
+                rel,
+                present,
+                raw,
+                np.array(cultural, dtype=bool),
+                np.array(institutional, dtype=bool),
+                np.array(lines, dtype=np.int64),
+            )
+        )
+        return True
+
+    def dataset(self) -> Dataset:
+        """Group the rows by region, regions in name order and rows by year;
+        reject duplicate years and non-century steps."""
+        if not self.blocks:
+            return Dataset(())
+        columns = [np.concatenate(column) for column in zip(*self.blocks)]
+        self.blocks.clear()
+        ordered = sorted(self.names, key=_name_key)
+        rank = np.empty(len(ordered), dtype=np.int64)
+        rank[[self.names[nga] for nga in ordered]] = np.arange(len(ordered))
+        region = rank[columns[0]]
+        # stable, so equal years keep their file order
+        order = np.lexsort((columns[2], region))
+        pol_ids = np.array(list(self.pol_ids), dtype=object)
+        pol_code, years, rel, present, raw, cultural, institutional, lines = (
+            column[order] for column in columns[1:]
+        )
+        bounds = np.cumsum(np.bincount(region, minlength=len(ordered))).tolist()
+        regions = []
+        for nga, start, stop in zip(ordered, [0, *bounds], bounds):
+            abs_times = years[start:stop]
+            gaps = np.diff(abs_times)
+            bad = np.flatnonzero((gaps == 0) | (gaps % 100 != 0))
+            if bad.size:
+                i = start + int(bad[0]) + 1
+                if gaps[i - start - 1] == 0:
+                    raise DataError(
+                        f"region {nga!r}: duplicate AbsTime {years[i]} (line {lines[i]})"
+                    )
+                raise DataError(
+                    f"region {nga!r}: AbsTime step {years[i - 1]} -> {years[i]} "
+                    f"is not a century multiple (line {lines[i]})"
+                )
+            regions.append(
+                RegionSeries(
+                    nga,
+                    tuple(pol_ids[pol_code[start:stop]].tolist()),
+                    abs_times,
+                    raw[start:stop],
+                    rel[start:stop],
+                    present[start:stop],
+                    cultural[start:stop],
+                    institutional[start:stop],
+                )
+            )
+        return Dataset(tuple(regions))
+
+
 def parse_dataset(source: str | Iterable[str]) -> Dataset:
     """Parse panel CSV text into a Dataset (unscaled).
 
@@ -178,6 +380,11 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
     name in numeric order), and rows are sorted by AbsTime within each
     region, so the order of rows in the file never matters. Duplicate
     (region, year) pairs and non-century spacing are rejected.
+
+    The rows are read in blocks of at most ``_BLOCK_ROWS`` and checked a
+    column at a time; only a block that fails is walked row by row, to
+    name its first bad row. Line numbers are physical lines of the text,
+    so a quoted field holding a newline counts every line it spans.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -187,6 +394,8 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise DataError("input is empty; expected a header row") from None
+    except csv.Error as exc:
+        raise RowParseError(reader.line_num, f"malformed CSV: {exc}") from None
     if header and header[0].startswith("﻿"):
         header = [header[0].lstrip("﻿"), *header[1:]]
     header = [h.strip() for h in header]
@@ -202,82 +411,11 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
     if extras and extras != [SCALED_COLUMN]:
         raise DataError(f"unexpected extra column(s): {', '.join(extras)}")
 
-    # region -> one tuple per row; the year leads, so sorting orders by it
-    rows: dict[str, list[tuple]] = {}
-    # one string per distinct PolID, not one per row
-    interned: dict[str, str] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(expected):
-            raise RowParseError(line_no, f"expected {len(expected)} fields, got {len(row)}")
-        nga = row[0].strip()
-        if not nga:
-            raise RowParseError(line_no, "empty NGA name")
-        pol_id = row[1].strip()
-        pol_id = interned.setdefault(pol_id, pol_id)
-        abs_time = _parse_int(row[2], line_no, "AbsTime")
-        rel_text = row[3].strip()
-        rel_time = _parse_int(rel_text, line_no, "RelTime") if rel_text else 0
-        try:
-            spc1 = float(row[4])
-        except ValueError:
-            raise RowParseError(line_no, f"SPC1 value {row[4]!r} is not a number") from None
-        if not math.isfinite(spc1):
-            raise RowParseError(line_no, f"SPC1 value {row[4]!r} is not finite")
-        culture = _parse_label(row[5], _CULTURE_LABELS, line_no, "Culture.Sequence")
-        institution = _parse_label(
-            row[6], _INSTITUTION_LABELS, line_no, "Institutions.Sequence"
-        )
-        region = rows.get(nga)
-        if region is None:
-            # names reach the SVG charts and the line-oriented text report
-            if _CONTROL_CHAR.search(nga):
-                raise RowParseError(line_no, f"NGA name {nga!r} contains a control character")
-            region = rows[nga] = []
-        region.append(
-            (
-                abs_time,
-                line_no,
-                pol_id,
-                spc1,
-                rel_time,
-                bool(rel_text),
-                culture == CULTURAL_CONTINUITY,
-                institution == INSTITUTIONAL_CONTINUITY,
-            )
-        )
-
-    regions = []
-    for nga in sorted(rows, key=_name_key):
-        entries = sorted(rows.pop(nga), key=itemgetter(0))
-        years, lines, pol_ids, raw, rel, present, cultural, institutional = zip(*entries)
-        abs_times = np.array(years, dtype=np.int64)
-        gaps = np.diff(abs_times)
-        bad = np.flatnonzero((gaps == 0) | (gaps % 100 != 0))
-        if bad.size:
-            i = int(bad[0]) + 1
-            if gaps[i - 1] == 0:
-                raise DataError(
-                    f"region {nga!r}: duplicate AbsTime {years[i]} (line {lines[i]})"
-                )
-            raise DataError(
-                f"region {nga!r}: AbsTime step {years[i - 1]} -> {years[i]} "
-                f"is not a century multiple (line {lines[i]})"
-            )
-        regions.append(
-            RegionSeries(
-                nga,
-                pol_ids,
-                abs_times,
-                np.array(raw, dtype=float),
-                np.array(rel, dtype=np.int64),
-                np.array(present, dtype=bool),
-                np.array(cultural, dtype=bool),
-                np.array(institutional, dtype=bool),
-            )
-        )
-    return Dataset(tuple(regions))
+    columns = _Columns()
+    for rows, lines in _read_blocks(reader):
+        if not columns.add(rows, lines):
+            _raise_first_bad_row(rows, lines)
+    return columns.dataset()
 
 
 def load_dataset(path) -> Dataset:
@@ -289,10 +427,11 @@ def load_dataset(path) -> Dataset:
 
 
 def csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted the way ``csv.writer`` quotes it
-    with "\\n" line ends: in double quotes, with each quote doubled, when
-    it holds a comma, a double quote or a newline."""
-    if "," in text or '"' in text or "\n" in text:
+    """``text`` as one CSV field: in double quotes, with each quote doubled,
+    when it holds a comma, a double quote, a newline or a carriage return.
+    This is how ``csv.writer`` quotes with "\\n" line ends, except that it
+    leaves a bare "\\r" unquoted, which does not parse again."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

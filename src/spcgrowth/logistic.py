@@ -198,13 +198,16 @@ def time_table(inverse: np.ndarray, y: np.ndarray, n_times: int):
 
     ``inverse[i]`` is the row (distinct time) of point ``i``. A row no point
     maps to gets count 0 and mean 0. ``within_ss`` is the sum over points of
-    (y_i - mean of its row)^2, taken from the deviations themselves.
+    (y_i - mean of its row)^2, taken from the deviations themselves and
+    summed by numpy's own loop, not BLAS: on more than 10,000 points a BLAS
+    ``ddot`` wakes OpenBLAS's worker threads, which then spin for about
+    0.1 s of CPU each while the rest of the run is single-threaded.
     """
     counts = np.bincount(inverse, minlength=n_times)
     sums = np.bincount(inverse, weights=y, minlength=n_times)
     means = sums / np.maximum(counts, 1)
     dev = y - means[inverse]
-    return counts, means, float(dev @ dev)
+    return counts, means, float(np.einsum("i,i", dev, dev))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
 """Shared builders and lookups for the test suite, the per-point reference
-fitter, the dense KDE reference, the per-row output renderers and the
-benchmark's modules."""
+fitter, the dense KDE reference, the per-row panel parser, the per-row
+output renderers and the benchmark's modules."""
 
 import csv
 import importlib.util
 import io
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,12 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from spcgrowth import NumericalError, ParameterError, charts, logistic
+from spcgrowth import DataError, NumericalError, ParameterError, RowParseError, charts, logistic
 from spcgrowth.align import AlignedDataset, AlignedRegion
 from spcgrowth.dataset import (
     CULTURAL_CONTINUITY,
     HEADER,
     INSTITUTIONAL_CONTINUITY,
+    MAX_ABS_YEAR,
     OUTSIDE_CENTRAL,
     SCALED_COLUMN,
     Dataset,
@@ -244,6 +246,125 @@ def assert_same_fit(got: FitResult, want: FitResult, rel: float = 1e-12) -> None
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert np.allclose(got.objective_history, want.objective_history, rtol=rel, atol=0)
+
+
+def _reference_year(text: str, line: int, column: str) -> int:
+    text = text.strip()
+    try:
+        year = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            raise RowParseError(line, f"{column} value {text!r} is not a number") from None
+        if not value.is_integer():
+            raise RowParseError(line, f"{column} value {text!r} is not an integer year")
+        year = int(value)
+    if abs(year) > MAX_ABS_YEAR:
+        raise RowParseError(line, f"{column} value {text!r} is outside +/-{MAX_ABS_YEAR:.0e}")
+    return year
+
+
+def _reference_label(text: str, allowed: set, line: int, column: str) -> str:
+    text = text.strip()
+    if not text:
+        return OUT
+    if text not in allowed:
+        raise RowParseError(line, f"{column} label {text!r} not one of {sorted(allowed)}")
+    return text
+
+
+def _reference_name_key(name: str):
+    parts = re.split(r"(\d+)", name)
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)], name
+
+
+def reference_parse(text: str) -> Dataset:
+    """``parse_dataset`` one row at a time: every check runs on each row as
+    it is read, and a row's line is the physical line its record starts
+    on."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("input is empty; expected a header row") from None
+    except csv.Error as exc:
+        raise RowParseError(reader.line_num, f"malformed CSV: {exc}") from None
+    if header and header[0].startswith("﻿"):
+        header = [header[0].lstrip("﻿"), *header[1:]]
+    header = [h.strip() for h in header]
+    expected = list(HEADER)
+    if header[: len(expected)] != expected:
+        missing = [name for name in expected if name not in header]
+        if missing:
+            raise DataError(f"header is missing column(s): {', '.join(missing)}")
+        raise DataError(f"header columns out of order; expected {','.join(expected)}")
+    extras = header[len(expected) :]
+    if extras and extras != [SCALED_COLUMN]:
+        raise DataError(f"unexpected extra column(s): {', '.join(extras)}")
+
+    rows: dict[str, list[tuple]] = {}
+    line = reader.line_num + 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise RowParseError(reader.line_num, f"malformed CSV: {exc}") from None
+        line, first = reader.line_num + 1, line
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(expected):
+            raise RowParseError(first, f"expected {len(expected)} fields, got {len(row)}")
+        nga = row[0].strip()
+        if not nga:
+            raise RowParseError(first, "empty NGA name")
+        abs_time = _reference_year(row[2], first, "AbsTime")
+        rel_text = row[3].strip()
+        rel_time = _reference_year(rel_text, first, "RelTime") if rel_text else 0
+        try:
+            spc1 = float(row[4])
+        except ValueError:
+            raise RowParseError(first, f"SPC1 value {row[4]!r} is not a number") from None
+        if not math.isfinite(spc1):
+            raise RowParseError(first, f"SPC1 value {row[4]!r} is not finite")
+        culture = _reference_label(row[5], {CULT, OUT}, first, "Culture.Sequence")
+        institution = _reference_label(row[6], {INST, OUT}, first, "Institutions.Sequence")
+        if nga not in rows:
+            if re.search(r"[\x00-\x1f\x7f-\x9f]", nga):
+                raise RowParseError(first, f"NGA name {nga!r} contains a control character")
+            rows[nga] = []
+        rows[nga].append(
+            (abs_time, first, row[1].strip(), spc1, rel_time, bool(rel_text),
+             culture == CULT, institution == INST)
+        )
+
+    regions = []
+    for nga in sorted(rows, key=_reference_name_key):
+        entries = sorted(rows[nga], key=lambda entry: entry[0])
+        years, lines, pol_ids, raw, rel, present, cultural, institutional = zip(*entries)
+        for i in range(1, len(years)):
+            if years[i] == years[i - 1]:
+                raise DataError(f"region {nga!r}: duplicate AbsTime {years[i]} (line {lines[i]})")
+            if (years[i] - years[i - 1]) % 100:
+                raise DataError(
+                    f"region {nga!r}: AbsTime step {years[i - 1]} -> {years[i]} "
+                    f"is not a century multiple (line {lines[i]})"
+                )
+        regions.append(
+            RegionSeries(
+                nga,
+                pol_ids,
+                np.array(years, dtype=np.int64),
+                np.array(raw, dtype=float),
+                np.array(rel, dtype=np.int64),
+                np.array(present, dtype=bool),
+                np.array(cultural, dtype=bool),
+                np.array(institutional, dtype=bool),
+            )
+        )
+    return Dataset(tuple(regions))
 
 
 def reference_csv(header: list[str], rows) -> str:

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from helpers import PANEL_HEADER
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spcgrowth.cli import main
@@ -27,10 +27,11 @@ EXTREME_SCORES = (0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7976931348623157e3
                   -1.7976931348623157e308, float("inf"))
 EXTREME_YEARS = (MAX_ABS_YEAR - 900, -MAX_ABS_YEAR, 10**20)
 
-# Replacement text for one cell.
+# Replacement text for one cell; the last is longer than the CSV reader's
+# field limit (131,072 characters).
 JUNK = ("", " ", "nan", "inf", "-inf", "1e400", "abc", "1.5", "-0", "1e20", "0x10",
         "99999999999999999999999", "\x00", '"', "cultural.continuity", "Ω",
-        "Alpha\x01Beta", '"Line\nBreak"')
+        "Alpha\x01Beta", '"Line\nBreak"', "x" * 131_073)
 
 
 def rare(draw, common, unusual):
@@ -107,6 +108,7 @@ class _Errors(logging.Handler):
 
 @settings(max_examples=50)
 @given(panels())
+@example(f"{PANEL_HEADER}\nR0,R0-P,-600,,0.1,,\nR0,{JUNK[-1]},-500,,0.9,,\n")
 def test_fit_exit_code_contract(text):
     errors = _Errors()
     logger = logging.getLogger("spcgrowth")

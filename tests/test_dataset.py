@@ -1,20 +1,25 @@
 """Panel parsing, global scaling, serialization, and synthetic generation."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 from helpers import (
+    CULT,
+    INST,
+    OUT,
     PANEL_HEADER,
     bench_module,
     build_dataset,
     make_region,
     minmax_unscale,
     recorded_rel_times,
+    reference_parse,
     region_named,
     series_fields,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spcgrowth import (
@@ -26,7 +31,7 @@ from spcgrowth import (
     generate_synthetic,
     minmax_scale,
 )
-from spcgrowth.dataset import MAX_ABS_YEAR, parse_dataset, serialize_dataset
+from spcgrowth.dataset import MAX_ABS_YEAR, load_dataset, parse_dataset, serialize_dataset
 from spcgrowth.logistic import LogisticParams, logistic_eval
 
 
@@ -164,6 +169,41 @@ class TestParse:
             parse_dataset(panel_text(rows))
         assert err.value.line == 2
 
+    def test_lines_are_physical_lines_after_a_multi_line_record(self):
+        rows = ['Latium,"Ital\nRome",-600,,0.3,,', "Latium,P,-500,,0.4,,", "", "Latium,P,x,,0.5,,"]
+        with pytest.raises(RowParseError, match="line 6: AbsTime value 'x'") as err:
+            parse_dataset(panel_text(rows))
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize(
+        "year, message",
+        [("-500", "duplicate AbsTime -500"), ("-450", "step -500 -> -450 is not a century")],
+    )
+    def test_region_errors_name_physical_lines_after_a_multi_line_record(self, year, message):
+        rows = ['Latium,"Ital\nRome",-600,,0.3,,', "Latium,P,-500,,0.4,,"]
+        rows.append(f"Latium,P,{year},,0.5,,")
+        with pytest.raises(DataError, match=f"{message}.*\\(line 5\\)"):
+            parse_dataset(panel_text(rows))
+
+    def test_malformed_csv_names_its_line(self):
+        rows = ["Latium,P,-600,,0.3,,", "Latium," + "x" * 131_073 + ",-500,,0.4,,"]
+        with pytest.raises(RowParseError, match="line 3: malformed CSV: field larger than"):
+            parse_dataset(panel_text(rows))
+
+    def test_a_bad_row_before_malformed_csv_is_named_first(self):
+        rows = ["Latium,P,-600,,abc,,", "Latium,P,-500,,0.4,,", 'Latium,P,-400,,0.5,a\rb,']
+        with pytest.raises(RowParseError, match="line 2: SPC1 value 'abc'"):
+            parse_dataset(panel_text(rows))
+
+    def test_a_pol_id_with_a_carriage_return_round_trips(self, tmp_path):
+        ds = parse_dataset(panel_text(['A,"P\rQ",-600,,0.3,,']))
+        text = serialize_dataset(ds)
+        path = tmp_path / "panel.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        for again in (parse_dataset(text), load_dataset(path)):
+            assert again.regions[0].pol_id == ("P\rQ",)
+            assert serialize_dataset(again) == text
+
     def test_round_trip_preserves_every_field(self):
         ds = generate_synthetic(SyntheticSpec(3, noise_sigma=0.02), seed=1)
         again = parse_dataset(serialize_dataset(ds))
@@ -178,6 +218,111 @@ class TestParse:
         again = parse_dataset(text)  # scaled column is ignored on ingest
         unscaled = {**series_fields(ds.regions[0]), "spc1_scaled": None}
         assert series_fields(again.regions[0]) == unscaled
+
+
+# Cells a mutation writes, unquoted, into the columns it names: numbers
+# that are not integral years or not finite scores, names with control
+# characters or none, labels, and cells the CSV reader rejects in any
+# column (a bare carriage return, one over its 131,072-character limit).
+YEARS = ("1.5", "-550.5", "1e3", "-600.0", " 700 ", "1_000", "nan", "inf", "", "abc", "0x10",
+         "1e20", str(MAX_ABS_YEAR), str(-MAX_ABS_YEAR - 100), "99999999999999999999999")
+MUTANT_CELLS = {
+    (2, 3): YEARS,
+    (4,): ("nan", "inf", "-inf", "1e400", "abc", "", " 0.5 ", "1_0.5"),
+    (0,): ("", " ", "Alpha\x01Beta", "Del\x7f", "Next\x85Line", '"Line\nBreak"', " R0 ", "R0\t"),
+    (5, 6): (CULT, INST, " outside.central ", "sometimes", ""),
+    (0, 1, 2, 3, 4, 5, 6): ("a\rb", '"unclosed', "x" * 131_073),
+}
+MUTATIONS = (*MUTANT_CELLS, "short row", "duplicate year", "off-century year")
+
+
+@st.composite
+def panel_texts(draw):
+    """CSV text of a panel: valid rows from a seeded generator, either a few
+    or more than one parse block of them, in region order or shuffled, with
+    quoted multi-line PolIDs, blank lines and up to three mutations. In a
+    long panel each mutation lands just before or just after a block
+    boundary."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.one_of(st.integers(1, 40), st.integers(513, 1100)))
+    n_regions = draw(st.integers(1, 5))
+    rows = []
+    for r in range(n_regions):
+        start = rng.randrange(-30, 30) * 100
+        for i in range(n_rows // n_regions + (r < n_rows % n_regions)):
+            rows.append([
+                rng.choice([f"R{r}", f"R{r}", f" R{r} "]),
+                rng.choice([f"R{r}-P", f"R{r}-Q", f'"R{r}\nP"', f'"R{r} ""Q"""', " shared "]),
+                rng.choice(["{}", "{}", "{}.0", " {} "]).format(start + 100 * i),
+                rng.choice(["", str(100 * i)]),
+                rng.choice([repr(rng.random()), " 0.25 ", "1e-3"]),
+                rng.choice([CULT, OUT, "", " outside.central "]),
+                rng.choice([INST, OUT, ""]),
+                *([] if rng.random() < 0.9 else ["0.5"]),
+            ])
+    if draw(st.booleans()):
+        rng.shuffle(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        near = st.sampled_from([510, 511, 512, 513])
+        at = draw(near if len(rows) > 513 else st.integers(0, len(rows) - 1))
+        row = rows[at]
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind in MUTANT_CELLS:
+            col = draw(st.sampled_from(kind))
+            if col < len(row):
+                row[col] = draw(st.sampled_from(MUTANT_CELLS[kind]))
+        elif kind == "short row":
+            del row[draw(st.integers(1, 6)) :]
+        elif kind == "duplicate year":
+            rows.insert(at, list(row))
+        elif len(row) > 2:
+            row[2] = row[2].replace("00", "50", 1)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", " , ,", ",,,,,,"]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    return "\n".join([PANEL_HEADER, *lines]) + "\n"
+
+
+def parse_outcome(parse, text):
+    """Every column of every region with its dtype, or the error's class,
+    message and line."""
+    try:
+        dataset = parse(text)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [
+        {k: (v.dtype, v.tolist()) if isinstance(v, np.ndarray) else v for k, v in vars(s).items()}
+        for s in dataset.regions
+    ]
+
+
+class TestBlockParse:
+    """``parse_dataset`` checks a block of rows a column at a time and walks
+    only a failing block row by row; ``helpers.reference_parse`` checks
+    every row as it reads it."""
+
+    @settings(max_examples=150)
+    @given(panel_texts())
+    def test_blocks_parse_like_the_per_row_reference(self, text):
+        assert parse_outcome(parse_dataset, text) == parse_outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("at", [511, 512])
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("R,P,1.5,,0.5,,", "AbsTime value '1.5' is not an integer year"),
+         ("R\x01,P,0,,0.5,,", "NGA name 'R\\x01' contains a control character")],
+        ids=["year", "name"],
+    )
+    def test_a_bad_row_on_either_side_of_a_block_boundary(self, at, bad_row, message):
+        rows = ['R,"P\nQ",0,,0.5,,'] + [f"R,P,{100 * i},,0.5,," for i in range(1, 1000)]
+        rows[at] = bad_row
+        text = panel_text(rows)
+        with pytest.raises(RowParseError) as err:
+            parse_dataset(text)
+        # row 0 spans two lines after the header
+        assert (err.value.line, str(err.value)) == (at + 3, f"line {at + 3}: {message}")
+        assert parse_outcome(reference_parse, text) == (RowParseError, str(err.value), at + 3)
 
 
 class TestScaling:

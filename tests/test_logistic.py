@@ -1,5 +1,8 @@
 """Curve evaluation, inversion, differentiation, and least-squares fitting."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 from helpers import assert_same_fit, recorded_rel_times, reference_fit
@@ -410,3 +413,24 @@ class TestCoefficientOfPrediction:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             coefficient_of_prediction([], [])
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or os.environ.get("OPENBLAS_NUM_THREADS") == "1",
+    reason="BLAS has no second thread to wake",
+)
+def test_time_table_leaves_other_threads_idle():
+    # A BLAS dot product over more than 10,000 points wakes OpenBLAS's
+    # worker, which then spins about 0.1 s of CPU after its last call; the
+    # busy wait gives such a spin time to show in the process's CPU time.
+    rng = np.random.default_rng(0)
+    inverse = rng.integers(0, 100, 20_000)
+    y = rng.random(20_000)
+    time.sleep(0.3)  # so any spin from earlier tests has ended
+    others = time.process_time() - time.thread_time()
+    for _ in range(20):
+        time_table(inverse, y, 100)
+    deadline = time.perf_counter() + 0.3
+    while time.perf_counter() < deadline:
+        pass
+    assert time.process_time() - time.thread_time() - others < 0.03

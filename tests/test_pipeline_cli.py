@@ -203,6 +203,34 @@ class TestFullPipeline:
         for rel in first:
             assert (outputs[0] / rel).read_bytes() == (outputs[1] / rel).read_bytes()
 
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product over more than 10,000 elements
+        # between its threads, so the panel has more points than that
+        ds = generate_synthetic(SyntheticSpec(120, noise_sigma=0.05), seed=0)
+        assert ds.n_points() > 10_000
+        panel = tmp_path / "panel.csv"
+        panel.write_text(serialize_dataset(ds), encoding="utf-8")
+        outputs = []
+        for threads in ("1", None):
+            env = child_env()
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(name, None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "spcgrowth.cli", "report", "--input", str(panel),
+                 "--out", str(out), "--bootstrap", "20", "--validation", "5"],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = [p for p in out.rglob("*") if p.is_file()]
+            outputs.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("reorder", ["shuffled rows", "reversed regions"])
     def test_row_order_does_not_change_the_report(self, reorder, tmp_path):
         # on this panel the threshold's last bits depend on the order in
