@@ -56,8 +56,6 @@ class ValidationReport:
     std_rho2: float  # sample standard deviation of the repeats
     seed: int
     n_failed: int = 0
-    lm_iterations: int = 0  # accepted LM steps over every repeat's fit
-    n_unconverged: int = 0  # fits kept although not converged
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +64,6 @@ class BootstrapEnsemble:
     params: np.ndarray  # (K, 4) canonical (a, b, c, d) of the K fits kept
     failed_fits: int
     seed: int
-    lm_iterations: int = 0  # accepted LM steps over every replicate's fit
-    n_unconverged: int = 0  # fits kept although not converged
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,9 @@ def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw
     memory does not grow with ``n_fits``. ``score(params, drawn)`` makes a
     fitted (a, b, c, d) row the stage's value; a row that failed to fit, or
     whose score raises NumericalError, is dropped and counted. Logs one INFO
-    line of the counts and, when a fit failed, one WARNING with the first
-    reason. Returns ``(values, n_failed, lm_iterations, n_unconverged)``.
+    line of the counts (fits, LM iterations, unconverged, failed) and, when
+    a fit failed, one WARNING with the first reason. Returns
+    ``(values, n_failed)``.
     """
     seeds = np.random.SeedSequence(seed)
     values, failures = [], []
@@ -145,7 +142,7 @@ def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw
         logger.warning(
             "%s: %d of %d fits failed (first: %s)", stage, len(failures), n_fits, failures[0]
         )
-    return values, len(failures), lm_iterations, n_unconverged
+    return values, len(failures)
 
 
 def out_of_sample_validation(
@@ -179,9 +176,7 @@ def out_of_sample_validation(
         predicted = logistic_eval(LogisticParams(*params), t[test])
         return coefficient_of_prediction(predicted, y[test])
 
-    rho2, n_failed, lm_iterations, n_unconverged = _refit(
-        "validation", n_repeats, seed, times, full_fit.params, draw, score
-    )
+    rho2, n_failed = _refit("validation", n_repeats, seed, times, full_fit.params, draw, score)
     if not rho2:
         raise NumericalError("every validation repeat failed")
     values = np.array(rho2)
@@ -193,8 +188,6 @@ def out_of_sample_validation(
         std_rho2=std,
         seed=seed,
         n_failed=n_failed,
-        lm_iterations=lm_iterations,
-        n_unconverged=n_unconverged,
     )
 
 
@@ -246,7 +239,7 @@ def bootstrap_fits(
         shift = sums / np.maximum(counts, 1.0)
         return counts, center + shift, max(float(np.sum(squares - sums * shift)), 0.0), None
 
-    params, n_failed, lm_iterations, n_unconverged = _refit(
+    params, n_failed = _refit(
         "bootstrap", n_iter, seed, times, full_fit.params, draw, lambda row, _: row
     )
     if not params:
@@ -256,8 +249,6 @@ def bootstrap_fits(
         params=np.array(params),
         failed_fits=n_failed,
         seed=seed,
-        lm_iterations=lm_iterations,
-        n_unconverged=n_unconverged,
     )
 
 
@@ -284,20 +275,23 @@ def characteristic_timescale(
 ) -> TimescaleEstimate:
     """Mean relative-time gap between threshold crossings over the ensemble.
 
-    Curves whose open asymptote interval does not strictly contain both
-    thresholds never cross them and are excluded (and counted) rather
-    than clamped, which would bias the duration toward zero.
+    A curve that does not cross both thresholds in floating point (where
+    ``logistic_inverse`` raises NumericalError) is excluded and counted
+    rather than clamped, which would bias the duration toward zero.
     """
     if not th1 < th2:
         raise ParameterError(f"need th1 < th2, got ({th1}, {th2})")
-    a, b = ensemble.params[:, 0], ensemble.params[:, 1]
-    crossing = (np.minimum(b, a + b) < th1) & (th2 < np.maximum(b, a + b))
-    if not crossing.any():
-        raise NumericalError("no bootstrap curve crosses both thresholds")
     # one curve at a time, so each crossing is math.log's, as for a lone curve
-    curves = [LogisticParams(*row) for row in ensemble.params[crossing].tolist()]
-    t1 = np.array([logistic_inverse(p, th1) for p in curves])
-    t2 = np.array([logistic_inverse(p, th2) for p in curves])
+    crossings = []
+    for row in ensemble.params.tolist():
+        curve = LogisticParams(*row)
+        try:
+            crossings.append((logistic_inverse(curve, th1), logistic_inverse(curve, th2)))
+        except NumericalError:
+            continue
+    if not crossings:
+        raise NumericalError("no bootstrap curve crosses both thresholds")
+    t1, t2 = np.array(list(zip(*crossings)))
     durations = t2 - t1
     return TimescaleEstimate(
         th1=float(th1),
@@ -307,7 +301,7 @@ def characteristic_timescale(
         t2_mean=float(t2.mean()),
         duration_mean=float(durations.mean()),
         n_crossing_curves=int(durations.size),
-        n_excluded_curves=int(np.count_nonzero(~crossing)),
+        n_excluded_curves=len(ensemble.params) - len(crossings),
     )
 
 

@@ -38,17 +38,18 @@ batched ``matmul`` and solved by batched ``np.linalg.solve``. The inner
 damping loop runs in rounds: each round, every active row tries its own
 lambda, and each row stops on its own tests. Every operation acts on one
 row at a time with the same BLAS and LAPACK calls as a lone fit, so a
-row's result does not depend on the other rows in its call.
-``fit_logistic`` is the R = 1 case. Every fit stops on the module
-constants: after ``MAX_ITER`` accepted steps, or on a step that lowers the
-objective by less than ``TOL`` relative; it counts as converged when its
-residual is orthogonal to the Jacobian columns within ``GTOL``.
+row's result (parameters, step count, convergence) does not depend on the
+other rows in its call. ``fit_logistic`` fits the table of its points as
+the R = 1 case. Every fit stops on the module constants: after
+``MAX_ITER`` accepted steps, or on a step that lowers the objective by
+less than ``TOL`` relative; it counts as converged when its residual is
+orthogonal to the Jacobian columns within ``GTOL``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,19 +109,13 @@ class LogisticParams:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A per-point fit; its residuals are ``logistic_eval(params, t) - y``."""
+
     params: LogisticParams
-    residuals: np.ndarray  # predicted - observed, per point (per row for a table)
-    rmse: float
+    rmse: float  # root mean square of the per-point residuals
     n_points: int
     converged: bool
-    iterations: int
-    # Objective (sum of squared residuals) after each accepted step,
-    # starting with the initial value. Non-increasing by construction.
-    objective_history: tuple[float, ...] = field(default_factory=tuple)
-
-    @property
-    def objective(self) -> float:
-        return self.objective_history[-1]
+    iterations: int  # accepted LM steps
 
 
 def logistic_eval(params: LogisticParams, t) -> np.ndarray | float:
@@ -133,8 +128,8 @@ def logistic_eval(params: LogisticParams, t) -> np.ndarray | float:
 def logistic_inverse(params: LogisticParams, y: float) -> float:
     """Time at which the curve attains ``y``.
 
-    ``y`` must lie strictly between the asymptotes; the crossing is then
-    t = d - ln(a / (y - b) - 1) / c.
+    ``y`` must lie strictly between the asymptotes and the ratio in the
+    crossing t = d - ln(a / (y - b) - 1) / c must not round to <= 0.
     """
     if params.c == 0:
         raise ParameterError("rate c must be nonzero to invert the curve")
@@ -144,13 +139,9 @@ def logistic_inverse(params: LogisticParams, y: float) -> float:
             f"level {y} outside the open asymptote interval ({lo}, {hi})"
         )
     ratio = params.a / (y - params.b) - 1.0
+    if not ratio > 0:
+        raise NumericalError(f"level {y} rounds onto an asymptote (a / (y - b) - 1 = {ratio})")
     return params.d - math.log(ratio) / params.c
-
-
-def logistic_jacobian(params: LogisticParams, t: np.ndarray) -> np.ndarray:
-    """Partial derivatives of f w.r.t. (a, b, c, d), shape (n, 4)."""
-    t = np.asarray(t, dtype=float).ravel()
-    return _jacobians(params.as_array()[None, :], t)[0]
 
 
 def _curves(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -212,34 +203,18 @@ def time_table(inverse: np.ndarray, y: np.ndarray, n_times: int):
 
 @dataclass(frozen=True, eq=False)
 class TableFits:
-    """R fits over one set of distinct times, row r from table r.
+    """R fits over one set of distinct times, row r from table r: what the
+    callers read, and nothing per time or per step.
 
     A row that failed has its message in ``errors`` (None for a row that
     fitted) and NaN parameters; ``converged`` is False for it.
     """
 
     params: np.ndarray  # (R, 4) canonical (a, b, c, d)
-    residuals: np.ndarray  # (R, U) predicted - mean
-    rmse: np.ndarray  # (R,)
     n_points: np.ndarray  # (R,)
     converged: np.ndarray  # (R,) bool
     iterations: np.ndarray  # (R,) accepted steps
-    histories: tuple[tuple[float, ...], ...]
     errors: tuple[str | None, ...]
-
-    def result(self, r: int) -> FitResult:
-        """Row ``r`` as a FitResult; NumericalError when the row failed."""
-        if self.errors[r] is not None:
-            raise NumericalError(self.errors[r])
-        return FitResult(
-            params=LogisticParams(*self.params[r]),
-            residuals=self.residuals[r],
-            rmse=float(self.rmse[r]),
-            n_points=int(self.n_points[r]),
-            converged=bool(self.converged[r]),
-            iterations=int(self.iterations[r]),
-            objective_history=self.histories[r],
-        )
 
 
 def fit_tables(
@@ -269,7 +244,6 @@ def fit_tables(
             errors[r] = f"need at least 5 points, got {n_points[r]}"
         else:
             errors[r] = "objective not finite at initial parameters"
-    histories = [[value] for value in objective.tolist()]
     lam = np.full(n_rows, 1e-3)
     iterations = np.zeros(n_rows, dtype=np.int64)
     tries = np.zeros(n_rows, dtype=np.int64)  # damping levels tried this step
@@ -314,8 +288,6 @@ def fit_tables(
         theta[taken] = trial[better]
         res[taken] = trial_res[better]
         objective[taken] = trial_obj[better]
-        for r, value in zip(taken.tolist(), objective[taken].tolist()):
-            histories[r].append(value)
         lam[taken] = np.maximum(lam[taken] / 10.0, 1e-12)
         iterations[taken] += 1
         done = (rel_decrease < TOL) | (iterations[taken] >= MAX_ITER)
@@ -359,62 +331,26 @@ def fit_tables(
     cosine[rnorm == 0.0] = 0.0
     return TableFits(
         params=theta,
-        residuals=res,
-        rmse=rnorm / np.sqrt(weights.sum(axis=1)),
         n_points=n_points,
         converged=fitted & (exact | (cosine <= GTOL)),
         iterations=iterations,
-        histories=tuple(tuple(h) for h in histories),
         errors=tuple(errors),
     )
 
 
-def fit_logistic(
-    t,
-    y,
-    init: LogisticParams | None = None,
-    weights=None,
-    within_ss: float = 0.0,
-) -> FitResult:
-    """Least-squares logistic fit via Levenberg-Marquardt: ``fit_tables``
-    on one table.
+def fit_logistic(t, y, init: LogisticParams | None = None) -> FitResult:
+    """Least-squares logistic fit of the points (t, y), at least 5: their
+    per-time table fitted as the one row of ``fit_tables``.
 
-    Parameters
-    ----------
-    t, y : array-like
-        Without ``weights``: times and observed values, at least 5 points.
-        They are collapsed onto their distinct times before fitting.
-        With ``weights``: a per-time table, ``t`` the times and ``y`` the
-        mean observed value at each.
-    init : LogisticParams, optional
-        Starting point. A negative-rate start is canonicalised to its
-        c > 0 mirror before optimisation, so the returned rate is always
-        positive. Defaults to ``DEFAULT_INIT_PARAMS``.
-    weights : array-like, optional
-        Number of points at each time of the table (0 allowed); at least
-        5 in total.
-    within_ss : float
-        With ``weights``: sum over the points of (y_i - y_u)^2, where y_u
-        is the mean of the point's time. It makes the objective the
-        per-point sum of squares.
-
-    Returns
-    -------
-    FitResult
-        ``converged`` is True when the residual is orthogonal to the
-        Jacobian columns within ``GTOL``; otherwise the best
-        iterate is returned with ``converged=False`` and the caller
-        decides whether to accept it. ``residuals`` are per point, or
-        per table row when ``weights`` is given.
-
-    Raises
-    ------
-    ParameterError
-        Mismatched lengths, negative weights or ``within_ss``, or zero
-        initial rate.
-    NumericalError
-        Fewer than 5 points, non-finite inputs, a non-finite objective at
-        the start, or a non-finite Jacobian.
+    ``init`` defaults to ``DEFAULT_INIT_PARAMS``; a negative-rate start is
+    canonicalised to its c > 0 mirror, so the returned rate is positive.
+    ``converged`` is True when the residual is orthogonal to the Jacobian
+    columns within ``GTOL``; otherwise the best iterate comes back with
+    ``converged=False`` and the caller decides whether to accept it.
+    ``rmse`` is taken over the points. Raises ParameterError for mismatched
+    lengths or a zero initial rate, and NumericalError for non-finite
+    inputs or a failed row: fewer than 5 points, a non-finite objective at
+    the start, or a non-finite Jacobian.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -422,28 +358,27 @@ def fit_logistic(
         raise ParameterError("t and y must be 1-d arrays of equal length")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise NumericalError("non-finite values in fit input")
-    per_point = weights is None
-    if per_point:
-        times, inverse = np.unique(t, return_inverse=True)
-        counts, means, within_ss = time_table(inverse, y, times.size)
-        weights = counts.astype(float)
-    else:
-        times, means = t, y
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != t.shape or not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise ParameterError("weights must be finite, >= 0 and one per time")
-        if not (math.isfinite(within_ss) and within_ss >= 0):
-            raise ParameterError(f"within_ss must be finite and >= 0, got {within_ss}")
     if init is None:
         init = LogisticParams(*DEFAULT_INIT_PARAMS)
     if init.c == 0:
         raise ParameterError("initial rate c must be nonzero")
 
-    fit = fit_tables(times, means[None, :], weights[None, :], np.array([within_ss]), init).result(0)
-    if not per_point:
-        return fit
-    res = logistic_eval(fit.params, t) - y
-    return replace(fit, residuals=res, rmse=float(np.sqrt(np.mean(res**2))))
+    times, inverse = np.unique(t, return_inverse=True)
+    counts, means, within_ss = time_table(inverse, y, times.size)
+    fits = fit_tables(
+        times, means[None, :], counts[None, :].astype(float), np.array([within_ss]), init
+    )
+    if fits.errors[0] is not None:
+        raise NumericalError(fits.errors[0])
+    params = LogisticParams(*fits.params[0])
+    res = logistic_eval(params, t) - y
+    return FitResult(
+        params=params,
+        rmse=float(np.sqrt(np.mean(res**2))),
+        n_points=int(fits.n_points[0]),
+        converged=bool(fits.converged[0]),
+        iterations=int(fits.iterations[0]),
+    )
 
 
 def coefficient_of_prediction(predicted, actual) -> float:

@@ -26,13 +26,7 @@ from spcgrowth.dataset import (
     Dataset,
     RegionSeries,
 )
-from spcgrowth.logistic import (
-    DEFAULT_INIT_PARAMS,
-    FitResult,
-    LogisticParams,
-    logistic_eval,
-    logistic_jacobian,
-)
+from spcgrowth.logistic import DEFAULT_INIT_PARAMS, FitResult, LogisticParams, logistic_eval
 from spcgrowth.report import CURVE_SAMPLES
 
 CULT = CULTURAL_CONTINUITY
@@ -180,11 +174,10 @@ def reference_fit(t, y, init=None) -> FitResult:
     objective = float(res @ res)
     if not math.isfinite(objective):
         raise NumericalError("objective not finite at initial parameters")
-    history = [objective]
     lam = 1e-3
     iterations = 0
     for _ in range(logistic.MAX_ITER):
-        jac = logistic_jacobian(LogisticParams(*theta), t)
+        jac = logistic._jacobians(theta[None, :], t)[0]
         jtj = jac.T @ jac
         g = jac.T @ res
         if not (np.all(np.isfinite(jtj)) and np.all(np.isfinite(g))):
@@ -207,7 +200,6 @@ def reference_fit(t, y, init=None) -> FitResult:
                 theta, res = trial, trial_res
                 rel_decrease = (objective - trial_obj) / max(objective, 1e-300)
                 objective = trial_obj
-                history.append(objective)
                 lam = max(lam / 10.0, 1e-12)
                 iterations += 1
                 step_taken = True
@@ -224,28 +216,41 @@ def reference_fit(t, y, init=None) -> FitResult:
     res = residuals(final.as_array())
     rnorm = float(np.linalg.norm(res))
     exact = rnorm <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
-    converged = exact or _reference_gradient_norm(logistic_jacobian(final, t), res) <= logistic.GTOL
+    jac = logistic._jacobians(final.as_array()[None, :], t)[0]
+    converged = exact or _reference_gradient_norm(jac, res) <= logistic.GTOL
     return FitResult(
         params=final,
-        residuals=res,
         rmse=float(np.sqrt(np.mean(res**2))),
         n_points=t.size,
         converged=converged,
         iterations=iterations,
-        objective_history=tuple(history),
+    )
+
+
+def table_row(fits, r: int = 0) -> FitResult:
+    """Row ``r`` of a ``logistic.fit_tables`` result as a FitResult for
+    ``assert_same_fit``; a failed row raises its NumericalError. A table
+    holds no per-point residuals, so ``rmse`` is NaN."""
+    if fits.errors[r] is not None:
+        raise NumericalError(fits.errors[r])
+    return FitResult(
+        params=LogisticParams(*fits.params[r]),
+        rmse=math.nan,
+        n_points=int(fits.n_points[r]),
+        converged=bool(fits.converged[r]),
+        iterations=int(fits.iterations[r]),
     )
 
 
 def assert_same_fit(got: FitResult, want: FitResult, rel: float = 1e-12) -> None:
-    """Parameters and objective history within ``rel`` relative; identical
-    iterations and convergence."""
+    """Parameters within ``rel`` relative; identical iterations and
+    convergence."""
     g = got.params.as_array()
     w = want.params.as_array()
     drift = np.abs(g - w) / np.abs(w)
     assert np.all(drift <= rel), f"relative drift {drift} (got {g}, want {w})"
     assert got.iterations == want.iterations
     assert got.converged == want.converged
-    assert np.allclose(got.objective_history, want.objective_history, rtol=rel, atol=0)
 
 
 def _reference_year(text: str, line: int, column: str) -> int:

@@ -31,7 +31,7 @@ from spcgrowth import (
 )
 from spcgrowth.dataset import serialize_dataset
 from spcgrowth.density import DensityEstimate
-from spcgrowth.logistic import LogisticParams, logistic_eval, logistic_inverse, logistic_jacobian
+from spcgrowth.logistic import LogisticParams, _jacobians, logistic_eval, logistic_inverse
 from spcgrowth.pipeline import add_bootstrap, add_continuity, add_validation, run_fit_stage
 
 DATA_ENV = "SPCGROWTH_DATA"
@@ -263,8 +263,8 @@ def test_criterion_11_jacobian_and_inverse(capfd):
                 d=rng.uniform(-2000.0, 2000.0),
             )
             t = params.d + rng.uniform(-4.0, 4.0, size=9) / params.c
-            jac = logistic_jacobian(params, t)
             theta = params.as_array()
+            jac = _jacobians(theta[None, :], t)[0]
             # steps relative to each parameter's own scale; a fixed step is
             # far too coarse for c when t stretches over 1/c years
             scales = (1.0, 1.0, abs(theta[2]), 1.0)

@@ -16,6 +16,7 @@ from helpers import (
     recorded_rel_times,
     reference_fit,
     scaled_region,
+    table_row,
 )
 
 import spcgrowth.inference as inference
@@ -241,7 +242,6 @@ class TestBatchedFits:
                 assert np.array_equal(alone.params[0], fits.params[r])
                 assert alone.iterations[0] == fits.iterations[r]
                 assert alone.converged[0] == fits.converged[r]
-                assert alone.histories[0] == fits.histories[r]
 
     def test_bootstrap_memory_does_not_grow_with_the_replicates(self, aligned_noisy):
         aligned, full = aligned_noisy
@@ -356,6 +356,17 @@ class TestCharacteristicTimescale:
         assert est.n_crossing_curves == 1
         assert est.n_excluded_curves == 1
         assert est.duration_mean == pytest.approx(UNIT_CURVE_DURATION, abs=1e-9)
+
+    def test_a_curve_whose_threshold_rounds_onto_its_asymptote_is_excluded(self):
+        # th2 is one ulp below the second curve's upper asymptote, where its
+        # crossing odds round to <= 0: it does not cross in floating point
+        a, b = 0.9951097183449411, -0.08741973392085273
+        th2 = float(np.nextafter(a + b, -np.inf))
+        ens = ensemble_of((1.0, 0.0, 0.001, 0.0), (a, b, 0.002, 0.0))
+        est = characteristic_timescale(ens, 0.2, th2)
+        assert est.n_crossing_curves == 1
+        assert est.n_excluded_curves == 1
+        assert est.t2_mean == logistic_inverse(LogisticParams(1.0, 0.0, 0.001, 0.0), th2)
 
     def test_no_curve_crossing_is_an_error(self):
         ens = ensemble_of((0.4, 0.3, 0.001, 0.0))
@@ -478,7 +489,7 @@ def record_fits(monkeypatch) -> list:
 
     def recording(*args, **kwargs):
         block = real_fit(*args, **kwargs)
-        fits.extend(block.result(r) for r in range(len(block.errors)))
+        fits.extend(table_row(block, r) for r in range(len(block.errors)))
         return block
 
     monkeypatch.setattr(inference, "fit_tables", recording)
@@ -548,7 +559,8 @@ class TestAgainstPerPointReference:
         t = np.concatenate([s.rel_time for s in comparison.segments]).astype(float)
         y = np.concatenate([s.scaled for s in comparison.segments])
         assert t.size < aligned.pooled()[0].size  # the breaks clipped something
-        assert_same_fit(comparison.fit, reference_fit(t, y, init=full.params))
-        # residuals stay per point
-        expected = np.asarray(logistic_eval(comparison.fit.params, t)) - y
-        assert np.array_equal(comparison.fit.residuals, expected)
+        ref = reference_fit(t, y, init=full.params)
+        assert_same_fit(comparison.fit, ref)
+        # the RMSE stays per point
+        assert comparison.fit.n_points == t.size
+        assert comparison.fit.rmse == pytest.approx(ref.rmse, rel=1e-12)

@@ -5,24 +5,33 @@ import time
 
 import numpy as np
 import pytest
-from helpers import assert_same_fit, recorded_rel_times, reference_fit
+from helpers import assert_same_fit, recorded_rel_times, reference_fit, table_row
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spcgrowth import NumericalError, ParameterError, fit_logistic, logistic
 from spcgrowth.logistic import (
+    DEFAULT_INIT_PARAMS,
     LogisticParams,
+    _jacobians,
+    _objectives,
     _solve,
     coefficient_of_prediction,
     fit_tables,
     logistic_eval,
     logistic_inverse,
-    logistic_jacobian,
     time_table,
 )
 
 UNIT = LogisticParams(1.0, 0.0, 1.0, 0.0)
 SLOW = LogisticParams(1.0, 0.0, 0.002, 0.0)
+DEFAULT = LogisticParams(*DEFAULT_INIT_PARAMS)
+
+
+def fit_table(times, means, weights, within_ss=0.0, init=DEFAULT):
+    """One per-time table through ``fit_tables``: its only row."""
+    weights = np.asarray(weights, dtype=float)
+    return fit_tables(times, means[None, :], weights[None, :], np.array([within_ss]), init)
 
 
 def bisect_inverse(params, y, lo, hi, iters=200):
@@ -117,6 +126,14 @@ class TestInverse:
         with pytest.raises(ParameterError):
             logistic_inverse(LogisticParams(1.0, 0.0, 0.0, 0.0), 0.5)
 
+    def test_a_level_that_rounds_onto_the_asymptote_is_a_numerical_error(self):
+        # y is inside the open interval, but a / (y - b) - 1 rounds to <= 0
+        p = LogisticParams(0.9951097183449411, -0.08741973392085273, 0.002, 0.0)
+        y = float(np.nextafter(p.upper, -np.inf))
+        assert y == 0.9076899844240883 and p.lower < y < p.upper
+        with pytest.raises(NumericalError, match="rounds onto an asymptote"):
+            logistic_inverse(p, y)
+
     @given(
         a=st.floats(0.2, 3.0),
         b=st.floats(-1.0, 1.0),
@@ -142,8 +159,8 @@ class TestJacobian:
                 10.0 ** rng.uniform(-3.5, -1.5),
                 rng.uniform(-1500.0, 1500.0),
             )
-            jac = logistic_jacobian(p, t)
             theta = p.as_array()
+            jac = _jacobians(theta[None, :], t)[0]
             for j in range(4):
                 step = 1e-6 * max(1.0, abs(theta[j]))
                 plus, minus = theta.copy(), theta.copy()
@@ -158,7 +175,23 @@ class TestJacobian:
 
     def test_shape(self):
         t = np.linspace(-5.0, 5.0, 11)
-        assert logistic_jacobian(UNIT, t).shape == (11, 4)
+        assert _jacobians(UNIT.as_array()[None, :], t).shape == (1, 11, 4)
+
+    def test_each_row_of_a_batch_equals_its_single_row_call(self):
+        rng = np.random.default_rng(23)
+        t = np.linspace(-4000.0, 4000.0, 41)
+        theta = np.column_stack(
+            [
+                rng.uniform(-2.0, 2.0, 50),
+                rng.uniform(-0.5, 0.5, 50),
+                10.0 ** rng.uniform(-3.5, -1.5, 50) * rng.choice([-1.0, 1.0], 50),
+                rng.uniform(-1500.0, 1500.0, 50),
+            ]
+        )
+        batch = _jacobians(theta, t)
+        assert batch.shape == (50, t.size, 4)
+        for r in range(theta.shape[0]):
+            assert np.array_equal(batch[r], _jacobians(theta[r : r + 1], t)[0])
 
 
 def noisy_pooled(seed=3, n_regions=8, sigma=0.05):
@@ -201,22 +234,24 @@ class TestFit:
         assert fit.params.b + fit.params.a / 2 == pytest.approx(0.5, abs=1e-9)
 
     def test_residuals_are_predicted_minus_observed(self):
+        # the per-time table's objective, from predicted - mean at each time
+        # plus the within-time spread, is the per-point sum of squares of
+        # predicted - observed at the fitted curve
         t, y = noisy_pooled(seed=5)
         fit = fit_logistic(t, y)
-        expected = np.asarray(logistic_eval(fit.params, t)) - y
-        assert np.allclose(fit.residuals, expected, atol=0, rtol=0)
+        times, inverse = np.unique(t, return_inverse=True)
+        counts, means, within_ss = time_table(inverse, y, times.size)
+        table_res = logistic_eval(fit.params, times) - means
+        objective = _objectives(table_res[None, :], counts[None, :], np.array([within_ss]))[0]
+        per_point = np.asarray(logistic_eval(fit.params, t)) - y
+        assert objective == pytest.approx(float(np.sum(per_point**2)), rel=1e-12)
+        assert fit.rmse == pytest.approx(float(np.sqrt(objective / t.size)), rel=1e-12)
 
     def test_rmse_matches_residuals_exactly(self):
         t, y = noisy_pooled(seed=5)
         fit = fit_logistic(t, y)
-        assert fit.rmse == float(np.sqrt(np.mean(fit.residuals**2)))
-
-    def test_objective_history_never_increases(self):
-        t, y = noisy_pooled(seed=9)
-        fit = fit_logistic(t, y)
-        history = np.asarray(fit.objective_history)
-        assert history.size >= 1
-        assert np.all(np.diff(history) <= 0)
+        residuals = logistic_eval(fit.params, t) - y
+        assert fit.rmse == float(np.sqrt(np.mean(residuals**2)))
 
     def test_repeat_fits_are_bit_identical(self):
         t, y = noisy_pooled(seed=11)
@@ -265,7 +300,6 @@ class TestTableFit:
         ref = reference_fit(t, y)
         assert_same_fit(fit, ref)
         assert fit.n_points == ref.n_points == t.size
-        assert np.max(np.abs(fit.residuals - ref.residuals)) <= 1e-12
         assert fit.rmse == pytest.approx(ref.rmse, rel=1e-12)
 
     def test_a_row_stalls_once_rejected_steps_push_the_damping_past_1e15(self):
@@ -286,12 +320,12 @@ class TestTableFit:
         t, y = noisy_pooled(seed=5)
         times, inverse = np.unique(t, return_inverse=True)
         counts, means, within_ss = time_table(inverse, y, times.size)
-        table = fit_logistic(times, means, weights=counts, within_ss=within_ss)
+        table = table_row(fit_table(times, means, counts, within_ss))
         per_point = fit_logistic(t, y)
         assert table.params == per_point.params
-        assert table.objective_history == per_point.objective_history
-        assert table.residuals.shape == times.shape
-        assert table.n_points == t.size
+        assert table.iterations == per_point.iterations
+        assert table.converged == per_point.converged
+        assert table.n_points == per_point.n_points == t.size
 
     @given(
         counts=st.lists(st.integers(1, 4), min_size=41, max_size=41),
@@ -303,22 +337,34 @@ class TestTableFit:
         rng = np.random.default_rng(noise_seed)
         means = np.asarray(logistic_eval(SLOW, times)) + rng.normal(0.0, sigma, times.size)
         counts = np.asarray(counts)
-        table = fit_logistic(times, means, weights=counts)
+        table = table_row(fit_table(times, means, counts))
         repeated = reference_fit(np.repeat(times, counts), np.repeat(means, counts))
         assert_same_fit(table, repeated)
         assert table.n_points == repeated.n_points
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: a rounding-level last LM step parts the two "
+        "summation orders by 2.9e-8 in b; a gradient test before each step would stop first",
+    )
+    def test_integer_weights_counterexample(self):
+        # an example the property above can draw: both fits converge in 4
+        # steps, the last of which lowers the objective by 1.6e-15 relative
+        times = np.arange(-2000.0, 2100.0, 100.0)
+        rng = np.random.default_rng(416)
+        means = np.asarray(logistic_eval(SLOW, times)) + rng.normal(0.0, 0.02, times.size)
+        counts = np.array([1, 3] + [1] * 25 + [3] + [1] * 13)
+        table = table_row(fit_table(times, means, counts))
+        assert_same_fit(table, reference_fit(np.repeat(times, counts), np.repeat(means, counts)))
 
     def test_zero_weight_rows_change_nothing(self):
         t, y = noisy_pooled(seed=3)
         times, inverse = np.unique(t, return_inverse=True)
         counts, means, within_ss = time_table(inverse, y, times.size)
-        padded = fit_logistic(
-            np.append(times, 9900.0),
-            np.append(means, 7.0),
-            weights=np.append(counts, 0),
-            within_ss=within_ss,
+        padded = fit_table(
+            np.append(times, 9900.0), np.append(means, 7.0), np.append(counts, 0), within_ss
         )
-        assert_same_fit(padded, fit_logistic(times, means, weights=counts, within_ss=within_ss))
+        assert_same_fit(table_row(padded), table_row(fit_table(times, means, counts, within_ss)))
 
     @pytest.mark.parametrize("weight", [1, 10**12])
     def test_exact_table_converges_at_any_weight_scale(self, weight):
@@ -328,33 +374,20 @@ class TestTableFit:
         means = 0.1 + 0.8 * 0.5 * (1.0 + np.tanh(0.5 * 0.004 * (times - 150.0)))
         weights = np.full(times.size, weight)
         init = LogisticParams(0.7, 0.15, 0.003, 0.0)
-        fit = fit_logistic(times, means, init=init, weights=weights)
-        assert fit.rmse < 1e-15
+        fit = table_row(fit_table(times, means, weights, init=init))
+        residuals = logistic_eval(fit.params, times) - means
+        assert np.sqrt(np.mean(residuals**2)) < 1e-15
         # the residual direction is noise, so only the exact-fit test, which
         # weighs the data norm like the residual norm, calls this converged
         assert fit.converged
 
-    @pytest.mark.parametrize(
-        "weights, within_ss",
-        [
-            ([1, 1, -1, 2, 2, 2], 0.0),
-            ([1, 1, 1, 1, 1], 0.0),
-            ([1, 1, np.inf, 2, 2, 2], 0.0),
-            ([1, 1, 1, 2, 2, 2], -1.0),
-            ([1, 1, 1, 2, 2, 2], np.nan),
-        ],
-    )
-    def test_bad_tables_rejected(self, weights, within_ss):
-        times = np.arange(-250.0, 350.0, 100.0)
-        means = np.asarray(logistic_eval(SLOW, times))
-        with pytest.raises(ParameterError):
-            fit_logistic(times, means, weights=weights, within_ss=within_ss)
-
     def test_table_of_fewer_than_five_points_is_a_numerical_error(self):
         times = np.arange(-250.0, 350.0, 100.0)
         means = np.asarray(logistic_eval(SLOW, times))
+        fits = fit_table(times, means, [1, 1, 0, 1, 1, 0])
+        assert fits.errors == ("need at least 5 points, got 4",)
         with pytest.raises(NumericalError, match="need at least 5 points, got 4"):
-            fit_logistic(times, means, weights=[1, 1, 0, 1, 1, 0])
+            table_row(fits)
 
 
 class TestBatchedCore:
@@ -370,12 +403,11 @@ class TestBatchedCore:
         batch = fit_tables(times, means, weights, np.zeros(3), SLOW)
         assert batch.errors == (None, "need at least 5 points, got 4", None)
         assert np.all(np.isnan(batch.params[1])) and not batch.converged[1]
-        with pytest.raises(NumericalError, match="need at least 5 points, got 4"):
-            batch.result(1)
         for r in (0, 2):
             alone = fit_tables(times, means[r : r + 1], weights[r : r + 1], np.zeros(1), SLOW)
             assert np.array_equal(alone.params[0], batch.params[r])
-            assert alone.histories[0] == batch.histories[r]
+            assert alone.iterations[0] == batch.iterations[r]
+            assert alone.converged[0] == batch.converged[r]
 
     def test_a_singular_system_gives_nan_for_its_row_only(self):
         matrices = np.stack([np.eye(4), np.zeros((4, 4)), 2.0 * np.eye(4)])

@@ -1,5 +1,7 @@
-"""Pipeline orchestration, artifact writing, and the command line."""
+"""Pipeline orchestration, artifact writing, the command line, and the
+package source carrying no unused names."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -10,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -744,3 +747,35 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert_lists_subcommands(proc.stdout)
+
+
+def unused_names(package: Path) -> list[str]:
+    """Functions, classes and methods whose name appears nowhere in the
+    package's source but at their definition, and dataclass fields that no
+    ``.field`` expression in it reads."""
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    text = "\n".join(sources)
+    definitions, attributes, reads = Counter(), [], set()
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+            definitions[node.name] += 1
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            attributes += [
+                (node.name, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    unused = [
+        name
+        for name, count in definitions.items()
+        if len(re.findall(rf"\b{name}\b", text)) <= count
+    ]
+    return unused + [f"{cls}.{name}" for cls, name in attributes if name not in reads]
+
+
+def test_the_package_defines_no_unused_names():
+    assert unused_names(Path(spcgrowth.__file__).parent) == []
