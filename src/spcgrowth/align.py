@@ -78,6 +78,13 @@ class AlignedDataset:
         y = np.concatenate([r.scaled for r in self.regions])
         return t.astype(float), y
 
+    def time_range(self) -> tuple[float, float]:
+        """The smallest and largest of ``pooled()``'s times, without joining
+        the regions' arrays."""
+        first = min(r.rel_time.min() for r in self.regions)
+        last = max(r.rel_time.max() for r in self.regions)
+        return float(first), float(last)
+
 
 @dataclass(frozen=True)
 class CentralSegment:

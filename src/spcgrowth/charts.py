@@ -9,11 +9,16 @@ A chart's points are handled a column at a time: ``_Frame`` maps a whole
 array of data values to pixels with one expression, and a polyline or a
 set of dots is formatted with one ``%`` per block of up to 1,024 points
 (``"%.2f"`` gives the same text as ``f"{x:.2f}"``, ``-0.00`` included).
+
+A chart is a stream of text chunks: ``_document`` yields the head, each
+body line in turn and the tail, and the long bodies (one polyline per
+region, one dot per point) are generated as they are written.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -77,18 +82,19 @@ class _Frame:
         span = self.bottom - self.top
         return self.bottom - (value - self.y_lo) / (self.y_hi - self.y_lo) * span
 
-    def _pixels(self, template: str, sep: str, xs, ys) -> list[str]:
+    def _pixels(self, template: str, sep: str, xs, ys) -> Iterator[str]:
         """``template``, whose two ``%.2f`` fields take a point's pixel x and
         y, filled for every point and joined by ``sep``: one string per
-        block of ``_BLOCK_POINTS`` points, so the format string and the
-        tuple of coordinates for one ``%`` stay small."""
+        block of ``_BLOCK_POINTS`` points, formatted as it is taken, so the
+        format string, the tuple of coordinates for one ``%`` and the text
+        held at once stay small."""
         pairs = np.column_stack(
             (self.x(np.asarray(xs, dtype=float)), self.y(np.asarray(ys, dtype=float)))
         )
-        return [
+        return (
             sep.join([template] * len(block)) % tuple(block.ravel().tolist())
             for block in np.split(pairs, range(_BLOCK_POINTS, len(pairs), _BLOCK_POINTS))
-        ]
+        )
 
     def polyline(self, xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
         points = " ".join(self._pixels("%.2f,%.2f", " ", xs, ys))
@@ -98,7 +104,7 @@ class _Frame:
             f'{extra} points="{points}"/>'
         )
 
-    def circles(self, xs, ys) -> list[str]:
+    def circles(self, xs, ys) -> Iterator[str]:
         """One dot per point, a line each, as body lines of a document."""
         return self._pixels(
             '<circle cx="%.2f" cy="%.2f" r="2" fill="#1f77b4" fill-opacity="0.6"/>', "\n", xs, ys
@@ -134,7 +140,9 @@ class _Frame:
         return parts
 
 
-def _document(width: int, height: int, title: str, body: list[str]) -> str:
+def _document(width: int, height: int, title: str, body: Iterable[str]) -> Iterator[str]:
+    """The SVG's text in chunks: its head, each line of ``body`` as it is
+    taken, and its tail."""
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -142,12 +150,14 @@ def _document(width: int, height: int, title: str, body: list[str]) -> str:
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="16" '
         f'font-family="sans-serif">{_escape(title)}</text>',
     ]
-    return "\n".join(head + body + ["</svg>", ""])
+    yield "\n".join(head) + "\n"
+    for line in body:
+        yield line + "\n"
+    yield "</svg>\n"
 
 
 def _curve_grid(bundle: ReportBundle, n: int = 257) -> np.ndarray:
-    t, _ = bundle.aligned.pooled()
-    return np.linspace(float(t.min()), float(t.max()), n)
+    return np.linspace(*bundle.aligned.time_range(), n)
 
 
 def _y_span(ys) -> tuple[float, float]:
@@ -157,7 +167,7 @@ def _y_span(ys) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def overview_chart(bundle: ReportBundle) -> str:
+def overview_chart(bundle: ReportBundle) -> Iterator[str]:
     """All aligned series, the fitted curve, and the growth window."""
     width, height = 760, 480
     grid = _curve_grid(bundle)
@@ -168,31 +178,33 @@ def overview_chart(bundle: ReportBundle) -> str:
         (grid[0], grid[-1]),
         _y_span(spans),
     )
-    body = []
-    ts = bundle.timescales[-1] if bundle.timescales else None
-    if ts is not None:
-        x1, x2 = frame.x(ts.t1_mean), frame.x(ts.t2_mean)
-        body.append(
-            f'<rect x="{x1:.2f}" y="{frame.top}" width="{x2 - x1:.2f}" '
-            f'height="{frame.bottom - frame.top}" fill="{WINDOW_FILL}" '
-            'fill-opacity="0.4"/>'
-        )
-        for th in (ts.th1, ts.th2):
-            py = frame.y(th)
-            body.append(
-                f'<line x1="{frame.left}" y1="{py:.2f}" x2="{frame.right}" '
-                f'y2="{py:.2f}" stroke="#b8860b" stroke-width="1" '
-                'stroke-dasharray="4 3"/>'
+
+    def body():
+        ts = bundle.timescales[-1] if bundle.timescales else None
+        if ts is not None:
+            x1, x2 = frame.x(ts.t1_mean), frame.x(ts.t2_mean)
+            yield (
+                f'<rect x="{x1:.2f}" y="{frame.top}" width="{x2 - x1:.2f}" '
+                f'height="{frame.bottom - frame.top}" fill="{WINDOW_FILL}" '
+                'fill-opacity="0.4"/>'
             )
-    for i, region in enumerate(bundle.aligned.regions):
-        color = SERIES_COLORS[i % len(SERIES_COLORS)]
-        body.append(frame.polyline(region.rel_time, region.scaled, color, 1.0))
-    body.append(frame.polyline(grid, curve, FULL_CURVE_COLOR, 2.5))
-    body += frame.axes()
-    return _document(width, height, "aligned series and fitted growth curve", body)
+            for th in (ts.th1, ts.th2):
+                py = frame.y(th)
+                yield (
+                    f'<line x1="{frame.left}" y1="{py:.2f}" x2="{frame.right}" '
+                    f'y2="{py:.2f}" stroke="#b8860b" stroke-width="1" '
+                    'stroke-dasharray="4 3"/>'
+                )
+        for i, region in enumerate(bundle.aligned.regions):
+            color = SERIES_COLORS[i % len(SERIES_COLORS)]
+            yield frame.polyline(region.rel_time, region.scaled, color, 1.0)
+        yield frame.polyline(grid, curve, FULL_CURVE_COLOR, 2.5)
+        yield from frame.axes()
+
+    return _document(width, height, "aligned series and fitted growth curve", body())
 
 
-def comparison_chart(bundle: ReportBundle) -> str:
+def comparison_chart(bundle: ReportBundle) -> Iterator[str]:
     """Full-data curve against the continuity-restricted refits."""
     width, height = 760, 480
     grid = _curve_grid(bundle)
@@ -224,7 +236,7 @@ def comparison_chart(bundle: ReportBundle) -> str:
     return _document(width, height, "full fit vs continuity-restricted fits", body)
 
 
-def small_multiples_chart(bundle: ReportBundle) -> str:
+def small_multiples_chart(bundle: ReportBundle) -> Iterator[str]:
     """One small panel per retained region with the shared fitted curve."""
     columns = 5
     cell_w, cell_h, pad = 150, 120, 10
@@ -234,30 +246,32 @@ def small_multiples_chart(bundle: ReportBundle) -> str:
     grid = _curve_grid(bundle, 129)
     curve = logistic_eval(bundle.full_fit.params, grid)
     y_range = _y_span([r.scaled for r in bundle.aligned.regions] + [curve])
-    body = []
-    for i, region in enumerate(bundle.aligned.regions):
-        col, row = i % columns, i // columns
-        left = pad + col * (cell_w + pad)
-        top = 30 + pad + row * (cell_h + pad)
-        frame = _Frame(
-            (left, top + 12, left + cell_w, top + cell_h),
-            (grid[0], grid[-1]),
-            y_range,
-        )
-        body.append(
-            f'<rect x="{left}" y="{top}" width="{cell_w}" height="{cell_h + 12}" '
-            'fill="none" stroke="#cccccc" stroke-width="1"/>'
-        )
-        body.append(
-            f'<text x="{left + 4}" y="{top + 11}" font-size="9" '
-            f'font-family="sans-serif">{_escape(region.nga)}</text>'
-        )
-        body.append(frame.polyline(grid, curve, "#bbbbbb", 1.0))
-        body.append(frame.polyline(region.rel_time, region.scaled, "#1f77b4", 1.2))
-    return _document(width, height, "per-region aligned series", body)
+
+    def body():
+        for i, region in enumerate(bundle.aligned.regions):
+            col, row = i % columns, i // columns
+            left = pad + col * (cell_w + pad)
+            top = 30 + pad + row * (cell_h + pad)
+            frame = _Frame(
+                (left, top + 12, left + cell_w, top + cell_h),
+                (grid[0], grid[-1]),
+                y_range,
+            )
+            yield (
+                f'<rect x="{left}" y="{top}" width="{cell_w}" height="{cell_h + 12}" '
+                'fill="none" stroke="#cccccc" stroke-width="1"/>'
+            )
+            yield (
+                f'<text x="{left + 4}" y="{top + 11}" font-size="9" '
+                f'font-family="sans-serif">{_escape(region.nga)}</text>'
+            )
+            yield frame.polyline(grid, curve, "#bbbbbb", 1.0)
+            yield frame.polyline(region.rel_time, region.scaled, "#1f77b4", 1.2)
+
+    return _document(width, height, "per-region aligned series", body())
 
 
-def density_chart(bundle: ReportBundle) -> str:
+def density_chart(bundle: ReportBundle) -> Iterator[str]:
     """Pooled score density with the bimodal threshold marked."""
     width, height = 640, 420
     density = bundle.density
@@ -283,17 +297,20 @@ def density_chart(bundle: ReportBundle) -> str:
     return _document(width, height, "scaled score density and threshold", body)
 
 
-def residuals_chart(bundle: ReportBundle) -> str:
+def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
     """Pooled residuals around the fitted curve with the 2x RMSE band."""
     width, height = 760, 420
-    pooled_t, pooled_y = bundle.aligned.pooled()
-    residuals = logistic_eval(bundle.full_fit.params, pooled_t) - pooled_y
+    regions = bundle.aligned.regions
+
+    def residuals(region):
+        # taken once for the scale and again for the dots, so that only
+        # one region's residuals are held at a time
+        return logistic_eval(bundle.full_fit.params, region.rel_time) - region.scaled
+
     band = 2.0 * bundle.full_fit.rmse
-    y_hi = max(float(np.max(np.abs(residuals))), band) * 1.1
+    y_hi = max(max(float(np.max(np.abs(residuals(r)))) for r in regions), band) * 1.1
     frame = _Frame(
-        (60, 40, width - 20, height - 40),
-        (float(pooled_t.min()), float(pooled_t.max())),
-        (-y_hi, y_hi),
+        (60, 40, width - 20, height - 40), bundle.aligned.time_range(), (-y_hi, y_hi)
     )
     body = [
         f'<line x1="{frame.left}" y1="{frame.y(0.0):.2f}" x2="{frame.right}" '
@@ -306,17 +323,16 @@ def residuals_chart(bundle: ReportBundle) -> str:
             f'y2="{py:.2f}" stroke="#d62728" stroke-width="1" '
             'stroke-dasharray="4 3"/>'
         )
-    body += frame.circles(pooled_t, residuals)
-    body += frame.axes()
+    dots = (frame.circles(r.rel_time, residuals(r)) for r in regions)
+    body = chain(body, chain.from_iterable(dots), frame.axes())
     return _document(width, height, "residuals against the fitted curve", body)
 
 
-def chart_files(bundle: ReportBundle) -> dict[str, str]:
-    """Relative path -> SVG content for every figure."""
-    return {
-        "overview.svg": overview_chart(bundle),
-        "comparison.svg": comparison_chart(bundle),
-        "regions.svg": small_multiples_chart(bundle),
-        "density.svg": density_chart(bundle),
-        "residuals.svg": residuals_chart(bundle),
-    }
+def chart_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
+    """(Relative path, SVG chunks) for every figure, each chart set up
+    when the stream reaches it."""
+    yield "overview.svg", overview_chart(bundle)
+    yield "comparison.svg", comparison_chart(bundle)
+    yield "regions.svg", small_multiples_chart(bundle)
+    yield "density.svg", density_chart(bundle)
+    yield "residuals.svg", residuals_chart(bundle)

@@ -155,10 +155,10 @@ def _cmd_stage(args: argparse.Namespace) -> int:
     config = _build_config(args)
     with _naming(config.input_path):
         bundle = _STAGES[args.command](run_fit_stage(config))
-    files = report_files(bundle)
-    print(files["report.txt"], end="")
+    files = dict(report_files(bundle))
+    print(*files["report.txt"], sep="", end="")
     if config.output_dir is not None:
-        write_files(files, config.output_dir)
+        write_files(files.items(), config.output_dir)
         logger.info("wrote report files to %s", config.output_dir)
     return 0
 
@@ -193,7 +193,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if out is None:
         print(text, end="")
     else:
-        (target,) = write_files({"synthetic.csv": text}, out)
+        (target,) = write_files([("synthetic.csv", [text])], out)
         print(f"synthetic panel written to {target}")
     return 0
 

@@ -11,10 +11,14 @@ that computed the same values produce the same bytes.
 source of truth). The long CSVs are formatted a column at a time: each
 region's or curve's columns are taken out with ``tolist()`` once, and
 every row fills one ``%d``/``%r`` template, with names quoted by
-``dataset.csv_field``. ``write_files`` is the one place output files are
-written; ``write_outputs`` renders and writes one group at a time (the
-reports, the plot data, the charts), so only one group's text is held
-at once.
+``dataset.csv_field``.
+
+``report_files``, ``plot_data_files`` and ``charts.chart_files`` are
+streams of ``(relative path, text chunks)``: a file is rendered while it
+is written, a chunk at a time (a region of ``residuals.csv``, a line of
+an SVG, a region's dots), so the output layer holds one chunk, not one
+file or group. ``write_files`` is the one place output files are
+written.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import replace
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +43,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 CURVE_SAMPLES = 513
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def _f(value) -> str:
@@ -190,7 +195,13 @@ def _fit_to_dict(fit) -> dict:
 
 
 def render_report_json(bundle: ReportBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle), sort_keys=True, indent=2) + "\n"
+    # The encoder makes the text in many small pieces (some 60 a region);
+    # joined a block at a time, only one block of them is held at once.
+    pieces = _JSON_ENCODER.iterencode(bundle_to_dict(bundle))
+    blocks = []
+    while block := "".join(islice(pieces, 1024)):
+        blocks.append(block)
+    return "".join(blocks) + "\n"
 
 
 def render_report_text(bundle: ReportBundle) -> str:
@@ -323,8 +334,7 @@ def render_check_text(check: CheckReport) -> str:
 
 
 def _curves_csv(bundle: ReportBundle) -> str:
-    t, _ = bundle.aligned.pooled()
-    grid = np.linspace(float(t.min()), float(t.max()), CURVE_SAMPLES)
+    grid = np.linspace(*bundle.aligned.time_range(), CURVE_SAMPLES)
     parts = ["curve,rel_time,value\n"]
     curves = [("full", bundle.full_fit)] + [
         (c.mode.value, c.fit) for c in bundle.continuity
@@ -343,19 +353,33 @@ def _kde_csv(bundle: ReportBundle) -> str:
     return "".join(["grid,density\n", *rows])
 
 
-def _residuals_csv(bundle: ReportBundle) -> str:
-    parts = ["nga,rel_time,scaled,predicted,residual\n"]
-    for region in bundle.aligned.regions:
-        predicted = logistic_eval(bundle.full_fit.params, region.rel_time.astype(float))
-        parts += _template_rows(
-            "%s,%d,%r,%r,%r\n",
+def _float_bits(times: np.ndarray) -> np.ndarray:
+    return times.astype(float).view(np.int64)
+
+
+def _residuals_csv(bundle: ReportBundle) -> Iterator[str]:
+    """The header, then one chunk per region."""
+    yield "nga,rel_time,scaled,predicted,residual\n"
+    regions = bundle.aligned.regions
+    # The curve is evaluated, and its text formatted, once per distinct
+    # time, keyed by the time's bits so that -0.0 and 0.0 stay apart.
+    distinct = set()
+    for region in regions:
+        distinct.update(_float_bits(region.rel_time).tolist())
+    keys = np.array(sorted(distinct), dtype=np.int64)
+    values = logistic_eval(bundle.full_fit.params, keys.view(float))
+    text = np.array([repr(value) for value in values.tolist()], dtype=object)
+    for region in regions:
+        at = np.searchsorted(keys, _float_bits(region.rel_time))
+        rows = _template_rows(
+            "%s,%d,%r,%s,%r\n",
             repeat(csv_field(region.nga)),
             region.rel_time.tolist(),
             region.scaled.tolist(),
-            predicted.tolist(),
-            (predicted - region.scaled).tolist(),
+            text[at].tolist(),
+            (values[at] - region.scaled).tolist(),
         )
-    return "".join(parts)
+        yield "".join(rows)
 
 
 def _growth_window_csv(bundle: ReportBundle) -> str:
@@ -398,47 +422,58 @@ def _series_csv(bundle: ReportBundle, region) -> str:
     return serialize_dataset(single)
 
 
-def plot_data_files(bundle: ReportBundle) -> dict[str, str]:
-    """Relative path -> CSV content for every figure's quantitative data."""
-    files: dict[str, str] = {
-        "curves.csv": _curves_csv(bundle),
-        "kde.csv": _kde_csv(bundle),
-        "residuals.csv": _residuals_csv(bundle),
-    }
+def plot_data_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
+    """(Relative path, CSV chunks) for every figure's quantitative data,
+    each file rendered when the stream reaches it."""
+    yield "curves.csv", [_curves_csv(bundle)]
+    yield "kde.csv", [_kde_csv(bundle)]
+    yield "residuals.csv", _residuals_csv(bundle)
     if bundle.timescales:
-        files["growth_window.csv"] = _growth_window_csv(bundle)
+        yield "growth_window.csv", [_growth_window_csv(bundle)]
     if bundle.durations is not None:
-        files["durations.csv"] = _durations_csv(bundle)
+        yield "durations.csv", [_durations_csv(bundle)]
     for comparison in bundle.continuity:
-        files[f"lengths_{comparison.mode.value}.csv"] = _lengths_csv(comparison)
+        yield f"lengths_{comparison.mode.value}.csv", [_lengths_csv(comparison)]
+    series_paths = set()
     for region in bundle.aligned.regions:
         # names such as "Rome" and "rome" share a slug: the later one in
         # name order gets "-2", the next "-3", ...
         path, n = f"series/{_slug(region.nga)}.csv", 1
-        while path in files:
+        while path in series_paths:
             n += 1
             path = f"series/{_slug(region.nga)}-{n}.csv"
-        files[path] = _series_csv(bundle, region)
-    return files
+        series_paths.add(path)
+        yield path, [_series_csv(bundle, region)]
 
 
-def report_files(bundle: ReportBundle) -> dict[str, str]:
-    """File name -> content for the text report and its JSON sidecar."""
-    return {
-        "report.txt": render_report_text(bundle),
-        "report.json": render_report_json(bundle),
-    }
+def report_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
+    """(File name, text chunks) for the text report and its JSON sidecar."""
+    yield "report.txt", [render_report_text(bundle)]
+    yield "report.json", [render_report_json(bundle)]
 
 
-def write_files(files: dict[str, str], out_dir) -> list[Path]:
-    """Write relative path -> text as UTF-8 under ``out_dir``, creating
-    directories as needed; returns the written paths in sorted order."""
+def write_files(files: Iterable[tuple[str, Iterable[str]]], out_dir) -> list[Path]:
+    """Write each ``(relative path, text chunks)`` of ``files`` as UTF-8
+    under ``out_dir``, creating directories as needed; returns the written
+    paths in the order written.
+
+    Each file is opened once and its chunks are written as they arrive, so
+    no file's text is held whole. When a chunk's renderer or a write
+    raises, the file is removed before the error propagates, so no
+    truncated file is left behind.
+    """
     root = Path(out_dir)
     written = []
-    for rel_path in sorted(files):
+    for rel_path, chunks in files:
         target = root / rel_path
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(files[rel_path].encode("utf-8"))
+        handle = open(target, "w", encoding="utf-8", newline="")
+        try:
+            with handle:
+                handle.writelines(chunks)
+        except BaseException:
+            target.unlink(missing_ok=True)
+            raise
         written.append(target)
     return written
 
@@ -449,7 +484,6 @@ def write_outputs(bundle: ReportBundle, output_dir) -> list[Path]:
         raise ParameterError("bundle is incomplete; run the remaining stages first")
     from .charts import chart_files
 
-    # each group is written, and its text freed, before the next renders
     root = Path(output_dir)
     written = []
     for render in (report_files, plot_data_files, chart_files):

@@ -49,6 +49,29 @@ def bench_module(stem: str):
     return sys.modules[name]
 
 
+def joined(files) -> dict[str, str]:
+    """Relative path -> whole text of a ``(path, text chunks)`` stream such
+    as ``report.plot_data_files``; fails on a repeated path, and on chunks
+    that are a bare ``str``, whose characters would pass for chunks."""
+    texts = {}
+    for path, chunks in files:
+        assert not isinstance(chunks, str), f"{path}: chunks are a bare str"
+        assert path not in texts, f"{path} streamed twice"
+        texts[path] = "".join(chunks)
+    return texts
+
+
+def raising_after_first_chunk(render, error: BaseException):
+    """``render``, a renderer of one file's text chunks, made to raise
+    ``error`` after its first chunk."""
+
+    def broken(*args):
+        yield next(iter(render(*args)))
+        raise error
+
+    return broken
+
+
 def build_dataset(regions: Sequence[RegionSeries]) -> Dataset:
     """Assemble a Dataset from prebuilt regions."""
     names = [r.nga for r in regions]
@@ -509,10 +532,11 @@ class ReferenceFrame(charts._Frame):
 
 
 def reference_chart_files(bundle) -> dict[str, str]:
-    """``charts.chart_files`` with every frame a ``ReferenceFrame``."""
+    """``charts.chart_files``, joined, with every frame a ``ReferenceFrame``
+    (the stream is drained while the frame is swapped in)."""
     original = charts._Frame
     charts._Frame = ReferenceFrame
     try:
-        return charts.chart_files(bundle)
+        return joined(charts.chart_files(bundle))
     finally:
         charts._Frame = original

@@ -25,7 +25,9 @@ from helpers import (
     PANEL_HEADER,
     bench_module,
     build_dataset,
+    joined,
     make_region,
+    raising_after_first_chunk,
 )
 
 import spcgrowth
@@ -315,7 +317,7 @@ class TestBenchmarkCheck:
 
 class TestPlotData:
     def test_file_inventory(self, full_bundle):
-        files = plot_data_files(full_bundle)
+        files = joined(plot_data_files(full_bundle))
         fixed = {
             "curves.csv",
             "kde.csv",
@@ -338,7 +340,7 @@ class TestPlotData:
         bundle = run_pipeline(config)
         assert len(bundle.aligned.regions) == len(names)
         series = {
-            k: v for k, v in plot_data_files(bundle).items() if k.startswith("series/")
+            k: v for k, v in joined(plot_data_files(bundle)).items() if k.startswith("series/")
         }
         assert sorted(series) == [
             "series/a-b-2.csv",
@@ -355,13 +357,14 @@ class TestPlotData:
 
     def test_residual_rows_cover_every_pooled_point(self, full_bundle):
         t, _ = full_bundle.aligned.pooled()
-        rows = list(csv.reader(plot_data_files(full_bundle)["residuals.csv"].splitlines()))
+        text = joined(plot_data_files(full_bundle))["residuals.csv"]
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["nga", "rel_time", "scaled", "predicted", "residual"]
         assert len(rows) - 1 == t.size
 
     def test_growth_window_rows_pair_crossing_times_with_thresholds(self, full_bundle):
         rows = list(
-            csv.reader(plot_data_files(full_bundle)["growth_window.csv"].splitlines())
+            csv.reader(joined(plot_data_files(full_bundle))["growth_window.csv"].splitlines())
         )[1:]
         assert len(rows) == 2 * len(full_bundle.timescales)
         for ts in full_bundle.timescales:
@@ -373,7 +376,8 @@ class TestPlotData:
             assert float(upper[3]) == pytest.approx(ts.th2, abs=1e-6)
 
     def test_curve_csv_samples_full_and_continuity_fits(self, full_bundle):
-        rows = list(csv.reader(plot_data_files(full_bundle)["curves.csv"].splitlines()))[1:]
+        text = joined(plot_data_files(full_bundle))["curves.csv"]
+        rows = list(csv.reader(text.splitlines()))[1:]
         names = {r[0] for r in rows}
         assert names == {"full", "cultural", "institutional"}
         assert len(rows) == 3 * 513
@@ -508,6 +512,20 @@ class TestCli:
         )
         assert code == 2
         assert not out_dir.exists()
+
+    def test_a_failed_write_exits_2_and_leaves_no_truncated_file(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        report = spcgrowth.report
+        error = OSError("No space left on device")
+        monkeypatch.setattr(
+            report, "_residuals_csv", raising_after_first_chunk(report._residuals_csv, error)
+        )
+        out_dir = tmp_path / "run"
+        argv = ["report", "--input", str(noisy_panel_path), "--out", str(out_dir)]
+        assert main(argv + ["--bootstrap", "20", "--validation", "5"]) == 2
+        assert not (out_dir / "residuals.csv").exists()
+        assert (out_dir / "curves.csv").is_file()
 
     @pytest.mark.parametrize("command", ["fit", "check"])
     def test_non_utf8_input_exits_2_naming_the_file(
@@ -689,6 +707,13 @@ class TestCli:
         from spcgrowth import load_dataset
 
         assert len(load_dataset(target).regions) == 2
+
+    def test_synth_out_writes_the_bytes_of_serialize_dataset(self, tmp_path, capsys):
+        argv = ["synth", "--regions", "3", "--noise", "0.05", "--seed", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        panel = generate_synthetic(SyntheticSpec(3, noise_sigma=0.05), seed=5)
+        expected = serialize_dataset(panel).encode("utf-8")
+        assert (tmp_path / "synthetic.csv").read_bytes() == expected
 
     def test_console_script_responds_to_help(self):
         """The declared ``[project.scripts]`` entry point answers ``--help``.

@@ -1,5 +1,5 @@
-"""The column-at-a-time output layer against per-row references, and the
-memory that writing the outputs takes."""
+"""The column-at-a-time output layer against per-row references, the
+memory that writing the outputs takes, and what a failed write leaves."""
 
 import tracemalloc
 from dataclasses import replace
@@ -8,13 +8,22 @@ import numpy as np
 import pytest
 from helpers import (
     ReferenceFrame,
+    joined,
+    raising_after_first_chunk,
     reference_chart_files,
     reference_csv,
     reference_plot_data,
     reference_serialize,
 )
 
-from spcgrowth import PipelineConfig, SyntheticSpec, generate_synthetic, run_pipeline
+from spcgrowth import (
+    PipelineConfig,
+    SyntheticSpec,
+    charts,
+    generate_synthetic,
+    report,
+    run_pipeline,
+)
 from spcgrowth.charts import _Frame, chart_files
 from spcgrowth.dataset import HEADER, csv_field, load_dataset, serialize_dataset
 from spcgrowth.report import plot_data_files, write_outputs
@@ -58,7 +67,7 @@ def test_panel_serialises_like_the_per_row_writer(awkward_bundle):
 
 def test_plot_data_matches_the_per_row_reference(awkward_bundle):
     bundle, _ = awkward_bundle
-    files = plot_data_files(bundle)
+    files = joined(plot_data_files(bundle))
     fixed, series = reference_plot_data(bundle)
     assert {k: v for k, v in files.items() if not k.startswith("series/")} == fixed
     assert [v for k, v in files.items() if k.startswith("series/")] == series
@@ -66,7 +75,7 @@ def test_plot_data_matches_the_per_row_reference(awkward_bundle):
 
 def test_charts_match_the_per_point_reference(awkward_bundle):
     bundle, _ = awkward_bundle
-    assert chart_files(bundle) == reference_chart_files(bundle)
+    assert joined(chart_files(bundle)) == reference_chart_files(bundle)
 
 
 def test_array_pixels_have_the_bits_of_scalar_pixels():
@@ -98,21 +107,47 @@ def test_polyline_and_dots_format_like_f_strings_including_negative_zero():
 
 
 def test_writing_holds_less_than_the_bytes_it_writes(tmp_path):
-    # Rendered and written one group at a time, the outputs of this
-    # 60-region panel peak at about 0.84x the bytes written (tracemalloc,
-    # above the finished bundle); holding every file's text in one dict
-    # before writing peaks at about 1.3x.
-    ds = generate_synthetic(SyntheticSpec(60, noise_sigma=0.05), seed=7)
-    path = tmp_path / "panel.csv"
-    path.write_text(serialize_dataset(ds), encoding="utf-8")
-    bundle = run_pipeline(PipelineConfig(input_path=str(path), n_bootstrap=20, n_validation=5))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        written = write_outputs(bundle, tmp_path / "out")
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    total = sum(p.stat().st_size for p in written)
-    assert total > 1_500_000
-    assert peak < total, f"peak {peak} bytes for {total} bytes written"
+    # Every file streams to disk a chunk at a time, so the tracemalloc peak
+    # of writing the outputs (above the finished bundle) grows far slower
+    # than the bytes written: from 60 to 240 regions the bytes grow 3.8x
+    # (1.9 to 7.1 MB) and the peak 1.4x (0.25 to 0.35 MB). Holding one
+    # group's text at a time, the peak grew with the bytes (1.5 to 5.8 MB).
+    peaks, totals, largest = {}, {}, {}
+    for n in (60, 240):
+        ds = generate_synthetic(SyntheticSpec(n, noise_sigma=0.05), seed=7)
+        path = tmp_path / f"panel{n}.csv"
+        path.write_text(serialize_dataset(ds), encoding="utf-8")
+        config = PipelineConfig(input_path=str(path), n_bootstrap=20, n_validation=5)
+        bundle = run_pipeline(config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            written = write_outputs(bundle, tmp_path / f"out{n}")
+            peaks[n] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        sizes = [p.stat().st_size for p in written]
+        totals[n], largest[n] = sum(sizes), max(sizes)
+        assert peaks[n] < totals[n], f"{n} regions: peak {peaks[n]} for {totals[n]} bytes"
+    assert totals[60] > 1_500_000
+    assert totals[240] > 3.5 * totals[60]
+    assert peaks[240] < 2 * peaks[60], f"peaks {peaks}"
+    assert peaks[240] < largest[240], f"peak {peaks[240]}, largest file {largest[240]}"
+
+
+@pytest.mark.parametrize(
+    "module, name, path",
+    [(report, "_residuals_csv", "residuals.csv"), (charts, "residuals_chart", "residuals.svg")],
+    ids=["csv", "svg"],
+)
+def test_a_file_whose_renderer_raises_is_not_left_behind(
+    module, name, path, awkward_bundle, tmp_path, monkeypatch
+):
+    bundle, _ = awkward_bundle
+    render = raising_after_first_chunk(getattr(module, name), RuntimeError("renderer failed"))
+    monkeypatch.setattr(module, name, render)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        write_outputs(bundle, out)
+    assert not (out / path).exists()
+    assert (out / "report.json").is_file()
