@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .logistic import logistic_eval
+from .report import region_residuals
 
 if TYPE_CHECKING:
     from .pipeline import ReportBundle
@@ -300,15 +301,11 @@ def density_chart(bundle: ReportBundle) -> Iterator[str]:
 def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
     """Pooled residuals around the fitted curve with the 2x RMSE band."""
     width, height = 760, 420
-    regions = bundle.aligned.regions
-
-    def residuals(region):
-        # taken once for the scale and again for the dots, so that only
-        # one region's residuals are held at a time
-        return logistic_eval(bundle.full_fit.params, region.rel_time) - region.scaled
-
+    # the residuals are taken once for the scale and again for the dots,
+    # so that only one region's residuals are held at a time
     band = 2.0 * bundle.full_fit.rmse
-    y_hi = max(max(float(np.max(np.abs(residuals(r)))) for r in regions), band) * 1.1
+    largest = max(float(np.max(np.abs(res))) for _, _, res in region_residuals(bundle))
+    y_hi = max(largest, band) * 1.1
     frame = _Frame(
         (60, 40, width - 20, height - 40), bundle.aligned.time_range(), (-y_hi, y_hi)
     )
@@ -323,7 +320,7 @@ def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
             f'y2="{py:.2f}" stroke="#d62728" stroke-width="1" '
             'stroke-dasharray="4 3"/>'
         )
-    dots = (frame.circles(r.rel_time, residuals(r)) for r in regions)
+    dots = (frame.circles(r.rel_time, res) for r, _, res in region_residuals(bundle))
     body = chain(body, chain.from_iterable(dots), frame.axes())
     return _document(width, height, "residuals against the fitted curve", body)
 

@@ -1,7 +1,9 @@
 """Report and plot-artifact rendering.
 
-Two renderings of the same results: a line-oriented ``key = value`` text
-report for humans and a JSON sidecar with identical content for machines.
+``bundle_to_dict`` is the one list of the report's fields. The JSON
+sidecar ``report.json`` serialises it, and ``report.txt`` walks it: one
+``[section]`` per top-level key and one ``path = value`` line per leaf, so
+the text holds every value of the JSON. ``check``'s text is walked alike.
 Every number printed here is read from a result object; nothing is
 recomputed at render time. Floats are written with ``repr`` so two runs
 that computed the same values produce the same bytes.
@@ -11,7 +13,8 @@ that computed the same values produce the same bytes.
 source of truth). The long CSVs are formatted a column at a time: each
 region's or curve's columns are taken out with ``tolist()`` once, and
 every row fills one ``%d``/``%r`` template, with names quoted by
-``dataset.csv_field``.
+``dataset.csv_field``. ``region_residuals`` gives ``residuals.csv`` and
+the residuals chart the same residuals, a region at a time.
 
 ``report_files``, ``plot_data_files`` and ``charts.chart_files`` are
 streams of ``(relative path, text chunks)``: a file is rendered while it
@@ -48,10 +51,6 @@ _JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 def _f(value) -> str:
     return repr(float(value))
-
-
-def _b(value) -> str:
-    return "true" if value else "false"
 
 
 def _slug(name: str) -> str:
@@ -195,142 +194,76 @@ def _fit_to_dict(fit) -> dict:
 
 
 def render_report_json(bundle: ReportBundle) -> str:
-    # The encoder makes the text in many small pieces (some 60 a region);
-    # joined a block at a time, only one block of them is held at once.
-    pieces = _JSON_ENCODER.iterencode(bundle_to_dict(bundle))
-    blocks = []
-    while block := "".join(islice(pieces, 1024)):
-        blocks.append(block)
-    return "".join(blocks) + "\n"
+    # the encoder makes the text in many small pieces, some 60 a region
+    return _joined(_JSON_ENCODER.iterencode(bundle_to_dict(bundle))) + "\n"
 
 
 def render_report_text(bundle: ReportBundle) -> str:
-    """Human-readable report; sections appear once their stage has run."""
-    lines = ["social complexity growth report", ""]
-
-    lines += ["[provenance]"]
-    lines += [f"seed = {bundle.provenance.seed}"]
-    lines += [f"config.sha256 = {bundle.provenance.config_sha256}"]
-    lines += [f"input.sha256 = {bundle.provenance.input_sha256}", ""]
-
-    dataset = bundle.dataset
-    lines += ["[scaling]"]
-    lines += [f"scale.min = {_f(dataset.scale_min)}"]
-    lines += [f"scale.max = {_f(dataset.scale_max)}"]
-    lines += [f"n.regions = {len(dataset.regions)}"]
-    lines += [f"n.points = {dataset.n_points()}", ""]
-
-    lines += ["[threshold]"]
-    lines += [f"spc1_0 = {_f(bundle.threshold.spc1_0)}"]
-    lines += [f"left.peak = {_f(bundle.threshold.left_peak)}"]
-    lines += [f"right.peak = {_f(bundle.threshold.right_peak)}"]
-    lines += [f"bandwidth = {_f(bundle.density.bandwidth)}"]
-    lines += [f"grid.size = {bundle.density.grid.size}"]
-    lines += [f"n.samples = {bundle.density.n_samples}", ""]
-
-    aligned = bundle.aligned
-    lines += ["[alignment]"]
-    lines += [f"n.retained = {len(aligned.regions)}"]
-    lines += [f"n.discarded = {len(aligned.discarded)}"]
-    lines += [f"discarded = {'; '.join(aligned.discarded)}"]
-    for anchor in aligned.anchor_results:
-        year = "none" if anchor.anchor_year is None else str(anchor.anchor_year)
-        lines += [f"anchor {anchor.nga} = {year}"]
-        if anchor.threshold_ties:
-            lines += [f"ties {anchor.nga} = {anchor.threshold_ties}"]
-    lines += [""]
-
-    lines += ["[fit]"]
-    lines += _fit_lines(bundle.full_fit)
-    lines += [""]
-
-    if bundle.validation is not None:
-        v = bundle.validation
-        lines += ["[validation]"]
-        lines += [f"n.repeats = {len(v.rho2_values)}"]
-        lines += [f"n.failed = {v.n_failed}"]
-        lines += [f"rho2.mean = {_f(v.mean_rho2)}"]
-        lines += [f"rho2.stderr = {_f(v.stderr_rho2)}"]
-        lines += [f"rho2.std = {_f(v.std_rho2)}"]
-        lines += [f"seed = {v.seed}", ""]
-
-    if bundle.ensemble is not None:
-        e = bundle.ensemble
-        lines += ["[bootstrap]"]
-        lines += [f"n.iter = {e.n_iter}"]
-        lines += [f"n.failed = {e.failed_fits}"]
-        lines += [f"n.fits = {len(e.params)}"]
-        lines += [f"seed = {e.seed}", ""]
-
-    for ts in bundle.timescales:
-        lines += [f"[timescale k={ts.k_sigma}]"]
-        lines += [f"th1 = {_f(ts.th1)}"]
-        lines += [f"th2 = {_f(ts.th2)}"]
-        lines += [f"t1.mean = {_f(ts.t1_mean)}"]
-        lines += [f"t2.mean = {_f(ts.t2_mean)}"]
-        lines += [f"duration.mean = {_f(ts.duration_mean)}"]
-        lines += [f"n.crossing = {ts.n_crossing_curves}"]
-        lines += [f"n.excluded = {ts.n_excluded_curves}", ""]
-
-    if bundle.durations is not None:
-        d = bundle.durations
-        lines += ["[durations]"]
-        lines += [f"n.regions = {len(d.per_nga)}"]
-        lines += [f"excluded = {'; '.join(d.excluded)}"]
-        lines += [f"mean = {_f(d.mean_duration)}"]
-        lines += [f"median = {_f(d.median_duration)}"]
-        for entry in d.per_nga:
-            lines += [
-                f"duration {entry.nga} = "
-                f"{_f(entry.tau1)} {_f(entry.tau2)} {_f(entry.duration)}"
-            ]
-        lines += [""]
-
-    for comparison in bundle.continuity:
-        lines += [f"[continuity {comparison.mode.value}]"]
-        lines += _fit_lines(comparison.fit)
-        params = comparison.fit.params
-        lines += [f"upper.plateau = {_f(params.a + params.b)}"]
-        lines += [f"n.segments = {len(comparison.segments)}"]
-        lines += [f"mean.length = {_f(comparison.mean_length)}"]
-        lines += [f"skipped = {'; '.join(comparison.skipped)}"]
-        for nga, length in comparison.length_ranking():
-            lines += [f"length {nga} = {length}"]
-        lines += [""]
-
-    return "\n".join(lines)
-
-
-def _fit_lines(fit) -> list[str]:
-    return [
-        f"a = {_f(fit.params.a)}",
-        f"b = {_f(fit.params.b)}",
-        f"c = {_f(fit.params.c)}",
-        f"d = {_f(fit.params.d)}",
-        f"rmse = {_f(fit.rmse)}",
-        f"n.points = {fit.n_points}",
-        f"iterations = {fit.iterations}",
-        f"converged = {_b(fit.converged)}",
-    ]
+    """Every field of ``bundle_to_dict``, and so of ``report.json``, as
+    ``[section]`` and ``path = value`` lines (see ``_leaf_lines``)."""
+    return _walked_text("social complexity growth report", bundle_to_dict(bundle))
 
 
 def render_check_text(check: CheckReport) -> str:
-    lines = ["benchmark check against fitted curve", ""]
-    lines += [f"reference.rmse = {_f(check.reference_rmse)}"]
-    lines += [f"spc1_0 = {_f(check.spc1_0)}"]
-    lines += [f"n.series = {len(check.series)}"]
-    lines += [f"n.anchored = {check.n_anchored}", ""]
-    for s in check.series:
-        lines += [f"[series {s.nga}]"]
-        lines += [f"anchored = {_b(s.anchored)}"]
-        lines += [f"n.points = {s.n_points}"]
-        if s.anchored:
-            lines += [f"anchor.year = {s.anchor_year}"]
-            lines += [f"rmse = {_f(s.rmse)}"]
-            lines += [f"max.abs.residual = {_f(s.max_abs_residual)}"]
-            lines += [f"frac.beyond.2rmse = {_f(s.frac_beyond)}"]
-        lines += [""]
-    return "\n".join(lines)
+    """The ``check`` result as text, laid out like ``report.txt``."""
+    data = {
+        "check": {
+            "reference_rmse": check.reference_rmse,
+            "spc1_0": check.spc1_0,
+            "n_series": len(check.series),
+            "n_anchored": check.n_anchored,
+            "series": [
+                {
+                    "nga": s.nga,
+                    "anchored": s.anchored,
+                    "anchor_year": s.anchor_year,
+                    "n_points": s.n_points,
+                    "rmse": s.rmse,
+                    "max_abs_residual": s.max_abs_residual,
+                    "frac_beyond": s.frac_beyond,
+                }
+                for s in check.series
+            ],
+        }
+    }
+    return _walked_text("benchmark check against fitted curve", data)
+
+
+def _walked_text(title: str, data: dict) -> str:
+    """``title``, then for each top-level key of ``data`` (a non-empty dict
+    or list) a blank line, a ``[key]`` line and the lines of its leaves."""
+
+    def pieces():
+        yield title + "\n"
+        for section, value in data.items():
+            yield f"\n[{section}]\n"
+            yield from _leaf_lines("", value)
+
+    return _joined(pieces())
+
+
+def _leaf_lines(prefix: str, value) -> Iterator[str]:
+    """One ``path = value`` line per leaf of ``value``, the path its dict
+    keys and list indexes joined by dots (``anchors.3.crossed``). A string
+    is written bare, any other leaf (an empty list or dict too) as
+    ``json.dumps`` spells it. Paths hold keys and indexes only, so the
+    first `` = `` of a line ends its path, whatever a region name holds."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _leaf_lines(f"{prefix}{key}.", item)
+    else:
+        text = value if isinstance(value, str) else json.dumps(value)
+        yield f"{prefix[:-1]} = {text}\n"
+
+
+def _joined(pieces: Iterator[str]) -> str:
+    """The pieces joined a block of 1,024 at a time, so that only one
+    block of the many small pieces is held at once."""
+    blocks = []
+    while block := "".join(islice(pieces, 1024)):
+        blocks.append(block)
+    return "".join(blocks)
 
 
 def _curves_csv(bundle: ReportBundle) -> str:
@@ -357,12 +290,15 @@ def _float_bits(times: np.ndarray) -> np.ndarray:
     return times.astype(float).view(np.int64)
 
 
-def _residuals_csv(bundle: ReportBundle) -> Iterator[str]:
-    """The header, then one chunk per region."""
-    yield "nga,rel_time,scaled,predicted,residual\n"
+def region_residuals(bundle: ReportBundle) -> Iterator[tuple]:
+    """Each aligned region in turn, with the ``repr`` text of the fitted
+    curve at its times and its residuals (curve minus scaled score), so
+    only one region's residuals are held at a time.
+
+    The curve is evaluated, and its text formatted, once per distinct
+    time, keyed by the time's bits so that -0.0 and 0.0 stay apart.
+    """
     regions = bundle.aligned.regions
-    # The curve is evaluated, and its text formatted, once per distinct
-    # time, keyed by the time's bits so that -0.0 and 0.0 stay apart.
     distinct = set()
     for region in regions:
         distinct.update(_float_bits(region.rel_time).tolist())
@@ -371,13 +307,20 @@ def _residuals_csv(bundle: ReportBundle) -> Iterator[str]:
     text = np.array([repr(value) for value in values.tolist()], dtype=object)
     for region in regions:
         at = np.searchsorted(keys, _float_bits(region.rel_time))
+        yield region, text[at], values[at] - region.scaled
+
+
+def _residuals_csv(bundle: ReportBundle) -> Iterator[str]:
+    """The header, then one chunk per region."""
+    yield "nga,rel_time,scaled,predicted,residual\n"
+    for region, predicted, residuals in region_residuals(bundle):
         rows = _template_rows(
             "%s,%d,%r,%s,%r\n",
             repeat(csv_field(region.nga)),
             region.rel_time.tolist(),
             region.scaled.tolist(),
-            text[at].tolist(),
-            (values[at] - region.scaled).tolist(),
+            predicted.tolist(),
+            residuals.tolist(),
         )
         yield "".join(rows)
 

@@ -5,6 +5,7 @@ output renderers and the benchmark's modules."""
 import csv
 import importlib.util
 import io
+import json
 import math
 import re
 import sys
@@ -70,6 +71,37 @@ def raising_after_first_chunk(render, error: BaseException):
         raise error
 
     return broken
+
+
+def text_leaves(text: str) -> dict[str, str]:
+    """``"section.path" -> value text`` for the lines of ``report.txt`` (or
+    of ``check``'s text) below its title; fails on a line outside a
+    section, a line without `` = `` and a repeated path."""
+    title, *lines = text.split("\n")
+    assert title and lines.pop() == "", "the text ends with one newline"
+    leaves, section = {}, None
+    for line in lines:
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+        elif line:
+            path, sep, value = line.partition(" = ")
+            key = f"{section}.{path}"
+            assert section and sep and key not in leaves, line
+            leaves[key] = value
+    return leaves
+
+
+def json_leaves(value, prefix: str = "") -> dict[str, str]:
+    """``"key.key.index" -> value text`` for every leaf of parsed JSON:
+    strings as they are, anything else, an empty list or object included,
+    as ``json.dumps`` writes it."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        leaves = {}
+        for key, item in items:
+            leaves.update(json_leaves(item, f"{prefix}{key}."))
+        return leaves
+    return {prefix[:-1]: value if isinstance(value, str) else json.dumps(value)}
 
 
 def build_dataset(regions: Sequence[RegionSeries]) -> Dataset:

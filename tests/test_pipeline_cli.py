@@ -28,6 +28,7 @@ from helpers import (
     joined,
     make_region,
     raising_after_first_chunk,
+    text_leaves,
 )
 
 import spcgrowth
@@ -38,6 +39,7 @@ from spcgrowth import (
     SyntheticSpec,
     benchmark_check,
     generate_synthetic,
+    load_dataset,
     run_pipeline,
 )
 from spcgrowth.cli import main
@@ -301,8 +303,6 @@ class TestBenchmarkCheck:
         assert np.isnan(series.rmse) and np.isnan(series.frac_beyond)
 
     def test_held_out_region_stays_close_to_the_fit(self, noisy_panel_path, tmp_path):
-        from spcgrowth import load_dataset
-
         ds = load_dataset(noisy_panel_path)
         kept, held = ds.regions[:-1], ds.regions[-1]
         train = write_panel(tmp_path / "train.csv", list(kept))
@@ -494,7 +494,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "anchored = false" in out
-        assert "n.anchored = 0" in out
+        assert "n_anchored = 0" in out
+
+    def test_check_prints_every_series_field(self, noisy_panel_path, tmp_path, capsys):
+        crossing = load_dataset(noisy_panel_path).regions[0]
+        flat = load_dataset(flat_panel(tmp_path / "flat.csv")).regions[0]
+        held = write_panel(tmp_path / "held.csv", [crossing, flat])
+        assert main(["check", "--input", str(noisy_panel_path), str(held)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("benchmark check against fitted curve\n")
+        config = PipelineConfig(input_path=str(noisy_panel_path))
+        check = benchmark_check(run_fit_stage(config), held)
+        anchored = {s.nga: s.anchored for s in check.series}
+        assert anchored == {crossing.nga: True, flat.nga: False}
+        expected = {
+            "check.reference_rmse": repr(check.reference_rmse),
+            "check.spc1_0": repr(check.spc1_0),
+            "check.n_series": "2",
+            "check.n_anchored": "1",
+        }
+        for i, series in enumerate(check.series):
+            for field in fields(series):
+                value = getattr(series, field.name)
+                expected[f"check.series.{i}.{field.name}"] = (
+                    value if isinstance(value, str) else json.dumps(value)
+                )
+        assert text_leaves(out) == expected
+        # the unanchored series prints its empty fields too
+        i = list(anchored).index(flat.nga)
+        assert expected[f"check.series.{i}.anchor_year"] == "null"
+        assert expected[f"check.series.{i}.rmse"] == "NaN"
 
     def test_check_takes_no_output_directory(self, noisy_panel_path, tmp_path, capsys):
         out_dir = tmp_path / "check"
@@ -704,8 +733,6 @@ class TestCli:
         assert code == 0
         target = tmp_path / "synthetic.csv"
         assert target.is_file()
-        from spcgrowth import load_dataset
-
         assert len(load_dataset(target).regions) == 2
 
     def test_synth_out_writes_the_bytes_of_serialize_dataset(self, tmp_path, capsys):

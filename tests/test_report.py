@@ -1,6 +1,8 @@
 """The column-at-a-time output layer against per-row references, the
-memory that writing the outputs takes, and what a failed write leaves."""
+text report against its JSON sidecar, the memory that writing the outputs
+takes, and what a failed write leaves."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -9,11 +11,13 @@ import pytest
 from helpers import (
     ReferenceFrame,
     joined,
+    json_leaves,
     raising_after_first_chunk,
     reference_chart_files,
     reference_csv,
     reference_plot_data,
     reference_serialize,
+    text_leaves,
 )
 
 from spcgrowth import (
@@ -26,11 +30,14 @@ from spcgrowth import (
 )
 from spcgrowth.charts import _Frame, chart_files
 from spcgrowth.dataset import HEADER, csv_field, load_dataset, serialize_dataset
-from spcgrowth.report import plot_data_files, write_outputs
+from spcgrowth.report import plot_data_files, report_files, write_outputs
 
 # names csv.writer quotes (comma, double quote), a non-ASCII one, two that
-# share a slug, and a percent sign, which a row template must not read
-AWKWARD_NAMES = ["Latium, Rome", 'The "Old" Town', "Zürich", "Rome", "rome", "100% Land"]
+# share a slug, a percent sign, which a row template must not read, and the
+# "; " and " = " that separate items and values in report.txt lines
+AWKWARD_NAMES = [
+    "Latium, Rome", 'The "Old" Town', "Zürich", "Rome", "rome", "100% Land", "Nile; Delta = Low"
+]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,27 @@ def test_charts_match_the_per_point_reference(awkward_bundle):
     assert joined(chart_files(bundle)) == reference_chart_files(bundle)
 
 
+@pytest.mark.parametrize("name", ["full_bundle", "fit_bundle", "awkward_bundle"])
+def test_the_text_report_holds_every_json_leaf_and_nothing_else(name, request):
+    bundle = request.getfixturevalue(name)
+    if name == "awkward_bundle":
+        bundle, _ = bundle
+    files = joined(report_files(bundle))
+    text, data = text_leaves(files["report.txt"]), json.loads(files["report.json"])
+    assert text == json_leaves(data)
+    # a section appears once its stage has run, in the JSON and the text alike
+    sections = {"provenance", "scaling", "threshold", "alignment", "fit"}
+    if name == "fit_bundle":
+        assert set(data) == sections
+    else:
+        assert set(data) == sections | {
+            "validation", "bootstrap", "timescales", "durations", "continuity"
+        }
+    assert "threshold.threshold_density" in text
+    assert text["alignment.anchors.0.crossed"] == "true"
+    assert ("Nile; Delta = Low" in text.values()) == (name == "awkward_bundle")
+
+
 def test_array_pixels_have_the_bits_of_scalar_pixels():
     rng = np.random.default_rng(3)
     values = np.concatenate([rng.normal(0.0, 1e3, 4000), rng.uniform(-1.0, 2.0, 4000)])
@@ -110,7 +138,7 @@ def test_writing_holds_less_than_the_bytes_it_writes(tmp_path):
     # Every file streams to disk a chunk at a time, so the tracemalloc peak
     # of writing the outputs (above the finished bundle) grows far slower
     # than the bytes written: from 60 to 240 regions the bytes grow 3.8x
-    # (1.9 to 7.1 MB) and the peak 1.4x (0.25 to 0.35 MB). Holding one
+    # (1.9 to 7.1 MB) and the peak 1.7x (0.24 to 0.41 MB). Holding one
     # group's text at a time, the peak grew with the bytes (1.5 to 5.8 MB).
     peaks, totals, largest = {}, {}, {}
     for n in (60, 240):
