@@ -10,9 +10,10 @@ array of data values to pixels with one expression, and a polyline or a
 set of dots is formatted with one ``%`` per block of up to 1,024 points
 (``"%.2f"`` gives the same text as ``f"{x:.2f}"``, ``-0.00`` included).
 
-A chart is a stream of text chunks: ``_document`` yields the head, each
-body line in turn and the tail, and the long bodies (one polyline per
-region, one dot per point) are generated as they are written.
+A chart is a generator of text chunks: nothing of it is computed until
+its first chunk is taken. ``_document`` yields the head, each body line
+in turn and the tail, and the long bodies (one polyline per region, one
+dot per point) are generated as they are written.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def overview_chart(bundle: ReportBundle) -> Iterator[str]:
         yield frame.polyline(grid, curve, FULL_CURVE_COLOR, 2.5)
         yield from frame.axes()
 
-    return _document(width, height, "aligned series and fitted growth curve", body())
+    yield from _document(width, height, "aligned series and fitted growth curve", body())
 
 
 def comparison_chart(bundle: ReportBundle) -> Iterator[str]:
@@ -234,7 +235,7 @@ def comparison_chart(bundle: ReportBundle) -> Iterator[str]:
             f'<text x="{frame.left + 44}" y="{ly + 4}" font-size="12" '
             f'font-family="sans-serif">{_escape(name)}</text>'
         )
-    return _document(width, height, "full fit vs continuity-restricted fits", body)
+    yield from _document(width, height, "full fit vs continuity-restricted fits", body)
 
 
 def small_multiples_chart(bundle: ReportBundle) -> Iterator[str]:
@@ -269,7 +270,7 @@ def small_multiples_chart(bundle: ReportBundle) -> Iterator[str]:
             yield frame.polyline(grid, curve, "#bbbbbb", 1.0)
             yield frame.polyline(region.rel_time, region.scaled, "#1f77b4", 1.2)
 
-    return _document(width, height, "per-region aligned series", body())
+    yield from _document(width, height, "per-region aligned series", body())
 
 
 def density_chart(bundle: ReportBundle) -> Iterator[str]:
@@ -295,7 +296,7 @@ def density_chart(bundle: ReportBundle) -> Iterator[str]:
             'stroke-dasharray="2 4"/>'
         )
     body += frame.axes()
-    return _document(width, height, "scaled score density and threshold", body)
+    yield from _document(width, height, "scaled score density and threshold", body)
 
 
 def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
@@ -322,12 +323,12 @@ def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
         )
     dots = (frame.circles(r.rel_time, res) for r, _, res in region_residuals(bundle))
     body = chain(body, chain.from_iterable(dots), frame.axes())
-    return _document(width, height, "residuals against the fitted curve", body)
+    yield from _document(width, height, "residuals against the fitted curve", body)
 
 
 def chart_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
-    """(Relative path, SVG chunks) for every figure, each chart set up
-    when the stream reaches it."""
+    """(Relative path, SVG chunks) for every figure, each chart rendered
+    when its chunks are taken."""
     yield "overview.svg", overview_chart(bundle)
     yield "comparison.svg", comparison_chart(bundle)
     yield "regions.svg", small_multiples_chart(bundle)

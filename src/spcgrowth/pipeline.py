@@ -2,9 +2,14 @@
 
 The pipeline runs parse -> scale -> density threshold -> align -> fit ->
 validate -> bootstrap -> timescales -> empirical durations -> continuity
-comparisons, entirely in memory, and only then writes the report and the
-plot artifacts. A failed stage therefore never leaves partial output
-behind.
+comparisons. With an output directory, the files that need only the fit
+stage (``series/*.csv``, ``kde.csv``, ``residuals.csv``, ``regions.svg``,
+``density.svg``, ``residuals.svg``) are written into a hidden staging
+directory under it by a forked child while the refits run
+(``report.FitStageWriter``). After the last stage the other files are
+written, and the staged ones are moved into place. A stage that fails
+kills the child and removes the staging directory, so it leaves the
+output directory as it was.
 
 Reproducibility contract: identical input bytes and configuration give a
 byte-identical report. The provenance block records the seed, a digest
@@ -286,14 +291,14 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Run every stage; write the report and plot artifacts when the
     configuration names an output directory."""
     bundle = run_fit_stage(config)
-    bundle = add_validation(bundle)
-    bundle = add_bootstrap(bundle)
-    bundle = add_continuity(bundle)
-    if config.output_dir is not None:
-        from .report import write_outputs
+    if config.output_dir is None:
+        return add_continuity(add_bootstrap(add_validation(bundle)))
+    from . import report
 
-        written = write_outputs(bundle, config.output_dir)
-        logger.info("wrote %d file(s) to %s", len(written), config.output_dir)
+    with report.FitStageWriter(bundle, config.output_dir) as staged:
+        bundle = add_continuity(add_bootstrap(add_validation(bundle)))
+        written = report.write_outputs(bundle, config.output_dir, staged)
+    logger.info("wrote %d file(s) to %s", len(written), config.output_dir)
     return bundle
 
 

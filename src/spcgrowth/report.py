@@ -20,18 +20,35 @@ the residuals chart the same residuals, a region at a time.
 streams of ``(relative path, text chunks)``: a file is rendered while it
 is written, a chunk at a time (a region of ``residuals.csv``, a line of
 an SVG, a region's dots), so the output layer holds one chunk, not one
-file or group. ``write_files`` is the one place output files are
-written.
+file or group. Nothing of a file renders before its chunks are taken, so
+a stream can be filtered by path for free. ``write_files`` is the one
+place output files are written.
+
+The files whose content needs nothing but the fit stage (``series/*.csv``,
+``kde.csv``, ``residuals.csv``, ``regions.svg``, ``density.svg`` and
+``residuals.svg``; see ``_FIT_STAGE_FILES``) can be written while the
+refits run: ``FitStageWriter`` writes them into a hidden staging
+directory under the output directory (``.spcgrowth-staging-*``) in a
+forked child, or in process where ``os.fork`` does not exist, and
+``write_outputs`` writes the other files, waits for the child and moves
+the staged files into place. A run killed outright (``kill -9``) can
+leave the staging directory behind.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import pickle
+import shutil
+import signal
+import tempfile
+import warnings
 from dataclasses import replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -47,6 +64,11 @@ logger = logging.getLogger(__name__)
 
 CURVE_SAMPLES = 513
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+# the files whose content needs only the fit stage (the density, the
+# threshold, the alignment and the full fit), besides ``series/*.csv``
+_FIT_STAGE_FILES = frozenset(
+    {"kde.csv", "residuals.csv", "regions.svg", "density.svg", "residuals.svg"}
+)
 
 
 def _f(value) -> str:
@@ -365,18 +387,23 @@ def _series_csv(bundle: ReportBundle, region) -> str:
     return serialize_dataset(single)
 
 
+def _later(render: Callable[..., str], *args) -> Iterator[str]:
+    """``render(*args)`` as one chunk, rendered when it is taken."""
+    yield render(*args)
+
+
 def plot_data_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
     """(Relative path, CSV chunks) for every figure's quantitative data,
-    each file rendered when the stream reaches it."""
-    yield "curves.csv", [_curves_csv(bundle)]
-    yield "kde.csv", [_kde_csv(bundle)]
+    each file rendered when its chunks are taken."""
+    yield "curves.csv", _later(_curves_csv, bundle)
+    yield "kde.csv", _later(_kde_csv, bundle)
     yield "residuals.csv", _residuals_csv(bundle)
     if bundle.timescales:
-        yield "growth_window.csv", [_growth_window_csv(bundle)]
+        yield "growth_window.csv", _later(_growth_window_csv, bundle)
     if bundle.durations is not None:
-        yield "durations.csv", [_durations_csv(bundle)]
+        yield "durations.csv", _later(_durations_csv, bundle)
     for comparison in bundle.continuity:
-        yield f"lengths_{comparison.mode.value}.csv", [_lengths_csv(comparison)]
+        yield f"lengths_{comparison.mode.value}.csv", _later(_lengths_csv, comparison)
     series_paths = set()
     for region in bundle.aligned.regions:
         # names such as "Rome" and "rome" share a slug: the later one in
@@ -386,7 +413,7 @@ def plot_data_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]
             n += 1
             path = f"series/{_slug(region.nga)}-{n}.csv"
         series_paths.add(path)
-        yield path, [_series_csv(bundle, region)]
+        yield path, _later(_series_csv, bundle, region)
 
 
 def report_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
@@ -421,8 +448,19 @@ def write_files(files: Iterable[tuple[str, Iterable[str]]], out_dir) -> list[Pat
     return written
 
 
-def write_outputs(bundle: ReportBundle, output_dir) -> list[Path]:
-    """Write the text report, the JSON sidecar, and all plot artifacts."""
+def _fit_stage_only(path: str) -> bool:
+    return path in _FIT_STAGE_FILES or path.startswith("series/")
+
+
+def write_outputs(
+    bundle: ReportBundle, output_dir, staged: FitStageWriter | None = None
+) -> list[Path]:
+    """Write the text report, the JSON sidecar, and all plot artifacts.
+
+    With ``staged``, the writer of this bundle's fit-stage files, only the
+    other files are written here; then the staged ones are moved in, or
+    the writer's error is raised.
+    """
     if not bundle.complete:
         raise ParameterError("bundle is incomplete; run the remaining stages first")
     from .charts import chart_files
@@ -430,5 +468,144 @@ def write_outputs(bundle: ReportBundle, output_dir) -> list[Path]:
     root = Path(output_dir)
     written = []
     for render in (report_files, plot_data_files, chart_files):
-        written += write_files(render(bundle), root)
+        files = render(bundle)
+        if staged is not None:
+            files = ((path, chunks) for path, chunks in files if not _fit_stage_only(path))
+        written += write_files(files, root)
+    if staged is not None:
+        written += staged.move_in()
     return sorted(written, key=lambda path: path.relative_to(root).as_posix())
+
+
+def _write_fit_stage(bundle: ReportBundle, staging: Path) -> list[str]:
+    """Write the fit-stage files under ``staging``; returns their
+    relative paths."""
+    from .charts import chart_files
+
+    files = chain(plot_data_files(bundle), chart_files(bundle))
+    written = write_files(((p, c) for p, c in files if _fit_stage_only(p)), staging)
+    return [path.relative_to(staging).as_posix() for path in written]
+
+
+def _write_in_child(bundle: ReportBundle, staging: Path, write_fd: int):
+    """The forked child: write the fit-stage files, send the outcome
+    (paths, error) down the pipe and leave through ``os._exit`` whatever
+    happens, so that none of the parent's code runs twice. It never logs
+    or prints."""
+    try:
+        try:
+            outcome = _write_fit_stage(bundle, staging), None
+        except BaseException as exc:  # the parent raises it
+            outcome = None, exc
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)
+        except Exception:  # an error that does not pickle and unpickle
+            error = outcome[1]
+            data = pickle.dumps((None, RuntimeError(f"{type(error).__name__}: {error}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+class FitStageWriter:
+    """A bundle's fit-stage files, written into a new hidden staging
+    directory under ``output_dir`` by a forked child while the caller goes
+    on, or in process where ``os.fork`` does not exist.
+
+    ``move_in`` waits for them and moves them into ``output_dir``.
+    ``close`` (on leaving the ``with`` block) ends and reaps the child if
+    it still runs and removes the staging directory, and the output
+    directories made for it unless files were moved into them.
+    """
+
+    def __init__(self, bundle: ReportBundle, output_dir):
+        self.root = Path(output_dir)
+        self._made = []  # output directories made here, deepest first
+        path = self.root
+        while not path.exists():
+            self._made.append(path)
+            path = path.parent
+        self._staging = None
+        self._pid = None
+        self._pipe = None
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._staging = Path(tempfile.mkdtemp(prefix=".spcgrowth-staging-", dir=self.root))
+            if not hasattr(os, "fork"):
+                try:
+                    self._outcome = _write_fit_stage(bundle, self._staging), None
+                except Exception as exc:  # raised after the caller's own errors
+                    self._outcome = None, exc
+                return
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork() in a process with threads, and
+                # OpenBLAS's thread makes this one; the child only renders
+                # and writes files
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _write_in_child(bundle, self._staging, write_fd)
+            os.close(write_fd)
+            self._pid, self._pipe = pid, open(read_fd, "rb")
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> FitStageWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _wait(self) -> tuple:
+        if self._pipe is not None:
+            with self._pipe:
+                data = self._pipe.read()
+            _, status = os.waitpid(self._pid, 0)
+            self._pid, self._pipe = None, None
+            if data:
+                self._outcome = pickle.loads(data)
+            else:
+                code = os.waitstatus_to_exitcode(status)
+                error = ChildProcessError(f"the fit-stage writer ended ({code}) without a result")
+                self._outcome = None, error
+        return self._outcome
+
+    def move_in(self) -> list[Path]:
+        """Wait for the fit-stage files, raise their writer's error if it
+        had one, and move them into the output directory; returns their
+        paths there."""
+        paths, error = self._wait()
+        if error is not None:
+            raise error
+        moved, parents = [], set()
+        for rel_path in paths:
+            target = self.root / rel_path
+            if target.parent not in parents:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                parents.add(target.parent)
+            os.replace(self._staging / rel_path, target)
+            moved.append(target)
+        self._made = []
+        return moved
+
+    def close(self) -> None:
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._pipe is not None:
+            self._pipe.close()
+            self._pipe = None
+        if self._staging is not None:
+            shutil.rmtree(self._staging, ignore_errors=True)
+            self._staging = None
+        for path in self._made:
+            try:
+                path.rmdir()
+            except OSError:  # not empty
+                break
+        self._made = []

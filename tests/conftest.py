@@ -10,7 +10,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-from helpers import aligned_from_synthetic  # noqa: E402
+from helpers import aligned_from_synthetic, child_pids  # noqa: E402
 
 from spcgrowth import (  # noqa: E402
     PipelineConfig,
@@ -21,6 +21,17 @@ from spcgrowth import (  # noqa: E402
 )
 from spcgrowth.dataset import serialize_dataset
 from spcgrowth.pipeline import run_fit_stage
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that returns while a child process it started is still
+    running or not reaped."""
+    before = child_pids()
+    yield
+    left = child_pids() - before
+    if left:
+        pytest.fail(f"child process(es) {sorted(left)} left running or unreaped", pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -62,6 +62,19 @@ def joined(files) -> dict[str, str]:
     return texts
 
 
+def child_pids() -> set[int]:
+    """This process's child processes, running or exited but not yet
+    reaped, as Linux lists them in ``/proc/self/task/*/children`` (empty
+    elsewhere). Only reads, so it reaps nothing."""
+    pids = set()
+    for path in Path("/proc/self/task").glob("*/children"):
+        try:
+            pids.update(int(pid) for pid in path.read_text().split())
+        except OSError:  # the thread ended
+            pass
+    return pids
+
+
 def raising_after_first_chunk(render, error: BaseException):
     """``render``, a renderer of one file's text chunks, made to raise
     ``error`` after its first chunk."""

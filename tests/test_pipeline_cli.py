@@ -25,6 +25,7 @@ from helpers import (
     PANEL_HEADER,
     bench_module,
     build_dataset,
+    child_pids,
     joined,
     make_region,
     raising_after_first_chunk,
@@ -88,6 +89,15 @@ def assert_lists_subcommands(help_text: str) -> None:
 def write_panel(path: Path, regions) -> Path:
     path.write_text(serialize_dataset(build_dataset(regions)), encoding="utf-8")
     return path
+
+
+def tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Every entry under ``root``, hidden ones included: relative path ->
+    the file's bytes, or None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
 
 
 def flat_panel(path: Path) -> Path:
@@ -555,6 +565,118 @@ class TestCli:
         assert main(argv + ["--bootstrap", "20", "--validation", "5"]) == 2
         assert not (out_dir / "residuals.csv").exists()
         assert (out_dir / "curves.csv").is_file()
+
+    def test_a_stage_failing_after_the_fork_leaves_out_as_it_was(
+        self, noisy_panel_path, tmp_path, caplog
+    ):
+        out_dir = tmp_path / "run"
+        argv = ["--out", str(out_dir), "--bootstrap", "20", "--validation", "5"]
+        assert main(["report", "--input", str(noisy_panel_path), *argv]) == 0
+        before = tree_bytes(out_dir)
+        # the full fit takes these 8 points, validation needs 10
+        regions = [make_region(f"R{i}", [0.1, 0.2, 0.8, 0.9]) for i in range(2)]
+        panel = write_panel(tmp_path / "panel.csv", regions)
+        assert main(["report", "--input", str(panel), *argv]) == 3
+        assert "need at least 10 pooled points, got 8" in caplog.text
+        assert tree_bytes(out_dir) == before
+        assert child_pids() == set()
+
+    def test_an_interrupt_during_the_refits_leaves_no_child_and_no_output(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        def interrupted(bundle):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(spcgrowth.pipeline, "add_bootstrap", interrupted)
+        out_dir = tmp_path / "new" / "run"
+        config = PipelineConfig(
+            input_path=str(noisy_panel_path), n_validation=5, output_dir=str(out_dir)
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        assert child_pids() == set()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+    def test_a_fit_stage_renderer_error_reaches_the_caller_with_its_type_and_message(
+        self, fork, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        charts = spcgrowth.charts
+        error = RuntimeError("residuals chart failed")
+        monkeypatch.setattr(
+            charts, "residuals_chart", raising_after_first_chunk(charts.residuals_chart, error)
+        )
+        out_dir = tmp_path / "run"
+        config = PipelineConfig(
+            input_path=str(noisy_panel_path),
+            n_bootstrap=20,
+            n_validation=5,
+            output_dir=str(out_dir),
+        )
+        with pytest.raises(RuntimeError) as raised:
+            run_pipeline(config)
+        assert raised.type is RuntimeError
+        assert str(raised.value) == "residuals chart failed"
+        assert not (out_dir / "residuals.svg").exists()
+        assert [p.name for p in out_dir.iterdir() if p.name.startswith(".")] == []
+
+    def test_a_writer_that_ends_without_a_result_exits_2(
+        self, noisy_panel_path, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(spcgrowth.report, "_write_in_child", lambda *args: os._exit(9))
+        out_dir = tmp_path / "run"
+        argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
+                "--validation", "5", "--out", str(out_dir)]
+        assert main(argv) == 2
+        assert "the fit-stage writer ended (9) without a result" in caplog.text
+        assert not (out_dir / "series").exists()
+        assert [p.name for p in out_dir.iterdir() if p.name.startswith(".")] == []
+
+    def test_without_fork_report_writes_the_same_bytes(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
+                "--validation", "5", "--out"]
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert main(argv + [str(tmp_path / "forked")]) == 0
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        assert main(argv + [str(tmp_path / "in-process")]) == 0
+        forked = tree_bytes(tmp_path / "forked")
+        assert "series" in forked and len(forked) > 20
+        assert tree_bytes(tmp_path / "in-process") == forked
+
+    def test_the_fork_warning_of_a_threaded_process_is_not_shown(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        # Python 3.12+ warns so on fork() while OpenBLAS's thread runs
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                "This process is multi-threaded, use of fork() may lead to deadlocks "
+                "in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
+                "--validation", "5", "--out", str(tmp_path / "run")]
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [str(w.message) for w in shown] == []
 
     @pytest.mark.parametrize("command", ["fit", "check"])
     def test_non_utf8_input_exits_2_naming_the_file(
