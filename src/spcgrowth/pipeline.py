@@ -9,7 +9,9 @@ directory under it by a forked child while the refits run
 (``report.FitStageWriter``). After the last stage the other files are
 written, and the staged ones are moved into place. A stage that fails
 kills the child and removes the staging directory, so it leaves the
-output directory as it was.
+output directory as it was. Where ``os.fork`` does not exist or fails,
+every file is written after the last stage, and a failed stage writes
+nothing.
 
 Reproducibility contract: identical input bytes and configuration give a
 byte-identical report. The provenance block records the seed, a digest
@@ -295,6 +297,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         return add_continuity(add_bootstrap(add_validation(bundle)))
     from . import report
 
+    # staged is None where the writer cannot fork
     with report.FitStageWriter(bundle, config.output_dir) as staged:
         bundle = add_continuity(add_bootstrap(add_validation(bundle)))
         written = report.write_outputs(bundle, config.output_dir, staged)

@@ -27,12 +27,13 @@ place output files are written.
 The files whose content needs nothing but the fit stage (``series/*.csv``,
 ``kde.csv``, ``residuals.csv``, ``regions.svg``, ``density.svg`` and
 ``residuals.svg``; see ``_FIT_STAGE_FILES``) can be written while the
-refits run: ``FitStageWriter`` writes them into a hidden staging
-directory under the output directory (``.spcgrowth-staging-*``) in a
-forked child, or in process where ``os.fork`` does not exist, and
-``write_outputs`` writes the other files, waits for the child and moves
-the staged files into place. A run killed outright (``kill -9``) can
-leave the staging directory behind.
+refits run: ``FitStageWriter`` forks a child that writes them into a
+hidden staging directory under the output directory
+(``.spcgrowth-staging-*``), and ``write_outputs`` writes the other files,
+waits for the child and moves the staged files into place. Where
+``os.fork`` does not exist or fails, ``write_outputs`` writes every file
+after the refits. A run killed outright (``kill -9``) can leave the
+staging directory behind.
 """
 
 from __future__ import annotations
@@ -497,88 +498,84 @@ def _write_in_child(bundle: ReportBundle, staging: Path, write_fd: int):
             outcome = _write_fit_stage(bundle, staging), None
         except BaseException as exc:  # the parent raises it
             outcome = None, exc
-        try:
-            data = pickle.dumps(outcome)
-            pickle.loads(data)
-        except Exception:  # an error that does not pickle and unpickle
-            error = outcome[1]
-            data = pickle.dumps((None, RuntimeError(f"{type(error).__name__}: {error}")))
         with open(write_fd, "wb") as pipe:
-            pipe.write(data)
+            pipe.write(pickle.dumps(outcome))
     finally:
         os._exit(0)
 
 
 class FitStageWriter:
-    """A bundle's fit-stage files, written into a new hidden staging
-    directory under ``output_dir`` by a forked child while the caller goes
-    on, or in process where ``os.fork`` does not exist.
+    """A bundle's fit-stage files, written by a forked child into a new
+    hidden staging directory under ``output_dir`` while the caller goes on.
 
-    ``move_in`` waits for them and moves them into ``output_dir``.
-    ``close`` (on leaving the ``with`` block) ends and reaps the child if
-    it still runs and removes the staging directory, and the output
-    directories made for it unless files were moved into them.
+    Entering the ``with`` block makes the directory and forks the child.
+    It gives the writer, or None where ``os.fork`` does not exist or the
+    directory, the pipe or the fork fails with ``OSError``; then nothing
+    is left behind, and ``write_outputs`` writes every file itself.
+    ``move_in`` waits for the child and moves its files into
+    ``output_dir``. Leaving the block ends and reaps the child if it still
+    runs, closes the pipe and removes the staging directory, and the
+    output directories made for it unless files were moved into them.
     """
 
     def __init__(self, bundle: ReportBundle, output_dir):
+        self._bundle = bundle
         self.root = Path(output_dir)
         self._made = []  # output directories made here, deepest first
-        path = self.root
-        while not path.exists():
-            self._made.append(path)
-            path = path.parent
         self._staging = None
+        self._fds = []  # the pipe's ends still open here
         self._pid = None
-        self._pipe = None
+
+    def __enter__(self) -> FitStageWriter | None:
+        if not hasattr(os, "fork"):
+            return None
         try:
+            path = self.root
+            while not path.exists():
+                self._made.append(path)
+                path = path.parent
             self.root.mkdir(parents=True, exist_ok=True)
             self._staging = Path(tempfile.mkdtemp(prefix=".spcgrowth-staging-", dir=self.root))
-            if not hasattr(os, "fork"):
-                try:
-                    self._outcome = _write_fit_stage(bundle, self._staging), None
-                except Exception as exc:  # raised after the caller's own errors
-                    self._outcome = None, exc
-                return
-            read_fd, write_fd = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on fork() in a process with threads, and
-                # OpenBLAS's thread makes this one; the child only renders
-                # and writes files
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _write_in_child(bundle, self._staging, write_fd)
-            os.close(write_fd)
-            self._pid, self._pipe = pid, open(read_fd, "rb")
+            self._fds = list(os.pipe())
+            # SIGINT waits until the child's pid is kept, so that ``close``
+            # always reaps it; the child keeps it blocked and is killed by
+            # the parent instead
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on fork() in a process with
+                    # threads, and OpenBLAS's thread makes this one; the
+                    # child only renders and writes files
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    self._pid = os.fork()
+                if self._pid == 0:
+                    _write_in_child(self._bundle, self._staging, self._fds[1])
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(self._fds.pop())
+        except OSError:  # write every file after the refits instead
+            self.close()
+            return None
         except BaseException:
             self.close()
             raise
-
-    def __enter__(self) -> FitStageWriter:
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _wait(self) -> tuple:
-        if self._pipe is not None:
-            with self._pipe:
-                data = self._pipe.read()
-            _, status = os.waitpid(self._pid, 0)
-            self._pid, self._pipe = None, None
-            if data:
-                self._outcome = pickle.loads(data)
-            else:
-                code = os.waitstatus_to_exitcode(status)
-                error = ChildProcessError(f"the fit-stage writer ended ({code}) without a result")
-                self._outcome = None, error
-        return self._outcome
-
     def move_in(self) -> list[Path]:
         """Wait for the fit-stage files, raise their writer's error if it
         had one, and move them into the output directory; returns their
         paths there."""
-        paths, error = self._wait()
+        with open(self._fds.pop(), "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"the fit-stage writer ended ({code}) without a result")
+        paths, error = pickle.loads(data)
         if error is not None:
             raise error
         moved, parents = [], set()
@@ -593,13 +590,12 @@ class FitStageWriter:
         return moved
 
     def close(self) -> None:
-        if self._pid is not None:
+        if self._pid:  # None before the fork
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
-        if self._pipe is not None:
-            self._pipe.close()
-            self._pipe = None
+        while self._fds:
+            os.close(self._fds.pop())
         if self._staging is not None:
             shutil.rmtree(self._staging, ignore_errors=True)
             self._staging = None

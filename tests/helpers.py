@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -73,6 +74,13 @@ def child_pids() -> set[int]:
         except OSError:  # the thread ended
             pass
     return pids
+
+
+def open_fds() -> set[str]:
+    """This process's open file descriptors, as Linux lists them in
+    ``/proc/self/fd`` (empty elsewhere)."""
+    fd_dir = Path("/proc/self/fd")
+    return set(os.listdir(fd_dir)) if fd_dir.is_dir() else set()
 
 
 def raising_after_first_chunk(render, error: BaseException):

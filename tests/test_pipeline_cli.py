@@ -3,6 +3,7 @@ package source carrying no unused names."""
 
 import ast
 import csv
+import errno
 import hashlib
 import json
 import logging
@@ -28,6 +29,7 @@ from helpers import (
     child_pids,
     joined,
     make_region,
+    open_fds,
     raising_after_first_chunk,
     text_leaves,
 )
@@ -647,6 +649,8 @@ class TestCli:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
+        # without fork every file renders from the complete bundle, so this
+        # also checks that the staged files need nothing past the fit stage
         assert main(argv + [str(tmp_path / "forked")]) == 0
         assert len(forks) == 1
         monkeypatch.delattr(os, "fork")
@@ -654,6 +658,23 @@ class TestCli:
         forked = tree_bytes(tmp_path / "forked")
         assert "series" in forked and len(forked) > 20
         assert tree_bytes(tmp_path / "in-process") == forked
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_a_writer_that_cannot_start_leaves_the_run_writing_every_file_itself(
+        self, failing, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
+                "--validation", "5", "--out"]
+        assert main(argv + [str(tmp_path / "forked")]) == 0
+
+        def unavailable():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, failing, unavailable)
+        fds = open_fds()
+        assert main(argv + [str(tmp_path / "unforked")]) == 0
+        assert open_fds() == fds
+        assert tree_bytes(tmp_path / "unforked") == tree_bytes(tmp_path / "forked")
 
     def test_the_fork_warning_of_a_threaded_process_is_not_shown(
         self, noisy_panel_path, tmp_path, monkeypatch
