@@ -327,10 +327,8 @@ def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
 
 
 def chart_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
-    """(Relative path, SVG chunks) for every figure, each chart rendered
-    when its chunks are taken."""
+    """(Relative path, SVG chunks) for the figures that need the refits,
+    each chart rendered when its chunks are taken. The other three charts
+    are in ``report.fit_stage_files``."""
     yield "overview.svg", overview_chart(bundle)
     yield "comparison.svg", comparison_chart(bundle)
-    yield "regions.svg", small_multiples_chart(bundle)
-    yield "density.svg", density_chart(bundle)
-    yield "residuals.svg", residuals_chart(bundle)

@@ -3,15 +3,14 @@
 The pipeline runs parse -> scale -> density threshold -> align -> fit ->
 validate -> bootstrap -> timescales -> empirical durations -> continuity
 comparisons. With an output directory, the files that need only the fit
-stage (``series/*.csv``, ``kde.csv``, ``residuals.csv``, ``regions.svg``,
-``density.svg``, ``residuals.svg``) are written into a hidden staging
-directory under it by a forked child while the refits run
-(``report.FitStageWriter``). After the last stage the other files are
-written, and the staged ones are moved into place. A stage that fails
-kills the child and removes the staging directory, so it leaves the
-output directory as it was. Where ``os.fork`` does not exist or fails,
-every file is written after the last stage, and a failed stage writes
-nothing.
+stage (``report.fit_stage_files``) are written by a forked child while
+the refits run (``report.FitStageWriter``), into a hidden staging
+directory in the output directory or its nearest existing ancestor.
+After the last stage the other files are written, and the staged ones
+are moved into place. A stage that fails kills the child and removes the
+staging directory, so it leaves the output directory as it was. Where
+``os.fork`` does not exist or fails, or the child exits nonzero, every
+file is written after the last stage, and a failed stage writes nothing.
 
 Reproducibility contract: identical input bytes and configuration give a
 byte-identical report. The provenance block records the seed, a digest

@@ -16,23 +16,23 @@ every row fills one ``%d``/``%r`` template, with names quoted by
 ``dataset.csv_field``. ``region_residuals`` gives ``residuals.csv`` and
 the residuals chart the same residuals, a region at a time.
 
-``report_files``, ``plot_data_files`` and ``charts.chart_files`` are
-streams of ``(relative path, text chunks)``: a file is rendered while it
-is written, a chunk at a time (a region of ``residuals.csv``, a line of
-an SVG, a region's dots), so the output layer holds one chunk, not one
-file or group. Nothing of a file renders before its chunks are taken, so
-a stream can be filtered by path for free. ``write_files`` is the one
-place output files are written.
+``report_files``, ``plot_data_files``, ``fit_stage_files`` and
+``charts.chart_files`` are streams of ``(relative path, text chunks)``: a
+file is rendered while it is written, a chunk at a time (a region of
+``residuals.csv``, a line of an SVG, a region's dots), so the output
+layer holds one chunk, not one file or group. Nothing of a file renders
+before its chunks are taken, so a stream's paths cost nothing.
+``write_files`` is the one place output files are written.
 
-The files whose content needs nothing but the fit stage (``series/*.csv``,
-``kde.csv``, ``residuals.csv``, ``regions.svg``, ``density.svg`` and
-``residuals.svg``; see ``_FIT_STAGE_FILES``) can be written while the
-refits run: ``FitStageWriter`` forks a child that writes them into a
-hidden staging directory under the output directory
-(``.spcgrowth-staging-*``), and ``write_outputs`` writes the other files,
-waits for the child and moves the staged files into place. Where
-``os.fork`` does not exist or fails, ``write_outputs`` writes every file
-after the refits. A run killed outright (``kill -9``) can leave the
+``fit_stage_files`` holds the files that need nothing past the fit stage
+(``kde.csv``, ``residuals.csv``, ``series/*.csv``, ``regions.svg``,
+``density.svg``, ``residuals.svg``). ``FitStageWriter`` forks a child that
+writes them while the refits run, into a hidden staging directory
+(``.spcgrowth-staging-*``); the child reports by its exit status alone.
+``write_outputs`` writes the other files and moves the staged ones in.
+Where ``os.fork`` does not exist or fails, or the child exits nonzero, it
+writes the fit-stage stream itself, so an error in it is raised with its
+own type and message. A run killed outright (``kill -9``) can leave the
 staging directory behind.
 """
 
@@ -41,13 +41,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import pickle
 import shutil
 import signal
 import tempfile
 import warnings
 from dataclasses import replace
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -65,15 +64,6 @@ logger = logging.getLogger(__name__)
 
 CURVE_SAMPLES = 513
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-# the files whose content needs only the fit stage (the density, the
-# threshold, the alignment and the full fit), besides ``series/*.csv``
-_FIT_STAGE_FILES = frozenset(
-    {"kde.csv", "residuals.csv", "regions.svg", "density.svg", "residuals.svg"}
-)
-
-
-def _f(value) -> str:
-    return repr(float(value))
 
 
 def _slug(name: str) -> str:
@@ -81,10 +71,6 @@ def _slug(name: str) -> str:
     while "--" in slug:
         slug = slug.replace("--", "-")
     return slug.strip("-") or "region"
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    return "".join(",".join(map(csv_field, row)) + "\n" for row in [header, *rows])
 
 
 def _template_rows(template: str, *columns) -> list[str]:
@@ -309,27 +295,23 @@ def _kde_csv(bundle: ReportBundle) -> str:
     return "".join(["grid,density\n", *rows])
 
 
-def _float_bits(times: np.ndarray) -> np.ndarray:
-    return times.astype(float).view(np.int64)
-
-
 def region_residuals(bundle: ReportBundle) -> Iterator[tuple]:
     """Each aligned region in turn, with the ``repr`` text of the fitted
     curve at its times and its residuals (curve minus scaled score), so
     only one region's residuals are held at a time.
 
     The curve is evaluated, and its text formatted, once per distinct
-    time, keyed by the time's bits so that -0.0 and 0.0 stay apart.
+    (integer) time.
     """
     regions = bundle.aligned.regions
     distinct = set()
     for region in regions:
-        distinct.update(_float_bits(region.rel_time).tolist())
-    keys = np.array(sorted(distinct), dtype=np.int64)
-    values = logistic_eval(bundle.full_fit.params, keys.view(float))
+        distinct.update(region.rel_time.tolist())
+    times = np.array(sorted(distinct), dtype=np.int64)
+    values = logistic_eval(bundle.full_fit.params, times.astype(float))
     text = np.array([repr(value) for value in values.tolist()], dtype=object)
     for region in regions:
-        at = np.searchsorted(keys, _float_bits(region.rel_time))
+        at = np.searchsorted(times, region.rel_time)
         yield region, text[at], values[at] - region.scaled
 
 
@@ -352,27 +334,37 @@ def _growth_window_csv(bundle: ReportBundle) -> str:
     # Each bound row pairs the mean crossing time with the threshold the
     # crossings were taken at, so rel_time and curve_value correspond
     # exactly by construction.
-    rows = []
-    for ts in bundle.timescales:
-        rows.append([str(ts.k_sigma), "lower", _f(ts.t1_mean), _f(ts.th1)])
-        rows.append([str(ts.k_sigma), "upper", _f(ts.t2_mean), _f(ts.th2)])
-    return _csv_text(["k_sigma", "bound", "rel_time", "curve_value"], rows)
+    timescales = bundle.timescales
+    k_sigma = [ts.k_sigma for ts in timescales]
+    rows = _template_rows(
+        "%d,lower,%r,%r\n%d,upper,%r,%r\n",
+        k_sigma,
+        [float(ts.t1_mean) for ts in timescales],
+        [float(ts.th1) for ts in timescales],
+        k_sigma,
+        [float(ts.t2_mean) for ts in timescales],
+        [float(ts.th2) for ts in timescales],
+    )
+    return "".join(["k_sigma,bound,rel_time,curve_value\n", *rows])
 
 
 def _durations_csv(bundle: ReportBundle) -> str:
-    rows = [
-        [entry.nga, _f(entry.tau1), _f(entry.tau2), _f(entry.duration)]
-        for entry in bundle.durations.per_nga
-    ]
-    return _csv_text(["nga", "tau1", "tau2", "duration"], rows)
+    per_nga = bundle.durations.per_nga
+    rows = _template_rows(
+        "%s,%r,%r,%r\n",
+        [csv_field(entry.nga) for entry in per_nga],
+        [float(entry.tau1) for entry in per_nga],
+        [float(entry.tau2) for entry in per_nga],
+        [float(entry.duration) for entry in per_nga],
+    )
+    return "".join(["nga,tau1,tau2,duration\n", *rows])
 
 
 def _lengths_csv(comparison: ContinuityComparison) -> str:
-    rows = [
-        [str(rank), nga, str(length)]
-        for rank, (nga, length) in enumerate(comparison.length_ranking(), start=1)
-    ]
-    return _csv_text(["rank", "nga", "length"], rows)
+    ranking = comparison.length_ranking()
+    names = [csv_field(nga) for nga, _ in ranking]
+    rows = _template_rows("%d,%s,%d\n", range(1, len(names) + 1), names, [n for _, n in ranking])
+    return "".join(["rank,nga,length\n", *rows])
 
 
 def _series_csv(bundle: ReportBundle, region) -> str:
@@ -394,17 +386,25 @@ def _later(render: Callable[..., str], *args) -> Iterator[str]:
 
 
 def plot_data_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
-    """(Relative path, CSV chunks) for every figure's quantitative data,
-    each file rendered when its chunks are taken."""
+    """(Relative path, CSV chunks) for the quantitative data of the figures
+    that need the refits, each file rendered when its chunks are taken."""
     yield "curves.csv", _later(_curves_csv, bundle)
-    yield "kde.csv", _later(_kde_csv, bundle)
-    yield "residuals.csv", _residuals_csv(bundle)
     if bundle.timescales:
         yield "growth_window.csv", _later(_growth_window_csv, bundle)
     if bundle.durations is not None:
         yield "durations.csv", _later(_durations_csv, bundle)
     for comparison in bundle.continuity:
         yield f"lengths_{comparison.mode.value}.csv", _later(_lengths_csv, comparison)
+
+
+def fit_stage_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
+    """(Relative path, text chunks) for the files whose content needs
+    nothing past the fit stage (the density, the threshold, the alignment
+    and the full fit), each file rendered when its chunks are taken."""
+    from .charts import density_chart, residuals_chart, small_multiples_chart
+
+    yield "kde.csv", _later(_kde_csv, bundle)
+    yield "residuals.csv", _residuals_csv(bundle)
     series_paths = set()
     for region in bundle.aligned.regions:
         # names such as "Rome" and "rome" share a slug: the later one in
@@ -415,6 +415,9 @@ def plot_data_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]
             path = f"series/{_slug(region.nga)}-{n}.csv"
         series_paths.add(path)
         yield path, _later(_series_csv, bundle, region)
+    yield "regions.svg", small_multiples_chart(bundle)
+    yield "density.svg", density_chart(bundle)
+    yield "residuals.svg", residuals_chart(bundle)
 
 
 def report_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
@@ -449,18 +452,14 @@ def write_files(files: Iterable[tuple[str, Iterable[str]]], out_dir) -> list[Pat
     return written
 
 
-def _fit_stage_only(path: str) -> bool:
-    return path in _FIT_STAGE_FILES or path.startswith("series/")
-
-
 def write_outputs(
     bundle: ReportBundle, output_dir, staged: FitStageWriter | None = None
 ) -> list[Path]:
     """Write the text report, the JSON sidecar, and all plot artifacts.
 
-    With ``staged``, the writer of this bundle's fit-stage files, only the
-    other files are written here; then the staged ones are moved in, or
-    the writer's error is raised.
+    With ``staged``, the writer of this bundle's fit-stage files, those
+    files are moved in from its staging directory; without it, or when
+    its child failed, they are written here.
     """
     if not bundle.complete:
         raise ParameterError("bundle is incomplete; run the remaining stages first")
@@ -469,74 +468,51 @@ def write_outputs(
     root = Path(output_dir)
     written = []
     for render in (report_files, plot_data_files, chart_files):
-        files = render(bundle)
-        if staged is not None:
-            files = ((path, chunks) for path, chunks in files if not _fit_stage_only(path))
-        written += write_files(files, root)
-    if staged is not None:
-        written += staged.move_in()
+        written += write_files(render(bundle), root)
+    moved = staged.move_in() if staged is not None else None
+    written += moved if moved is not None else write_files(fit_stage_files(bundle), root)
     return sorted(written, key=lambda path: path.relative_to(root).as_posix())
 
 
-def _write_fit_stage(bundle: ReportBundle, staging: Path) -> list[str]:
-    """Write the fit-stage files under ``staging``; returns their
-    relative paths."""
-    from .charts import chart_files
-
-    files = chain(plot_data_files(bundle), chart_files(bundle))
-    written = write_files(((p, c) for p, c in files if _fit_stage_only(p)), staging)
-    return [path.relative_to(staging).as_posix() for path in written]
-
-
-def _write_in_child(bundle: ReportBundle, staging: Path, write_fd: int):
-    """The forked child: write the fit-stage files, send the outcome
-    (paths, error) down the pipe and leave through ``os._exit`` whatever
-    happens, so that none of the parent's code runs twice. It never logs
-    or prints."""
+def _write_in_child(bundle: ReportBundle, staging: Path):
+    """The forked child: write the fit-stage files under ``staging`` and
+    leave through ``os._exit`` whatever happens, 0 when every file was
+    written and 1 otherwise, so that none of the parent's code runs twice.
+    It never logs or prints."""
+    code = 1
     try:
-        try:
-            outcome = _write_fit_stage(bundle, staging), None
-        except BaseException as exc:  # the parent raises it
-            outcome = None, exc
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
+        write_files(fit_stage_files(bundle), staging)
+        code = 0
     finally:
-        os._exit(0)
+        os._exit(code)
 
 
 class FitStageWriter:
     """A bundle's fit-stage files, written by a forked child into a new
-    hidden staging directory under ``output_dir`` while the caller goes on.
+    hidden staging directory while the caller goes on.
 
-    Entering the ``with`` block makes the directory and forks the child.
-    It gives the writer, or None where ``os.fork`` does not exist or the
-    directory, the pipe or the fork fails with ``OSError``; then nothing
-    is left behind, and ``write_outputs`` writes every file itself.
-    ``move_in`` waits for the child and moves its files into
-    ``output_dir``. Leaving the block ends and reaps the child if it still
-    runs, closes the pipe and removes the staging directory, and the
-    output directories made for it unless files were moved into them.
+    The directory is made in ``output_dir``, or in its nearest existing
+    ancestor (a directory that does not exist cannot be a mount point, so
+    the files can be renamed into place). Entering the ``with`` block
+    makes it and forks the child, and gives the writer, or None where
+    ``os.fork`` does not exist or the directory or the fork fails with
+    ``OSError``. ``move_in`` waits for the child and moves its files in.
+    Leaving the block kills and reaps a child that still runs and removes
+    the staging directory.
     """
 
     def __init__(self, bundle: ReportBundle, output_dir):
         self._bundle = bundle
         self.root = Path(output_dir)
-        self._made = []  # output directories made here, deepest first
         self._staging = None
-        self._fds = []  # the pipe's ends still open here
         self._pid = None
 
     def __enter__(self) -> FitStageWriter | None:
         if not hasattr(os, "fork"):
             return None
         try:
-            path = self.root
-            while not path.exists():
-                self._made.append(path)
-                path = path.parent
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._staging = Path(tempfile.mkdtemp(prefix=".spcgrowth-staging-", dir=self.root))
-            self._fds = list(os.pipe())
+            near = next(path for path in (self.root, *self.root.parents) if path.exists())
+            self._staging = Path(tempfile.mkdtemp(prefix=".spcgrowth-staging-", dir=near))
             # SIGINT waits until the child's pid is kept, so that ``close``
             # always reaps it; the child keeps it blocked and is killed by
             # the parent instead
@@ -549,10 +525,9 @@ class FitStageWriter:
                     warnings.simplefilter("ignore", DeprecationWarning)
                     self._pid = os.fork()
                 if self._pid == 0:
-                    _write_in_child(self._bundle, self._staging, self._fds[1])
+                    _write_in_child(self._bundle, self._staging)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(self._fds.pop())
         except OSError:  # write every file after the refits instead
             self.close()
             return None
@@ -564,44 +539,32 @@ class FitStageWriter:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def move_in(self) -> list[Path]:
-        """Wait for the fit-stage files, raise their writer's error if it
-        had one, and move them into the output directory; returns their
-        paths there."""
-        with open(self._fds.pop(), "rb") as pipe:
-            data = pipe.read()
+    def move_in(self) -> list[Path] | None:
+        """Wait for the child and move the fit-stage files it wrote into
+        the output directory; returns their paths there, or None when it
+        exited nonzero."""
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
-        if not data:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(f"the fit-stage writer ended ({code}) without a result")
-        paths, error = pickle.loads(data)
-        if error is not None:
-            raise error
-        moved, parents = [], set()
-        for rel_path in paths:
+        if status != 0:
+            logger.warning(
+                "the fit-stage writer ended (%d); writing its files after the refits",
+                os.waitstatus_to_exitcode(status),
+            )
+            return None
+        moved = []
+        for rel_path, _ in fit_stage_files(self._bundle):
             target = self.root / rel_path
-            if target.parent not in parents:
+            if not moved or target.parent != moved[-1].parent:
                 target.parent.mkdir(parents=True, exist_ok=True)
-                parents.add(target.parent)
             os.replace(self._staging / rel_path, target)
             moved.append(target)
-        self._made = []
         return moved
 
     def close(self) -> None:
-        if self._pid:  # None before the fork
+        if self._pid:  # None before the fork and once reaped
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
-        while self._fds:
-            os.close(self._fds.pop())
         if self._staging is not None:
             shutil.rmtree(self._staging, ignore_errors=True)
             self._staging = None
-        for path in self._made:
-            try:
-                path.rmdir()
-            except OSError:  # not empty
-                break
-        self._made = []

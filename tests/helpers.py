@@ -11,12 +11,21 @@ import os
 import re
 import sys
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from spcgrowth import DataError, NumericalError, ParameterError, RowParseError, charts, logistic
+from spcgrowth import (
+    DataError,
+    NumericalError,
+    ParameterError,
+    RowParseError,
+    charts,
+    logistic,
+    report,
+)
 from spcgrowth.align import AlignedDataset, AlignedRegion
 from spcgrowth.dataset import (
     CULTURAL_CONTINUITY,
@@ -584,12 +593,27 @@ class ReferenceFrame(charts._Frame):
         ]
 
 
+def plot_files(bundle):
+    """Every plot file of a complete bundle as one ``(path, text chunks)``
+    stream: ``report.plot_data_files``, ``report.fit_stage_files`` (which
+    holds CSVs and charts) and ``charts.chart_files``, each looked up when
+    called."""
+    return chain(
+        report.plot_data_files(bundle), report.fit_stage_files(bundle), charts.chart_files(bundle)
+    )
+
+
+def chart_texts(bundle) -> dict[str, str]:
+    """Every chart of ``plot_files``, joined; the CSVs are not rendered."""
+    return joined((path, chunks) for path, chunks in plot_files(bundle) if path.endswith(".svg"))
+
+
 def reference_chart_files(bundle) -> dict[str, str]:
-    """``charts.chart_files``, joined, with every frame a ``ReferenceFrame``
-    (the stream is drained while the frame is swapped in)."""
+    """``chart_texts`` with every frame a ``ReferenceFrame`` (the charts are
+    drained while the frame is swapped in)."""
     original = charts._Frame
     charts._Frame = ReferenceFrame
     try:
-        return joined(charts.chart_files(bundle))
+        return chart_texts(bundle)
     finally:
         charts._Frame = original

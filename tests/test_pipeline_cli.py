@@ -10,8 +10,10 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -30,6 +32,7 @@ from helpers import (
     joined,
     make_region,
     open_fds,
+    plot_files,
     raising_after_first_chunk,
     text_leaves,
 )
@@ -39,6 +42,7 @@ from spcgrowth import (
     ContinuityMode,
     ParameterError,
     PipelineConfig,
+    RowParseError,
     SyntheticSpec,
     benchmark_check,
     generate_synthetic,
@@ -55,7 +59,13 @@ from spcgrowth.pipeline import (
     add_validation,
     run_fit_stage,
 )
-from spcgrowth.report import plot_data_files, render_report_json, render_report_text, write_outputs
+from spcgrowth.report import (
+    fit_stage_files,
+    plot_data_files,
+    render_report_json,
+    render_report_text,
+    write_outputs,
+)
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -329,7 +339,7 @@ class TestBenchmarkCheck:
 
 class TestPlotData:
     def test_file_inventory(self, full_bundle):
-        files = joined(plot_data_files(full_bundle))
+        files = joined(plot_files(full_bundle))
         fixed = {
             "curves.csv",
             "kde.csv",
@@ -338,10 +348,18 @@ class TestPlotData:
             "durations.csv",
             "lengths_cultural.csv",
             "lengths_institutional.csv",
+            "overview.svg",
+            "comparison.svg",
+            "regions.svg",
+            "density.svg",
+            "residuals.svg",
         }
         series = {k for k in files if k.startswith("series/")}
         assert set(files) == fixed | series
         assert len(series) == len(full_bundle.aligned.regions)
+
+    def test_the_fit_stage_files_need_nothing_past_the_fit_stage(self, fit_bundle, full_bundle):
+        assert joined(fit_stage_files(fit_bundle)) == joined(fit_stage_files(full_bundle))
 
     def test_regions_whose_names_share_a_slug_get_one_file_each(self, tmp_path):
         names = ["Rome", "rome", "A B", "A-B", "Ostia", "Veii"]
@@ -352,7 +370,7 @@ class TestPlotData:
         bundle = run_pipeline(config)
         assert len(bundle.aligned.regions) == len(names)
         series = {
-            k: v for k, v in joined(plot_data_files(bundle)).items() if k.startswith("series/")
+            k: v for k, v in joined(fit_stage_files(bundle)).items() if k.startswith("series/")
         }
         assert sorted(series) == [
             "series/a-b-2.csv",
@@ -369,7 +387,7 @@ class TestPlotData:
 
     def test_residual_rows_cover_every_pooled_point(self, full_bundle):
         t, _ = full_bundle.aligned.pooled()
-        text = joined(plot_data_files(full_bundle))["residuals.csv"]
+        text = joined(fit_stage_files(full_bundle))["residuals.csv"]
         rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["nga", "rel_time", "scaled", "predicted", "residual"]
         assert len(rows) - 1 == t.size
@@ -599,14 +617,20 @@ class TestCli:
         assert child_pids() == set()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("residuals chart failed"), RowParseError(1, "residuals chart failed")],
+        ids=["RuntimeError", "RowParseError"],
+    )
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
     def test_a_fit_stage_renderer_error_reaches_the_caller_with_its_type_and_message(
-        self, fork, noisy_panel_path, tmp_path, monkeypatch
+        self, fork, error, noisy_panel_path, tmp_path, monkeypatch
     ):
+        # RowParseError takes two arguments, so it cannot be rebuilt from
+        # its message alone; a forked run raises it from its own re-render
         if not fork:
             monkeypatch.delattr(os, "fork")
         charts = spcgrowth.charts
-        error = RuntimeError("residuals chart failed")
         monkeypatch.setattr(
             charts, "residuals_chart", raising_after_first_chunk(charts.residuals_chart, error)
         )
@@ -617,24 +641,33 @@ class TestCli:
             n_validation=5,
             output_dir=str(out_dir),
         )
-        with pytest.raises(RuntimeError) as raised:
+        with pytest.raises(type(error)) as raised:
             run_pipeline(config)
-        assert raised.type is RuntimeError
-        assert str(raised.value) == "residuals chart failed"
+        assert raised.type is type(error)
+        assert str(raised.value) == str(error)
         assert not (out_dir / "residuals.svg").exists()
-        assert [p.name for p in out_dir.iterdir() if p.name.startswith(".")] == []
+        assert list(tmp_path.rglob(".*")) == []
 
-    def test_a_writer_that_ends_without_a_result_exits_2(
-        self, noisy_panel_path, tmp_path, monkeypatch, caplog
+    @pytest.mark.parametrize(
+        "ending, code",
+        [(lambda: os._exit(9), 9), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit-9", "killed"],
+    )
+    def test_a_failed_writer_leaves_the_parent_writing_its_files(
+        self, ending, code, noisy_panel_path, tmp_path, monkeypatch, caplog
     ):
-        monkeypatch.setattr(spcgrowth.report, "_write_in_child", lambda *args: os._exit(9))
-        out_dir = tmp_path / "run"
         argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
-                "--validation", "5", "--out", str(out_dir)]
-        assert main(argv) == 2
-        assert "the fit-stage writer ended (9) without a result" in caplog.text
-        assert not (out_dir / "series").exists()
-        assert [p.name for p in out_dir.iterdir() if p.name.startswith(".")] == []
+                "--validation", "5", "--out"]
+        assert main(argv + [str(tmp_path / "forked")]) == 0
+        monkeypatch.setattr(spcgrowth.report, "_write_in_child", lambda *args: ending())
+        caplog.clear()
+        assert main(argv + [str(tmp_path / "failed")]) == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warned == [
+            f"the fit-stage writer ended ({code}); writing its files after the refits"
+        ]
+        assert tree_bytes(tmp_path / "failed") == tree_bytes(tmp_path / "forked")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["failed", "forked"]
 
     def test_without_fork_report_writes_the_same_bytes(
         self, noisy_panel_path, tmp_path, monkeypatch
@@ -649,28 +682,41 @@ class TestCli:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
+        # a forked run renders no fit-stage file in this process
+        kde_calls = []
+        kde_csv = spcgrowth.report._kde_csv
+
+        def counted_kde_csv(bundle):
+            kde_calls.append(None)
+            return kde_csv(bundle)
+
+        monkeypatch.setattr(spcgrowth.report, "_kde_csv", counted_kde_csv)
         # without fork every file renders from the complete bundle, so this
         # also checks that the staged files need nothing past the fit stage
         assert main(argv + [str(tmp_path / "forked")]) == 0
         assert len(forks) == 1
+        assert kde_calls == []
         monkeypatch.delattr(os, "fork")
         assert main(argv + [str(tmp_path / "in-process")]) == 0
+        assert len(kde_calls) == 1
         forked = tree_bytes(tmp_path / "forked")
         assert "series" in forked and len(forked) > 20
         assert tree_bytes(tmp_path / "in-process") == forked
 
-    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    @pytest.mark.parametrize(
+        "module, failing", [(tempfile, "mkdtemp"), (os, "fork")], ids=["mkdtemp", "fork"]
+    )
     def test_a_writer_that_cannot_start_leaves_the_run_writing_every_file_itself(
-        self, failing, noisy_panel_path, tmp_path, monkeypatch
+        self, module, failing, noisy_panel_path, tmp_path, monkeypatch
     ):
         argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
                 "--validation", "5", "--out"]
         assert main(argv + [str(tmp_path / "forked")]) == 0
 
-        def unavailable():
+        def unavailable(*args, **kwargs):
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(os, failing, unavailable)
+        monkeypatch.setattr(module, failing, unavailable)
         fds = open_fds()
         assert main(argv + [str(tmp_path / "unforked")]) == 0
         assert open_fds() == fds
@@ -945,15 +991,27 @@ class TestCli:
 
 
 def unused_names(package: Path) -> list[str]:
-    """Functions, classes and methods whose name appears nowhere in the
-    package's source but at their definition, and dataclass fields that no
-    ``.field`` expression in it reads."""
+    """Functions, classes, methods and module-level constants (dunder names
+    left out) whose name appears nowhere in the package's source but at
+    their definition, and dataclass fields that no ``.field`` expression
+    in it reads."""
     sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
     text = "\n".join(sources)
     definitions, attributes, reads = Counter(), [], set()
     for node in (node for source in sources for node in ast.walk(ast.parse(source))):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             definitions[node.name] += 1
+        if isinstance(node, ast.Module):
+            for item in node.body:
+                if isinstance(item, ast.Assign):
+                    targets = item.targets
+                else:
+                    targets = [item.target] if isinstance(item, ast.AnnAssign) else []
+                definitions.update(
+                    target.id
+                    for target in targets
+                    if isinstance(target, ast.Name) and not target.id.startswith("__")
+                )
         if isinstance(node, ast.ClassDef) and any(
             "dataclass" in ast.unparse(d) for d in node.decorator_list
         ):
