@@ -3,8 +3,10 @@
 Each region is anchored at the first observation whose scaled score
 strictly exceeds the low/high threshold; shifting calendar years by the
 anchor puts every retained region's crossing at relative year 0 so their
-growth phases overlap. Regions that never cross are discarded from the
-alignment (they carry little information about growth duration).
+growth phases overlap. A retained region is its scaled ``RegionSeries``
+with every RelTime set to its aligned year (``rel_time``, all present).
+Regions that never cross are discarded from the alignment (they carry
+little information about growth duration).
 
 A region's central segment for a continuity mode is the maximal
 contiguous run of observations labelled continuous for that mode that
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,30 +49,16 @@ class AnchorResult:
 
 
 @dataclass(frozen=True)
-class AlignedRegion:
-    """A retained region with per-point relative years (anchor at 0)."""
-
-    series: RegionSeries
-    anchor_year: int
-    rel_time: np.ndarray
-
-    @property
-    def nga(self) -> str:
-        return self.series.nga
-
-    @property
-    def scaled(self) -> np.ndarray:
-        return self.series.scaled
-
-
-@dataclass(frozen=True)
 class AlignedDataset:
-    regions: tuple[AlignedRegion, ...]
-    threshold: float
-    discarded: tuple[str, ...]
+    regions: tuple[RegionSeries, ...]  # rel_time holds the aligned years
     # Per-region anchoring outcomes, retained and discarded alike,
     # alphabetical by region name.
     anchor_results: tuple[AnchorResult, ...] = ()
+
+    @property
+    def discarded(self) -> tuple[str, ...]:
+        """The regions that never cross the threshold, alphabetically."""
+        return tuple(a.nga for a in self.anchor_results if not a.crossed)
 
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
         """All (rel_time, scaled) points concatenated across regions."""
@@ -89,7 +77,6 @@ class AlignedDataset:
 @dataclass(frozen=True)
 class CentralSegment:
     nga: str
-    mode: ContinuityMode
     length: int
     rel_time: np.ndarray
     scaled: np.ndarray
@@ -126,40 +113,43 @@ def shift_to_reltime(dataset: Dataset, threshold: float) -> AlignedDataset:
     result does not depend on input order.
     """
     retained = []
-    discarded = []
     anchors = []
     for series in sorted(dataset.regions, key=lambda s: s.nga):
         anchor = anchor_time(series, threshold)
         anchors.append(anchor)
-        if not anchor.crossed:
-            discarded.append(series.nga)
-            continue
-        rel = series.abs_times - anchor.anchor_year
-        retained.append(AlignedRegion(series, anchor.anchor_year, rel))
+        if anchor.crossed:
+            retained.append(
+                replace(
+                    series,
+                    rel_time=series.abs_times - anchor.anchor_year,
+                    rel_time_present=np.ones(len(series), dtype=bool),
+                )
+            )
     logger.info(
-        "alignment: %d region(s) retained, %d discarded", len(retained), len(discarded)
+        "alignment: %d region(s) retained, %d discarded",
+        len(retained),
+        len(anchors) - len(retained),
     )
-    return AlignedDataset(
-        tuple(retained), float(threshold), tuple(discarded), tuple(anchors)
-    )
+    return AlignedDataset(tuple(retained), tuple(anchors))
 
 
 def extract_central_sequence(
-    region: AlignedRegion, mode: ContinuityMode
+    region: RegionSeries, mode: ContinuityMode
 ) -> CentralSegment:
     """Maximal contiguous continuity-labelled run containing rel_time 0.
 
-    Raises NumericalError when the anchor observation itself is
-    labelled outside the central sequence; such regions are excluded from
-    continuity fits but stay in full-data fits.
+    Raises NumericalError when no row has a present RelTime of 0, or when
+    the anchor observation itself is labelled outside the central
+    sequence; such regions are excluded from continuity fits but stay in
+    full-data fits.
     """
-    idx = np.nonzero(region.rel_time == 0)[0]
+    idx = np.nonzero(region.rel_time_present & (region.rel_time == 0))[0]
     if idx.size == 0:
         raise NumericalError(
             f"region {region.nga!r} has no rel_time=0 observation"
         )
     anchor_idx = int(idx[0])
-    continuous = mode.continuous(region.series)
+    continuous = mode.continuous(region)
     if not continuous[anchor_idx]:
         raise NumericalError(
             f"region {region.nga!r}: anchor observation is labelled "
@@ -172,7 +162,6 @@ def extract_central_sequence(
     stop = int(breaks[k]) if k < breaks.size else continuous.size
     return CentralSegment(
         nga=region.nga,
-        mode=mode,
         length=stop - start,
         rel_time=region.rel_time[start:stop].astype(float),
         scaled=region.scaled[start:stop],

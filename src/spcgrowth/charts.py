@@ -98,12 +98,10 @@ class _Frame:
             for block in np.split(pairs, range(_BLOCK_POINTS, len(pairs), _BLOCK_POINTS))
         )
 
-    def polyline(self, xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
+    def polyline(self, xs, ys, color: str, width: float) -> str:
         points = " ".join(self._pixels("%.2f,%.2f", " ", xs, ys))
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
         return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{extra} points="{points}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{points}"/>'
         )
 
     def circles(self, xs, ys) -> Iterator[str]:

@@ -26,7 +26,9 @@ In memory the panel is columnar: a Dataset holds one RegionSeries per
 region, and a RegionSeries holds one array per column (years as int64,
 scores as float64, a presence mask beside the RelTime values, and one
 boolean "continuous" mask per continuity column), never one object per
-row. Parsing reads the rows in blocks of a few hundred and converts each
+row. An aligned region is a RegionSeries too: the alignment sets its
+RelTime to the years relative to its anchor, present on every row.
+Parsing reads the rows in blocks of a few hundred and converts each
 block a column at a time; serialising writes the arrays back byte for
 byte. A line number in an error is the physical line of the text, so a
 quoted field that spans lines counts each of them.
@@ -88,18 +90,19 @@ _BLOCK_ROWS = 512
 class RegionSeries:
     """One region's rows as parallel columns, ordered by calendar year.
 
-    Every array has one entry per row. ``rel_time_recorded`` holds the
-    RelTime column where ``rel_time_present`` is set (0 elsewhere);
-    ``cultural`` and ``institutional`` mark the rows labelled continuous
-    in Culture.Sequence and Institutions.Sequence. ``spc1_scaled`` is None
-    until min-max scaling fills it.
+    Every array has one entry per row. ``rel_time`` holds the RelTime
+    column where ``rel_time_present`` is set (0 elsewhere): as read from
+    the file, or, for a region of an alignment, its years relative to its
+    anchor, all present. ``cultural`` and ``institutional`` mark the rows
+    labelled continuous in Culture.Sequence and Institutions.Sequence.
+    ``spc1_scaled`` is None until min-max scaling fills it.
     """
 
     nga: str
     pol_id: tuple[str, ...]
     abs_times: np.ndarray  # int64
     raw: np.ndarray  # float64
-    rel_time_recorded: np.ndarray  # int64
+    rel_time: np.ndarray  # int64
     rel_time_present: np.ndarray  # bool
     cultural: np.ndarray  # bool
     institutional: np.ndarray  # bool
@@ -450,7 +453,7 @@ def serialize_dataset(dataset: Dataset) -> str:
             repeat(csv_field(s.nga)),
             [quoted[p] for p in s.pol_id],
             s.abs_times.tolist(),
-            np.where(s.rel_time_present, s.rel_time_recorded.astype(str), "").tolist(),
+            np.where(s.rel_time_present, s.rel_time.astype(str), "").tolist(),
             s.raw.tolist(),
             np.where(s.cultural, CULTURAL_CONTINUITY, OUTSIDE_CENTRAL).tolist(),
             np.where(s.institutional, INSTITUTIONAL_CONTINUITY, OUTSIDE_CENTRAL).tolist(),
@@ -554,7 +557,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
                 pol_id=(f"SYN-{r:02d}-P1",) * n,
                 abs_times=time_grid + offsets[r],
                 raw=curve + noise,
-                rel_time_recorded=time_grid,
+                rel_time=time_grid,
                 rel_time_present=continuous,
                 cultural=continuous,
                 institutional=continuous,

@@ -45,7 +45,6 @@ import shutil
 import signal
 import tempfile
 import warnings
-from dataclasses import replace
 from itertools import islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -367,19 +366,6 @@ def _lengths_csv(comparison: ContinuityComparison) -> str:
     return "".join(["rank,nga,length\n", *rows])
 
 
-def _series_csv(bundle: ReportBundle, region) -> str:
-    # One-region dataset with RelTime filled from the alignment.
-    series = replace(
-        region.series,
-        rel_time_recorded=region.rel_time,
-        rel_time_present=np.ones(region.rel_time.size, dtype=bool),
-    )
-    single = Dataset(
-        (series,), scale_min=bundle.dataset.scale_min, scale_max=bundle.dataset.scale_max
-    )
-    return serialize_dataset(single)
-
-
 def _later(render: Callable[..., str], *args) -> Iterator[str]:
     """``render(*args)`` as one chunk, rendered when it is taken."""
     yield render(*args)
@@ -414,7 +400,8 @@ def fit_stage_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]
             n += 1
             path = f"series/{_slug(region.nga)}-{n}.csv"
         series_paths.add(path)
-        yield path, _later(_series_csv, bundle, region)
+        single = Dataset((region,), bundle.dataset.scale_min, bundle.dataset.scale_max)
+        yield path, _later(serialize_dataset, single)
     yield "regions.svg", small_multiples_chart(bundle)
     yield "density.svg", density_chart(bundle)
     yield "residuals.svg", residuals_chart(bundle)

@@ -26,7 +26,7 @@ from spcgrowth import (
     logistic,
     report,
 )
-from spcgrowth.align import AlignedDataset, AlignedRegion
+from spcgrowth.align import AlignedDataset
 from spcgrowth.dataset import (
     CULTURAL_CONTINUITY,
     HEADER,
@@ -153,7 +153,7 @@ def make_region(nga, values, start=-1000, step=100, culture=None, institution=No
         pol_id=(f"{nga}-P1",) * n,
         abs_times=start + step * np.arange(n, dtype=np.int64),
         raw=np.asarray(values, dtype=float),
-        rel_time_recorded=np.zeros(n, dtype=np.int64),
+        rel_time=np.zeros(n, dtype=np.int64),
         rel_time_present=np.zeros(n, dtype=bool),
         cultural=np.array([label == CULT for label in culture], dtype=bool),
         institutional=np.array([label == INST for label in institution], dtype=bool),
@@ -178,7 +178,7 @@ def recorded_rel_times(series: RegionSeries) -> np.ndarray:
     """RelTime column values; raises if any are missing."""
     if not series.rel_time_present.all():
         raise ParameterError(f"region {series.nga!r} has rows without RelTime")
-    return series.rel_time_recorded
+    return series.rel_time
 
 
 def minmax_unscale(scaled, scale_min: float, scale_max: float) -> np.ndarray:
@@ -198,22 +198,25 @@ def scaled_region(nga, values, start=-1000, culture=None, institution=None):
 
 
 def aligned_region(series, anchor_year):
-    """Aligned view of a scaled series anchored at the given calendar year."""
-    return AlignedRegion(series, int(anchor_year), series.abs_times - int(anchor_year))
+    """A scaled series anchored at the given calendar year, as
+    ``shift_to_reltime`` retains it."""
+    return replace(
+        series,
+        rel_time=series.abs_times - int(anchor_year),
+        rel_time_present=np.ones(len(series), dtype=bool),
+    )
 
 
-def aligned_from_synthetic(ds: Dataset, threshold: float = 0.5) -> AlignedDataset:
+def aligned_from_synthetic(ds: Dataset) -> AlignedDataset:
     """Aligned view of a synthetic panel in the generator's own time frame.
 
     Generator values are treated as already scaled and the recorded RelTime
     column as the relative-time axis, so inference results can be compared
     against the generating parameters without rescaling effects.
     """
-    regions = []
     for s in ds.regions:
-        rel = recorded_rel_times(s)
-        regions.append(AlignedRegion(replace(s, spc1_scaled=s.raw.copy()), 0, rel))
-    return AlignedDataset(tuple(regions), float(threshold), (), ())
+        recorded_rel_times(s)  # every row must carry its RelTime
+    return AlignedDataset(tuple(replace(s, spc1_scaled=s.raw.copy()) for s in ds.regions))
 
 
 def normal_pdf(x, mu, sd):
@@ -470,15 +473,11 @@ def _repr(value) -> str:
     return repr(float(value))
 
 
-def reference_series_rows(series: RegionSeries, rel_time=None) -> list[list[str]]:
-    """A region's panel rows, one cell at a time; ``rel_time`` (an aligned
-    region's) fills every RelTime cell in place of the recorded ones."""
+def reference_series_rows(series: RegionSeries) -> list[list[str]]:
+    """A region's panel rows, one cell at a time."""
     rows = []
     for i in range(len(series)):
-        if rel_time is not None:
-            rel = str(int(rel_time[i]))
-        else:
-            rel = str(int(series.rel_time_recorded[i])) if series.rel_time_present[i] else ""
+        rel = str(int(series.rel_time[i])) if series.rel_time_present[i] else ""
         row = [
             series.nga,
             series.pol_id[i],
@@ -557,7 +556,7 @@ def reference_plot_data(bundle) -> tuple[dict[str, str], list[str]]:
         )
     header = list(HEADER) + [SCALED_COLUMN]
     series = [
-        reference_csv(header, reference_series_rows(r.series, r.rel_time))
+        reference_csv(header, reference_series_rows(r))
         for r in bundle.aligned.regions
     ]
     return files, series
@@ -575,14 +574,12 @@ class ReferenceFrame(charts._Frame):
         frac = (value - self.y_lo) / (self.y_hi - self.y_lo)
         return self.bottom - frac * (self.bottom - self.top)
 
-    def polyline(self, xs, ys, color: str, width: float = 1.5, dash: str = "") -> str:
+    def polyline(self, xs, ys, color: str, width: float) -> str:
         points = " ".join(
             f"{self.x(float(a)):.2f},{self.y(float(b)):.2f}" for a, b in zip(xs, ys)
         )
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
         return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{extra} points="{points}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{points}"/>'
         )
 
     def circles(self, xs, ys) -> list[str]:

@@ -1,5 +1,7 @@
 """Threshold anchoring, relative-time shifting, and continuity segments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
@@ -158,7 +160,7 @@ class TestCentralSegments:
         region = labelled_aligned(labels, anchor=-700)  # anchor at index 3
         seg = extract_central_sequence(region, ContinuityMode.CULTURAL)
         assert seg.length == 4
-        assert list(seg.rel_time + region.anchor_year) == [-900, -800, -700, -600]
+        assert list(seg.rel_time - 700) == [-900, -800, -700, -600]
         assert list(seg.rel_time) == [-200, -100, 0, 100]
         assert list(seg.scaled) == list(region.scaled[1:5])
 
@@ -166,6 +168,20 @@ class TestCentralSegments:
         labels = [CULT, CULT, OUT, CULT, CULT]
         region = labelled_aligned(labels, anchor=-800)  # anchor at the OUT point
         with pytest.raises(NumericalError, match="anchor observation is labelled 'outside"):
+            extract_central_sequence(region, ContinuityMode.CULTURAL)
+
+    @pytest.mark.parametrize(
+        "rel_time, present",
+        [([-200, -100, 100], [True] * 3), ([-100, 0, 100], [True, False, True])],
+        ids=["no-zero", "zero-not-present"],
+    )
+    def test_a_region_without_a_rel_time_zero_is_an_error(self, rel_time, present):
+        region = replace(
+            scaled_region("Gapped", [0.2, 0.4, 0.8]),
+            rel_time=np.array(rel_time, dtype=np.int64),
+            rel_time_present=np.array(present),
+        )
+        with pytest.raises(NumericalError, match="region 'Gapped' has no rel_time=0 observation"):
             extract_central_sequence(region, ContinuityMode.CULTURAL)
 
     def test_modes_read_their_own_label_column(self):
@@ -176,7 +192,7 @@ class TestCentralSegments:
         inst = extract_central_sequence(region, ContinuityMode.INSTITUTIONAL)
         assert cult.length == 5
         assert inst.length == 2
-        assert list(inst.rel_time + region.anchor_year) == [-800, -700]
+        assert list(inst.rel_time - 800) == [-800, -700]
         assert list(inst.scaled) == list(region.scaled[2:4])
 
     def test_skipped_regions_are_named(self):
@@ -187,7 +203,7 @@ class TestCentralSegments:
         bad = aligned_region(bad_series, -900)  # anchor lands on the OUT label
         from spcgrowth.align import AlignedDataset
 
-        aligned = AlignedDataset((good, bad), 0.5, (), ())
+        aligned = AlignedDataset((good, bad))
         segments, skipped = central_segments(aligned, ContinuityMode.CULTURAL)
         assert [s.nga for s in segments] == ["R"]
         assert skipped == ["S"]

@@ -51,7 +51,7 @@ class TestParse:
         ds = parse_dataset(panel_text(LATIUM_ROWS))
         assert len(ds.regions) == 1
         series = region_named(ds, "Latium")
-        zero = series.rel_time_present & (series.rel_time_recorded == 0)
+        zero = series.rel_time_present & (series.rel_time == 0)
         assert list(series.abs_times[zero]) == [-500]
 
     def test_rows_are_sorted_by_year_within_a_region(self):
@@ -151,7 +151,7 @@ class TestParse:
         ds = parse_dataset(panel_text([f"Latium,ItRomP,{year},{year},0.3,,"]))
         series = ds.regions[0]
         assert series.rel_time_present[0]
-        assert series.abs_times[0] == series.rel_time_recorded[0] == year
+        assert series.abs_times[0] == series.rel_time[0] == year
 
     @pytest.mark.parametrize(
         "abs_time, rel_time, column",

@@ -112,7 +112,7 @@ class TestValidation:
 
     def test_too_few_pooled_points(self):
         region = aligned_region(scaled_region("A", [0.1, 0.2, 0.6, 0.8, 0.9]), -600)
-        aligned = AlignedDataset((region,), 0.5, (), ())
+        aligned = AlignedDataset((region,))
         fit_params = LogisticParams(1.0, 0.0, 0.002, 0.0)
         with pytest.raises(NumericalError, match="need at least 10 pooled points, got 5"):
             out_of_sample_validation(
@@ -395,7 +395,7 @@ class TestEmpiricalDurations:
         )
         beta = aligned_region(scaled_region("Beta", [0.5, 0.92]), -1000)
         gamma = aligned_region(scaled_region("Gamma", [0.1, 0.5, 0.85]), -900)
-        return AlignedDataset((alpha, beta, gamma), 0.5, (), ())
+        return AlignedDataset((alpha, beta, gamma))
 
     def test_first_strict_crossings_define_the_duration(self, small_panel):
         result = empirical_durations(small_panel, 0.3, 0.9)
@@ -452,7 +452,7 @@ class TestContinuityComparison:
             scaled_region("Alef", [0.1, 0.3, 0.6, 0.8, 0.9], culture=[OUT, CULT, CULT, CULT, OUT]),
             -800,
         )
-        aligned = AlignedDataset((long, short, twin), 0.5, (), ())
+        aligned = AlignedDataset((long, short, twin))
         fit = fit_logistic(
             np.concatenate([long.rel_time, short.rel_time, twin.rel_time]).astype(float),
             np.concatenate([long.scaled, short.scaled, twin.scaled]),
@@ -468,16 +468,14 @@ class TestContinuityComparison:
             "Broken", [0.1, 0.3, 0.6, 0.8, 0.9], culture=[CULT, CULT, OUT, CULT, CULT]
         )
         broken = aligned_region(broken_series, -800)  # anchor lands on the break
-        patched = AlignedDataset(
-            aligned.regions + (broken,), aligned.threshold, (), ()
-        )
+        patched = AlignedDataset(aligned.regions + (broken,))
         comparison = continuity_comparison(patched, fit, ContinuityMode.CULTURAL)
         assert comparison.skipped == ("Broken",)
 
     def test_too_few_segments_is_infeasible(self, aligned_noisy):
         _, fit = aligned_noisy
         lone = aligned_region(scaled_region("Lone", [0.1, 0.3, 0.6, 0.8, 0.9]), -800)
-        aligned = AlignedDataset((lone,), 0.5, (), ())
+        aligned = AlignedDataset((lone,))
         with pytest.raises(NumericalError, match=r"only 1 region\(s\) have a central segment"):
             continuity_comparison(aligned, fit, ContinuityMode.CULTURAL)
 
@@ -512,7 +510,7 @@ def labelled_panel() -> AlignedDataset:
             s.nga, s.raw, start=int(s.abs_times[0]), culture=culture, institution=institution
         )
         regions.append(aligned_region(series, s.abs_times[anchor]))
-    return AlignedDataset(tuple(regions), 0.5, (), ())
+    return AlignedDataset(tuple(regions))
 
 
 class TestAgainstPerPointReference:

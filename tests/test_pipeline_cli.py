@@ -5,9 +5,11 @@ import ast
 import csv
 import errno
 import hashlib
+import importlib
 import json
 import logging
 import os
+import pkgutil
 import re
 import shutil
 import signal
@@ -16,7 +18,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -1032,3 +1034,52 @@ def unused_names(package: Path) -> list[str]:
 
 def test_the_package_defines_no_unused_names():
     assert unused_names(Path(spcgrowth.__file__).parent) == []
+
+
+def dataclass_field_reads(monkeypatch) -> tuple[set, set]:
+    """Every (class, field) pair of the package's dataclasses, and the pairs
+    that code in the package reads while this test runs. A read counts only
+    when the calling frame's file is in the package, which leaves out
+    ``dataclasses.replace``, the generated ``__eq__`` and the tests."""
+    package = os.path.dirname(spcgrowth.__file__) + os.sep
+    modules = [
+        importlib.import_module(f"spcgrowth.{info.name}")
+        for info in pkgutil.iter_modules(spcgrowth.__path__)
+    ]
+    classes = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+    declared, reads = set(), set()
+    for cls in classes:
+        names = {f.name for f in fields(cls)}
+        declared.update((cls.__name__, name) for name in names)
+
+        def getattribute(self, name, cls=cls, names=names, get=cls.__getattribute__):
+            if name in names and sys._getframe(1).f_code.co_filename.startswith(package):
+                reads.add((cls.__name__, name))
+            return get(self, name)
+
+        monkeypatch.setattr(cls, "__getattribute__", getattribute)
+    return declared, reads
+
+
+def test_every_dataclass_field_is_read_by_the_package(tmp_path, monkeypatch, capsys):
+    """Each field of each dataclass is read somewhere in the package while
+    every subcommand runs, so a field that is only written fails here even
+    when another class reads a field of the same name."""
+    declared, reads = dataclass_field_reads(monkeypatch)
+    # without fork the fit-stage files render in this process
+    monkeypatch.delattr(os, "fork")
+    assert main(["synth", "--regions", "12", "--noise", "0.05", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    panel = str(tmp_path / "synthetic.csv")
+    runs = ["--input", panel, "--bootstrap", "20", "--validation", "5"]
+    assert main(["report", *runs, "--out", str(tmp_path / "run")]) == 0
+    for command in ("fit", "bootstrap", "continuity"):
+        assert main([command, *runs]) == 0
+    assert main(["check", *runs, panel]) == 0
+    capsys.readouterr()
+    assert sorted(f"{cls}.{name}" for cls, name in declared - reads) == []

@@ -132,9 +132,9 @@ def test_polyline_and_dots_format_like_f_strings_including_negative_zero():
     scalar = ReferenceFrame(box, x_range, y_range)
     xs = np.array([-1e-6, 0.0, 0.5, 0.123456, 1.0 + 1e-9] * 500)
     ys = np.array([1.0 + 1e-6, 1.0, 0.25, -3e-5, 0.987654] * 500)
-    line = frame.polyline(xs, ys, "#000", 2.0, "4 3")
+    line = frame.polyline(xs, ys, "#000", 2.0)
     assert "-0.00,-0.00" in line
-    assert line == scalar.polyline(xs, ys, "#000", 2.0, "4 3")
+    assert line == scalar.polyline(xs, ys, "#000", 2.0)
     assert "\n".join(frame.circles(xs, ys)) == "\n".join(scalar.circles(xs, ys))
 
 
