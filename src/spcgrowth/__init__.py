@@ -7,49 +7,54 @@ high-complexity regimes, each region is anchored at its first crossing
 of that gap, and a four-parameter logistic is fitted to the pooled
 aligned points. Bootstrap resampling over regions then bounds the
 plateaus and yields the characteristic growth duration.
+
+Importing the package loads no submodule, and so not numpy: each name
+of the library API loads its submodule on first use. That lets
+``spcgrowth.cli`` choose how numpy loads when the command line starts
+the process (README "Threads").
 """
 
-from .align import ContinuityMode, shift_to_reltime
-from .dataset import SyntheticSpec, generate_synthetic, load_dataset, minmax_scale
-from .density import find_bimodal_threshold, gaussian_kde
-from .errors import DataError, NumericalError, ParameterError, RowParseError, SpcGrowthError
-from .inference import (
-    bootstrap_fits,
-    characteristic_timescale,
-    continuity_comparison,
-    empirical_durations,
-    out_of_sample_validation,
-    plateau_thresholds,
-)
-from .logistic import fit_logistic
-from .pipeline import PipelineConfig, benchmark_check, run_pipeline
+import importlib
 
 __version__ = "0.1.0"
 
-# The documented library API (README "Library"); everything else is
-# imported from its own submodule.
-__all__ = [
-    "PipelineConfig",
-    "run_pipeline",
-    "SyntheticSpec",
-    "generate_synthetic",
-    "load_dataset",
-    "minmax_scale",
-    "gaussian_kde",
-    "find_bimodal_threshold",
-    "shift_to_reltime",
-    "fit_logistic",
-    "out_of_sample_validation",
-    "bootstrap_fits",
-    "plateau_thresholds",
-    "characteristic_timescale",
-    "empirical_durations",
-    "ContinuityMode",
-    "continuity_comparison",
-    "benchmark_check",
-    "SpcGrowthError",
-    "DataError",
-    "RowParseError",
-    "ParameterError",
-    "NumericalError",
-]
+# The documented library API (README "Library"), name -> its submodule;
+# everything else is imported from its own submodule.
+_SUBMODULE = {
+    "PipelineConfig": "pipeline",
+    "run_pipeline": "pipeline",
+    "SyntheticSpec": "dataset",
+    "generate_synthetic": "dataset",
+    "load_dataset": "dataset",
+    "minmax_scale": "dataset",
+    "gaussian_kde": "density",
+    "find_bimodal_threshold": "density",
+    "shift_to_reltime": "align",
+    "fit_logistic": "logistic",
+    "out_of_sample_validation": "inference",
+    "bootstrap_fits": "inference",
+    "plateau_thresholds": "inference",
+    "characteristic_timescale": "inference",
+    "empirical_durations": "inference",
+    "ContinuityMode": "align",
+    "continuity_comparison": "inference",
+    "benchmark_check": "pipeline",
+    "SpcGrowthError": "errors",
+    "DataError": "errors",
+    "RowParseError": "errors",
+    "ParameterError": "errors",
+    "NumericalError": "errors",
+}
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,20 +21,34 @@ import logging
 import os
 import sys
 
-from .align import ContinuityMode
-from .dataset import SyntheticSpec, generate_synthetic, serialize_dataset
-from .density import AUTO_BANDWIDTH
-from .errors import DataError, ParameterError, SpcGrowthError
-from .pipeline import (
-    PipelineConfig,
-    add_bootstrap,
-    add_continuity,
-    add_validation,
-    benchmark_check,
-    run_fit_stage,
-    run_pipeline,
+# Every BLAS call of the analysis is small, so OpenBLAS's worker threads
+# only spin. Where the command line is the first to load numpy and no
+# thread count is set, numpy loads with one thread; the variable is
+# removed again once it has been read (README "Threads").
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
+    name in os.environ for name in _BLAS_THREAD_VARIABLES
 )
-from .report import render_check_text, report_files, write_files
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .align import ContinuityMode
+    from .dataset import SyntheticSpec, generate_synthetic, serialize_dataset
+    from .density import AUTO_BANDWIDTH
+    from .errors import DataError, ParameterError, SpcGrowthError
+    from .pipeline import (
+        PipelineConfig,
+        add_bootstrap,
+        add_continuity,
+        add_validation,
+        benchmark_check,
+        run_fit_stage,
+        run_pipeline,
+    )
+    from .report import render_check_text, report_files, write_files
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 logger = logging.getLogger(__name__)
 

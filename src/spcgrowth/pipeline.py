@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .align import AlignedDataset, ContinuityMode, anchor_time, shift_to_reltime
+from .align import AlignedDataset, ContinuityMode, shift_to_reltime
 from .dataset import Dataset, load_dataset, minmax_scale
 from .density import AUTO_BANDWIDTH, BimodalThreshold, DensityEstimate, gaussian_kde, find_bimodal_threshold
 from .errors import ParameterError
@@ -308,9 +308,10 @@ def benchmark_check(bundle: ReportBundle, new_series_path) -> CheckReport:
     """Score held-out series against a finished run.
 
     Each new region is scaled with the bundle's stored extrema and
-    anchored against its threshold; residuals are taken against the full
-    fitted curve. A region that never crosses the threshold comes back
-    as a not-anchorable row rather than an error.
+    aligned against its threshold by ``shift_to_reltime``, as the panel's
+    regions are; residuals are taken against the full fitted curve. A
+    region that never crosses the threshold comes back as a
+    not-anchorable row rather than an error.
     """
     if bundle.dataset.scale_min is None:
         raise ParameterError("bundle dataset carries no scaling extrema")
@@ -318,31 +319,35 @@ def benchmark_check(bundle: ReportBundle, new_series_path) -> CheckReport:
     scaled = minmax_scale(
         raw, extrema=(bundle.dataset.scale_min, bundle.dataset.scale_max)
     )
+    aligned = shift_to_reltime(scaled, bundle.threshold.spc1_0)
+    retained = {region.nga: region for region in aligned.regions}
+    n_points = {series.nga: len(series) for series in scaled.regions}
     reference_rmse = bundle.full_fit.rmse
     checks = []
-    for series in sorted(scaled.regions, key=lambda s: s.nga):
-        anchor = anchor_time(series, bundle.threshold.spc1_0)
-        if not anchor.crossed:
+    for anchor in aligned.anchor_results:
+        region = retained.get(anchor.nga)
+        if region is None:
             checks.append(
                 SeriesCheck(
-                    nga=series.nga,
+                    nga=anchor.nga,
                     anchored=False,
                     anchor_year=None,
-                    n_points=len(series),
+                    n_points=n_points[anchor.nga],
                     rmse=float("nan"),
                     max_abs_residual=float("nan"),
                     frac_beyond=float("nan"),
                 )
             )
             continue
-        rel = series.abs_times - anchor.anchor_year
-        residuals = series.scaled - logistic_eval(bundle.full_fit.params, rel.astype(float))
+        residuals = region.scaled - logistic_eval(
+            bundle.full_fit.params, region.rel_time.astype(float)
+        )
         checks.append(
             SeriesCheck(
-                nga=series.nga,
+                nga=anchor.nga,
                 anchored=True,
                 anchor_year=anchor.anchor_year,
-                n_points=len(series),
+                n_points=n_points[anchor.nga],
                 rmse=float(np.sqrt(np.mean(residuals**2))),
                 max_abs_residual=float(np.max(np.abs(residuals))),
                 frac_beyond=float(np.mean(np.abs(residuals) > 2.0 * reference_rmse)),

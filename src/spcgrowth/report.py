@@ -507,8 +507,9 @@ class FitStageWriter:
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on fork() in a process with
-                    # threads, and OpenBLAS's thread makes this one; the
-                    # child only renders and writes files
+                    # threads. The command line loads numpy with one BLAS
+                    # thread, but a library caller's process may have
+                    # more; the child only renders and writes files
                     warnings.simplefilter("ignore", DeprecationWarning)
                     self._pid = os.fork()
                 if self._pid == 0:

@@ -242,12 +242,12 @@ class TestFullPipeline:
         panel = tmp_path / "panel.csv"
         panel.write_text(serialize_dataset(ds), encoding="utf-8")
         outputs = []
-        for threads in ("1", None):
+        # the command line loads numpy with one thread unless a count is
+        # set, so both counts are set
+        for threads in ("1", "2"):
             env = child_env()
-            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-                env.pop(name, None)
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
+            env.pop("OMP_NUM_THREADS", None)
+            env["OPENBLAS_NUM_THREADS"] = threads
             out = tmp_path / f"threads-{threads}"
             proc = subprocess.run(
                 [sys.executable, "-m", "spcgrowth.cli", "report", "--input", str(panel),
@@ -282,6 +282,86 @@ class TestFullPipeline:
         digests = [report["provenance"].pop("input_sha256") for report in reports]
         assert digests[0] != digests[1]
         assert reports[0] == reports[1]
+
+
+def blas_is_openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    return "openblas" in config["Build Dependencies"]["blas"]["name"].lower()
+
+
+def fresh_import(code: str, **settings: str) -> dict:
+    """Run ``code`` in a new interpreter with no BLAS thread count set but
+    ``settings``, and load the JSON it prints last."""
+    env = child_env()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    env.update(settings)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# imports spcgrowth.cli after ``{first}`` and prints the OS threads and
+# whether os.environ came through unchanged
+CLI_IMPORT = """
+import json, os
+{first}
+before = dict(os.environ)
+import spcgrowth.cli
+print(json.dumps({{"threads": len(os.listdir("/proc/self/task")),
+                  "environ_kept": dict(os.environ) == before}}))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or not blas_is_openblas(),
+    reason="counts OpenBLAS's threads in /proc/self/task",
+)
+class TestBlasThreads:
+    def test_the_cli_loads_numpy_with_one_thread(self):
+        probe = fresh_import(CLI_IMPORT.format(first=""))
+        assert probe == {"threads": 1, "environ_kept": True}
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps threads at the CPUs")
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_thread_count_the_user_sets_wins(self, name):
+        probe = fresh_import(CLI_IMPORT.format(first=""), **{name: "2"})
+        assert probe["threads"] > 1 and probe["environ_kept"]
+
+    def test_numpy_loaded_first_keeps_its_environment(self):
+        probe = fresh_import(CLI_IMPORT.format(first="import numpy"))
+        assert probe["environ_kept"]
+
+
+def test_the_package_loads_its_names_on_first_use():
+    probe = fresh_import(
+        """
+import json, sys
+import spcgrowth
+numpy_loaded = "numpy" in sys.modules
+resolved = all(hasattr(spcgrowth, name) for name in spcgrowth.__all__)
+starred = {}
+exec("from spcgrowth import *", starred)
+try:
+    spcgrowth.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({"numpy_loaded": numpy_loaded, "resolved": resolved, "unknown": unknown,
+                  "starred": sorted(set(starred) - {"__builtins__"}),
+                  "all": sorted(spcgrowth.__all__),
+                  "in_dir": set(spcgrowth.__all__) <= set(dir(spcgrowth))}))
+"""
+    )
+    assert not probe["numpy_loaded"]
+    assert probe["resolved"] and probe["in_dir"]
+    assert probe["unknown"] == "AttributeError"
+    assert probe["starred"] == probe["all"] and len(probe["all"]) == 23
 
 
 class TestBenchmarkCheck:
