@@ -11,7 +11,7 @@ plateaus and yields the characteristic growth duration.
 Importing the package loads no submodule, and so not numpy: each name
 of the library API loads its submodule on first use. That lets
 ``spcgrowth.cli`` choose how numpy loads when the command line starts
-the process (README "Threads").
+the process (README "Start-up").
 """
 
 import importlib

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import logging
 import os
 import sys
@@ -24,11 +25,29 @@ import sys
 # Every BLAS call of the analysis is small, so OpenBLAS's worker threads
 # only spin. Where the command line is the first to load numpy and no
 # thread count is set, numpy loads with one thread; the variable is
-# removed again once it has been read (README "Threads").
+# removed again once it has been read (README "Start-up").
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
     name in os.environ for name in _BLAS_THREAD_VARIABLES
 )
+# A run's only hashes are two SHA-256 digests, which CPython's built-in
+# module gives as OpenSSL does. Where the command line is the first to
+# load hashlib and that module exists, hashlib and hmac load without
+# OpenSSL's ``_hashlib``; later imports (``secrets``, through
+# numpy.random) reuse them, so the process never maps libcrypto. The
+# entry that hides ``_hashlib`` is removed right after (README "Start-up").
+_OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac")
+_BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+_NO_OPENSSL = not any(name in sys.modules for name in _OPENSSL_MODULES) and (
+    importlib.util.find_spec(_BUILTIN_SHA256) is not None
+)
+if _NO_OPENSSL:
+    sys.modules["_hashlib"] = None
+    try:
+        import hashlib  # noqa: F401
+        import hmac  # noqa: F401
+    finally:
+        del sys.modules["_hashlib"]
 if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:

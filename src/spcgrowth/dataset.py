@@ -481,11 +481,14 @@ def minmax_scale(dataset: Dataset, extrema: tuple[float, float] | None = None) -
         if not lo < hi:
             raise ParameterError(f"extrema must satisfy min < max, got ({lo}, {hi})")
     else:
-        if values.size < 2 or np.unique(values).size < 2:
-            raise DataError(
-                "need at least 2 distinct raw values to derive a scale"
-            )
+        need_two = "need at least 2 distinct raw values to derive a scale"
+        if values.size < 2:
+            raise DataError(need_two)
         lo, hi = float(values.min()), float(values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):  # min and max keep a NaN
+            raise DataError(f"raw values must be finite, got values from {lo!r} to {hi!r}")
+        if not lo < hi:
+            raise DataError(need_two)
     span = hi - lo
     if not math.isfinite(span):
         raise DataError(f"raw values from {lo!r} to {hi!r} span more than the float range")

@@ -333,8 +333,16 @@ def empirical_durations(
         per_nga=tuple(entries),
         excluded=tuple(excluded),
         mean_duration=float(durations.mean()) if durations.size else float("nan"),
-        median_duration=float(np.median(durations)) if durations.size else float("nan"),
+        median_duration=_median(durations) if durations.size else float("nan"),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """The median of a non-empty array without NaNs, bit for bit as
+    ``np.median`` gives it: the mean of the middle value, or of the two
+    middle values, of one sort. ``np.median`` itself loads ``numpy.ma``."""
+    n = values.size
+    return float(np.mean(np.sort(values)[(n - 1) // 2 : n // 2 + 1]))
 
 
 @dataclass(frozen=True)

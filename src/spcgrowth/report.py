@@ -497,6 +497,10 @@ class FitStageWriter:
     def __enter__(self) -> FitStageWriter | None:
         if not hasattr(os, "fork"):
             return None
+        # both processes render charts: loaded once here, the child does
+        # not compile and run the module again
+        from . import charts  # noqa: F401
+
         try:
             near = next(path for path in (self.root, *self.root.parents) if path.exists())
             self._staging = Path(tempfile.mkdtemp(prefix=".spcgrowth-staging-", dir=near))

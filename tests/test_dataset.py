@@ -1,6 +1,7 @@
 """Panel parsing, global scaling, serialization, and synthetic generation."""
 
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -350,6 +351,20 @@ class TestScaling:
     def test_identical_values_rejected(self):
         ds = build_dataset([make_region("A", [0.7, 0.7, 0.7])])
         with pytest.raises(DataError, match="distinct raw values"):
+            minmax_scale(ds)
+
+    @pytest.mark.parametrize("values", [[0.7, 0.7, 0.7], [0.7]], ids=["constant", "one value"])
+    def test_too_few_distinct_values_keep_their_message(self, values):
+        ds = build_dataset([make_region("A", values)])
+        message = "need at least 2 distinct raw values to derive a scale"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            minmax_scale(ds)
+
+    # the parser refuses such cells, but a Dataset built in code can hold them
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected_by_name(self, bad):
+        ds = build_dataset([make_region("A", [0.1, bad, 0.5])])
+        with pytest.raises(DataError, match="raw values must be finite"):
             minmax_scale(ds)
 
     def test_range_wider_than_a_float_rejected(self):

@@ -18,6 +18,8 @@ from helpers import (
     scaled_region,
     table_row,
 )
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import spcgrowth.inference as inference
 import spcgrowth.pipeline as pipeline
@@ -414,6 +416,28 @@ class TestEmpiricalDurations:
         result = empirical_durations(small_panel, 0.3, 0.9)
         assert result.mean_duration == 150.0
         assert result.median_duration == 150.0
+
+    # np.median, whose bits the report keeps, loads numpy.ma
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e300, 1e300),
+            min_size=1,
+            max_size=41,
+        )
+    )
+    @example([5.0])
+    @example([-0.0])
+    @example([0.0, -0.0])
+    @example([-0.0, -0.0, 0.0])
+    @example([-3.0, 7.0, 7.0, 7.0])
+    @example([-2.5, -7.25])
+    @example([1.0, 2.0, 3.0])
+    def test_median_is_np_median_bit_for_bit(self, values):
+        values = np.array(values)
+        assert (
+            np.float64(inference._median(values)).tobytes()
+            == np.float64(np.median(values)).tobytes()
+        )
 
     def test_durations_are_never_negative(self, small_panel):
         result = empirical_durations(small_panel, 0.3, 0.9)

@@ -338,6 +338,73 @@ class TestBlasThreads:
         assert probe["environ_kept"]
 
 
+# runs ``report`` through the command line in this interpreter and prints
+# the modules it loaded and whether OpenSSL's library is mapped
+CLI_REPORT = """
+import json, sys
+from spcgrowth.cli import main
+code = main(["report", "--input", {panel!r}, "--out", {out!r},
+             "--bootstrap", "20", "--validation", "5"])
+print(json.dumps({{"code": code, "modules": sorted(sys.modules),
+                  "libcrypto": "libcrypto" in open("/proc/self/maps").read()}}))
+"""
+# what ``import numpy`` alone loads: numpy 1.x loads numpy.ma (and through
+# numpy.random, OpenSSL) on import, so only the rest is asserted on
+NUMPY_IMPORT = """
+import json, sys
+import numpy
+print(json.dumps({"modules": sorted(sys.modules),
+                  "libcrypto": "libcrypto" in open("/proc/self/maps").read()}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+class TestStartUp:
+    @pytest.fixture(scope="class")
+    def fresh_report(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fresh-report")
+        panel = root / "panel.csv"
+        ds = generate_synthetic(SyntheticSpec(6, noise_sigma=0.05), seed=5)
+        panel.write_text(serialize_dataset(ds), encoding="utf-8")
+        probe = fresh_import(CLI_REPORT.format(panel=str(panel), out=str(root / "out")))
+        assert probe["code"] == 0
+        return panel, root / "out", probe
+
+    def test_a_report_loads_neither_openssl_nor_numpy_ma(self, fresh_report):
+        _, _, probe = fresh_report
+        numpy_alone = fresh_import(NUMPY_IMPORT)
+        for name in ("numpy.ma", "_hashlib"):
+            if name not in numpy_alone["modules"]:
+                assert name not in probe["modules"], name
+        if not numpy_alone["libcrypto"]:
+            assert not probe["libcrypto"]
+
+    def test_the_built_in_digests_are_openssls(self, fresh_report):
+        panel, out, _ = fresh_report
+        provenance = json.loads((out / "report.json").read_text())["provenance"]
+        # this process's hashlib loaded as usual, with OpenSSL where it exists
+        assert provenance["input_sha256"] == hashlib.sha256(panel.read_bytes()).hexdigest()
+        config = PipelineConfig(input_path=str(panel), n_bootstrap=20, n_validation=5)
+        assert provenance["config_sha256"] == _config_sha256(config)
+
+    @pytest.mark.parametrize("first", ["import hashlib", "import hmac", "import spcgrowth.pipeline"])
+    def test_hashlib_loaded_first_keeps_its_backend(self, first):
+        probe = fresh_import(
+            f"""
+import json, sys
+{first}
+import hashlib
+import spcgrowth.cli
+print(json.dumps({{"sha256": hashlib.sha256.__name__,
+                  "openssl": sys.modules.get("_hashlib") is not None}}))
+"""
+        )
+        assert probe == {
+            "sha256": hashlib.sha256.__name__,
+            "openssl": sys.modules.get("_hashlib") is not None,
+        }
+
+
 def test_the_package_loads_its_names_on_first_use():
     probe = fresh_import(
         """
