@@ -87,51 +87,44 @@ def _setting(args: argparse.Namespace, flag: str, default: str | None = None) ->
     return value
 
 
-def _parse_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(f"{flag} expects an integer, got {text!r}") from None
+def _parser(convert, expects: str):
+    """A value parser for a flag: ``convert(text)``, where a ValueError
+    becomes a ParameterError saying what the flag expects."""
 
-
-def _parse_bandwidth(text: str, flag: str):
-    if text == AUTO_BANDWIDTH:
-        return AUTO_BANDWIDTH
-    try:
-        return float(text)
-    except ValueError:
-        raise ParameterError(
-            f"{flag} expects a number or {AUTO_BANDWIDTH!r}, got {text!r}"
-        ) from None
-
-
-def _parse_float(text: str, flag: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParameterError(f"{flag} expects a number, got {text!r}") from None
-
-
-def _parse_k_sigma(text: str, flag: str) -> tuple[int, ...]:
-    return tuple(
-        _parse_int(token.strip(), flag) for token in text.split(",") if token.strip()
-    )
-
-
-def _parse_modes(text: str, flag: str) -> tuple[ContinuityMode, ...]:
-    modes = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    def parse(text: str, flag: str):
         try:
-            modes.append(ContinuityMode(token))
+            return convert(text)
         except ValueError:
-            valid = ", ".join(m.value for m in ContinuityMode)
-            raise ParameterError(
-                f"{flag} expects values from {{{valid}}}, got {token!r}"
-            ) from None
-    return tuple(modes)
+            raise ParameterError(f"{flag} expects {expects}, got {text!r}") from None
+
+    return parse
+
+
+def _each(parse):
+    """``parse`` applied to each non-blank item of a comma-separated list."""
+
+    def parse_list(text: str, flag: str) -> tuple:
+        return tuple(parse(token.strip(), flag) for token in text.split(",") if token.strip())
+
+    return parse_list
+
+
+def _non_empty(text: str) -> str:
+    if not text:
+        raise ValueError(text)
+    return text
+
+
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_path = _parser(_non_empty, "a path")
+_parse_bandwidth = _parser(
+    lambda text: text if text == AUTO_BANDWIDTH else float(text),
+    f"a number or {AUTO_BANDWIDTH!r}",
+)
+_parse_mode = _parser(
+    ContinuityMode, f"values from {{{', '.join(m.value for m in ContinuityMode)}}}"
+)
 
 
 # flag -> (PipelineConfig field, parser, metavar, help text)
@@ -140,8 +133,8 @@ _RUN_OPTIONS = {
     "--bootstrap": ("n_bootstrap", _parse_int, "N", "bootstrap iterations"),
     "--validation": ("n_validation", _parse_int, "N", "validation repeats"),
     "--bandwidth": ("bandwidth", _parse_bandwidth, "X|auto", "KDE bandwidth"),
-    "--k-sigma": ("k_sigma_list", _parse_k_sigma, "LIST", "threshold widths"),
-    "--modes": ("continuity_modes", _parse_modes, "LIST", "continuity modes"),
+    "--k-sigma": ("k_sigma_list", _each(_parse_int), "LIST", "threshold widths"),
+    "--modes": ("continuity_modes", _each(_parse_mode), "LIST", "continuity modes"),
 }
 
 
@@ -152,13 +145,19 @@ def _default_text(field: str) -> str:
     return str(value)
 
 
+def _path(args: argparse.Namespace, flag: str, required: bool = False) -> str | None:
+    """The flag's path setting; None when it is unset and not ``required``."""
+    text = _setting(args, flag)
+    if text is None:
+        if required:
+            raise ParameterError(f"{flag} is required (or set {ENV_PREFIX}{flag[2:].upper()})")
+        return None
+    return _parse_path(text, flag)
+
+
 def _build_config(args: argparse.Namespace, need_out: bool = False) -> PipelineConfig:
-    input_path = _setting(args, "--input")
-    if input_path is None:
-        raise ParameterError("--input is required (or set SPCGROWTH_INPUT)")
-    out = _setting(args, "--out")
-    if need_out and out is None:
-        raise ParameterError("--out is required (or set SPCGROWTH_OUT)")
+    input_path = _path(args, "--input", required=True)
+    out = _path(args, "--out", required=need_out) if "out" in args else None
     given = {}
     for flag, (field, parse, _, _) in _RUN_OPTIONS.items():
         text = _setting(args, flag)
@@ -221,8 +220,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         n_regions=_parse_int(regions, "--regions"), noise_sigma=_parse_float(noise, "--noise")
     )
     seed = _parse_int(_setting(args, "--seed", _default_text("seed")), "--seed")
+    out = _path(args, "--out")
     text = serialize_dataset(generate_synthetic(spec, seed=seed))
-    out = _setting(args, "--out")
     if out is None:
         print(text, end="")
     else:

@@ -28,10 +28,13 @@ scores as float64, a presence mask beside the RelTime values, and one
 boolean "continuous" mask per continuity column), never one object per
 row. An aligned region is a RegionSeries too: the alignment sets its
 RelTime to the years relative to its anchor, present on every row.
-Parsing reads the rows in blocks of a few hundred and converts each
-block a column at a time; serialising writes the arrays back byte for
-byte. A line number in an error is the physical line of the text, so a
-quoted field that spans lines counts each of them.
+Each column has one rule, a function that converts one cell or rejects
+it with the message of the error. Parsing reads the rows in blocks of a
+few hundred and converts each block a column at a time through these
+rules; a block that a rule rejects is converted again one row at a time,
+through the same rules, to name its first bad row. Serialising writes
+the arrays back byte for byte. A line number in an error is the physical
+line of the text, so a quoted field that spans lines counts each of them.
 
 Datasets are not modified after construction; scaling returns a new
 Dataset.
@@ -44,9 +47,10 @@ import io
 import logging
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,10 +80,6 @@ MAX_ABS_YEAR = 10**15
 
 # Unicode category Cc: C0 controls, DEL and C1 controls
 _CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
-
-# stripped label -> "continuous"; a blank cell means outside.central
-_CULTURAL = {"": False, OUTSIDE_CENTRAL: False, CULTURAL_CONTINUITY: True}
-_INSTITUTIONAL = {"": False, OUTSIDE_CENTRAL: False, INSTITUTIONAL_CONTINUITY: True}
 
 # Rows parsed at once: a block's rows are held as Python lists until its
 # columns are converted, so this bounds the parse's memory above the panel.
@@ -142,61 +142,69 @@ class Dataset:
         return sum(len(s) for s in self.regions)
 
 
-def _check_year(text: str, line: int, column: str) -> None:
-    """A year is an integer, or an integral float like '1200.0', within
-    +/-MAX_ABS_YEAR."""
-    text = text.strip()
+class _Rejected(ValueError):
+    """A cell broke its column's rule; the message says how."""
+
+
+def _nga_name(cell: str) -> str:
+    name = cell.strip()
+    if not name:
+        raise _Rejected("empty NGA name")
+    return name
+
+
+def _number(column: str, text: str) -> float:
     try:
-        year = int(text)
+        return float(text)
     except ValueError:
+        raise _Rejected(f"{column} value {text!r} is not a number") from None
+
+
+def _year(column: str):
+    """The rule of a year column: an integer, or an integral float like
+    '1200.0', within +/-MAX_ABS_YEAR."""
+
+    def rule(cell: str) -> int:
+        text = cell.strip()
         try:
-            value = float(text)
+            year = int(text)
         except ValueError:
-            raise RowParseError(line, f"{column} value {text!r} is not a number") from None
-        if not value.is_integer():  # also rejects nan and inf
-            raise RowParseError(line, f"{column} value {text!r} is not an integer year")
-        year = int(value)
-    if abs(year) > MAX_ABS_YEAR:
-        raise RowParseError(
-            line, f"{column} value {text!r} is outside +/-{MAX_ABS_YEAR:.0e}"
-        )
+            value = _number(column, text)
+            if not value.is_integer():  # also rejects nan and inf
+                raise _Rejected(f"{column} value {text!r} is not an integer year")
+            year = int(value)
+        if abs(year) > MAX_ABS_YEAR:
+            raise _Rejected(f"{column} value {text!r} is outside +/-{MAX_ABS_YEAR:.0e}")
+        return year
+
+    return rule
 
 
-def _check_label(text: str, flags: dict[str, bool], line: int, column: str) -> None:
-    text = text.strip()
-    if text not in flags:
-        allowed = sorted(filter(None, flags))
-        raise RowParseError(line, f"{column} label {text!r} not one of {allowed}")
+def _spc1(cell: str) -> float:
+    value = _number("SPC1", cell)
+    if not math.isfinite(value):
+        raise _Rejected(f"SPC1 value {cell!r} is not finite")
+    return value
 
 
-def _check_row(row: list[str], line: int) -> None:
-    """Every per-row check in column order; RowParseError at the first bad cell."""
-    if len(row) < len(HEADER):
-        raise RowParseError(line, f"expected {len(HEADER)} fields, got {len(row)}")
-    nga = row[0].strip()
-    if not nga:
-        raise RowParseError(line, "empty NGA name")
-    _check_year(row[2], line, "AbsTime")
-    rel_text = row[3].strip()
-    if rel_text:
-        _check_year(rel_text, line, "RelTime")
-    try:
-        spc1 = float(row[4])
-    except ValueError:
-        raise RowParseError(line, f"SPC1 value {row[4]!r} is not a number") from None
-    if not math.isfinite(spc1):
-        raise RowParseError(line, f"SPC1 value {row[4]!r} is not finite")
-    _check_label(row[5], _CULTURAL, line, "Culture.Sequence")
-    _check_label(row[6], _INSTITUTIONAL, line, "Institutions.Sequence")
-    if _CONTROL_CHAR.search(nga):
-        raise RowParseError(line, f"NGA name {nga!r} contains a control character")
+def _label(column: str, continuous: str):
+    """The rule of a continuity column: True for ``continuous``, False for
+    'outside.central' or a blank cell."""
+    flags = {"": False, OUTSIDE_CENTRAL: False, continuous: True}
+
+    def rule(cell: str) -> bool:
+        text = cell.strip()
+        if text not in flags:
+            raise _Rejected(f"{column} label {text!r} not one of {sorted(filter(None, flags))}")
+        return flags[text]
+
+    return rule
 
 
-def _raise_first_bad_row(rows: list[list[str]], lines: list[int]) -> NoReturn:
-    """Name the first row of a block that failed a column check."""
-    for row, line in zip(rows, lines):
-        _check_row(row, line)
-    raise AssertionError(f"lines {lines[0]}-{lines[-1]} failed a column check, but no row did")
+_ABS_TIME = _year("AbsTime")
+_REL_TIME = _year("RelTime")
+_CULTURE = _label("Culture.Sequence", CULTURAL_CONTINUITY)
+_INSTITUTIONS = _label("Institutions.Sequence", INSTITUTIONAL_CONTINUITY)
 
 
 def _name_key(name: str):
@@ -234,99 +242,88 @@ def _read_blocks(reader) -> Iterator[tuple[list[list[str]], list[int]]]:
         yield rows, lines
 
 
-def _lookup(cells: tuple[str, ...], table: dict, convert) -> list | None:
+def _lookup(cells: Sequence[str], table: dict, rule) -> list:
     """``table[cell]`` for every cell, first filling ``table`` with
-    ``convert(cell)`` for each distinct new cell; None when ``convert``
-    rejects one (returns None)."""
+    ``rule(cell)`` for each distinct new cell."""
     for cell in set(cells).difference(table):
-        value = convert(cell)
-        if value is None:
-            return None
-        table[cell] = value
+        table[cell] = rule(cell)
     return list(map(table.__getitem__, cells))
-
-
-def _floats(cells: Iterable[str]) -> np.ndarray | None:
-    """``float(cell)`` for every cell; None when one is not a number."""
-    try:
-        return np.array(list(map(float, cells)), dtype=np.float64)
-    except ValueError:
-        return None
-
-
-def _years(cells: Iterable[str]) -> np.ndarray | None:
-    """Integral years within +/-MAX_ABS_YEAR as int64; None otherwise."""
-    values = _floats(cells)
-    if values is None:
-        return None
-    if not np.all((np.abs(values) <= MAX_ABS_YEAR) & (np.trunc(values) == values)):
-        return None  # nan and inf fail both tests
-    return values.astype(np.int64)
 
 
 class _Columns:
     """The panel's columns, filled one block of rows at a time.
 
-    Each block's cells are converted a column at a time: numbers with one
-    ``float`` per cell, and the NGA, PolID and label cells once per
-    distinct cell, so a name is stripped and checked once however many
-    rows repeat it.
+    A block is converted a column at a time, each column through its one
+    rule: SPC1 once per cell, and every other column once per distinct
+    cell, with the results kept for the blocks that follow, so a name is
+    stripped and checked once however many rows repeat it. A block that
+    a rule rejects is converted again one row at a time, by the same
+    method, to name its first bad row.
     """
 
     def __init__(self):
         self.names: dict[str, int] = {}  # region name -> code
         self.pol_ids: dict[str, int] = {}  # distinct PolID -> code
-        # raw cell -> its code or flag, for NGA, PolID and the two label columns
-        self._cells: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+        self._cells: defaultdict = defaultdict(dict)  # rule -> {cell: its result}
         self.blocks: list[tuple[np.ndarray, ...]] = []
 
-    def _name_code(self, cell: str) -> int | None:
-        name = cell.strip()
-        # names reach the SVG charts and the line-oriented text report
-        if not name or _CONTROL_CHAR.search(name):
-            return None
-        return self.names.setdefault(name, len(self.names))
+    def _column(self, cells: Sequence[str], rule) -> list:
+        return _lookup(cells, self._cells[rule], rule)
 
     def _pol_code(self, cell: str) -> int:
         return self.pol_ids.setdefault(cell.strip(), len(self.pol_ids))
 
-    def add(self, rows: list[list[str]], lines: list[int]) -> bool:
-        """Append a block; False, appending nothing, when a row in it fails
-        a check."""
-        if min(map(len, rows)) < len(HEADER):
-            return False
+    def _name_code(self, name: str) -> int:
+        # names reach the SVG charts and the line-oriented text report
+        if _CONTROL_CHAR.search(name):
+            raise _Rejected(f"NGA name {name!r} contains a control character")
+        return len(self.names)
+
+    def _convert(self, rows: list[list[str]], lines: list[int]) -> tuple[np.ndarray, ...]:
+        """The block's columns, or _Rejected from the first rule that fails.
+        The rules run in the order that names a row's first bad cell: field
+        count, empty NGA, AbsTime, RelTime, SPC1, Culture.Sequence,
+        Institutions.Sequence, then the NGA's control characters."""
+        fields = min(map(len, rows))
+        if fields < len(HEADER):
+            raise _Rejected(f"expected {len(HEADER)} fields, got {fields}")
         nga, pol, abs_time, rel_time, spc1, culture, institution = islice(
             zip(*rows), len(HEADER)
         )
-        names, pols, cultures, institutions = self._cells
-        rel_text = list(map(str.strip, rel_time))
+        names = self._column(nga, _nga_name)
+        years = self._column(abs_time, _ABS_TIME)
+        rel_text = tuple(map(str.strip, rel_time))
+        rel_values = self._column(tuple(filter(None, rel_text)), _REL_TIME)
+        raw = np.array(list(map(_spc1, spc1)), dtype=np.float64)
+        cultural = self._column(culture, _CULTURE)
+        institutional = self._column(institution, _INSTITUTIONS)
+        region = _lookup(names, self.names, self._name_code)
         present = np.array(list(map(bool, rel_text)), dtype=bool)
-        region = _lookup(nga, names, self._name_code)
-        pol_code = _lookup(pol, pols, self._pol_code)
-        years = _years(abs_time)
-        rel_values = _years(filter(None, rel_text))
-        raw = _floats(spc1)
-        cultural = _lookup(culture, cultures, lambda c: _CULTURAL.get(c.strip()))
-        institutional = _lookup(institution, institutions, lambda c: _INSTITUTIONAL.get(c.strip()))
-        columns = (region, pol_code, years, rel_values, raw, cultural, institutional)
-        if any(c is None for c in columns) or not np.isfinite(raw).all():
-            return False
         rel = np.zeros(len(rows), dtype=np.int64)
         rel[present] = rel_values
-        self.blocks.append(
-            (
-                np.array(region, dtype=np.int64),
-                np.array(pol_code, dtype=np.int64),
-                years,
-                rel,
-                present,
-                raw,
-                np.array(cultural, dtype=bool),
-                np.array(institutional, dtype=bool),
-                np.array(lines, dtype=np.int64),
-            )
+        return (
+            np.array(region, dtype=np.int64),
+            np.array(self._column(pol, self._pol_code), dtype=np.int64),
+            np.array(years, dtype=np.int64),
+            rel,
+            present,
+            raw,
+            np.array(cultural, dtype=bool),
+            np.array(institutional, dtype=bool),
+            np.array(lines, dtype=np.int64),
         )
-        return True
+
+    def add(self, rows: list[list[str]], lines: list[int]) -> None:
+        """Append a block; RowParseError at its first bad row."""
+        try:
+            self.blocks.append(self._convert(rows, lines))
+        except _Rejected:
+            for row, line in zip(rows, lines):
+                try:
+                    self._convert([row], [line])
+                except _Rejected as exc:
+                    raise RowParseError(line, str(exc)) from None
+            raise AssertionError(f"lines {lines[0]}-{lines[-1]} failed a rule, but no row did")
 
     def dataset(self) -> Dataset:
         """Group the rows by region, regions in name order and rows by year;
@@ -384,10 +381,11 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
     region, so the order of rows in the file never matters. Duplicate
     (region, year) pairs and non-century spacing are rejected.
 
-    The rows are read in blocks of at most ``_BLOCK_ROWS`` and checked a
-    column at a time; only a block that fails is walked row by row, to
-    name its first bad row. Line numbers are physical lines of the text,
-    so a quoted field holding a newline counts every line it spans.
+    The rows are read in blocks of at most ``_BLOCK_ROWS`` and converted a
+    column at a time; a block that fails is converted again one row at a
+    time, to name its first bad row. Line numbers are physical lines of
+    the text, so a quoted field holding a newline counts every line it
+    spans.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -416,8 +414,7 @@ def parse_dataset(source: str | Iterable[str]) -> Dataset:
 
     columns = _Columns()
     for rows, lines in _read_blocks(reader):
-        if not columns.add(rows, lines):
-            _raise_first_bad_row(rows, lines)
+        columns.add(rows, lines)
     return columns.dataset()
 
 

@@ -299,9 +299,9 @@ def parse_outcome(parse, text):
 
 
 class TestBlockParse:
-    """``parse_dataset`` checks a block of rows a column at a time and walks
-    only a failing block row by row; ``helpers.reference_parse`` checks
-    every row as it reads it."""
+    """``parse_dataset`` converts a block of rows a column at a time and a
+    failing block again one row at a time; ``helpers.reference_parse``
+    checks every row as it reads it."""
 
     @settings(max_examples=150)
     @given(panel_texts())
@@ -324,6 +324,29 @@ class TestBlockParse:
         # row 0 spans two lines after the header
         assert (err.value.line, str(err.value)) == (at + 3, f"line {at + 3}: {message}")
         assert parse_outcome(reference_parse, text) == (RowParseError, str(err.value), at + 3)
+
+    # a row with two bad cells is named by the check that runs first:
+    # field count, empty name, AbsTime, RelTime, SPC1, the two labels, and
+    # the name's control characters last
+    @pytest.mark.parametrize("at", [0, 511, 512])
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("R\x01,P,0,,0.5,sometimes,",
+          "Culture.Sequence label 'sometimes' not one of ['cultural.continuity', "
+          "'outside.central']"),
+         (",P,1.5,,0.5,,", "empty NGA name"),
+         ("R,P,1.5,,abc,,", "AbsTime value '1.5' is not an integer year"),
+         ("R,P,1.5", "expected 7 fields, got 3")],
+        ids=["label before control character", "empty name before year",
+             "year before SPC1", "field count before year"],
+    )
+    def test_the_first_check_names_a_row_with_two_bad_cells(self, at, bad_row, message):
+        rows = [f"R,P,{100 * i},,0.5,," for i in range(1000)]
+        rows[at] = bad_row
+        text = panel_text(rows)
+        outcome = (RowParseError, f"line {at + 2}: {message}", at + 2)
+        assert parse_outcome(parse_dataset, text) == outcome
+        assert parse_outcome(reference_parse, text) == outcome
 
 
 class TestScaling:

@@ -1017,6 +1017,60 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["fit", "--seed", "x"], "--seed expects an integer, got 'x'"),
+         (["fit", "--bootstrap", "1.5"], "--bootstrap expects an integer, got '1.5'"),
+         (["fit", "--bandwidth", "abc"], "--bandwidth expects a number or 'auto', got 'abc'"),
+         (["fit", "--k-sigma", "1,x"], "--k-sigma expects an integer, got 'x'"),
+         (["fit", "--modes", "cultural,foo"],
+          "--modes expects values from {cultural, institutional}, got 'foo'"),
+         (["synth", "--noise", "abc"], "--noise expects a number, got 'abc'"),
+         (["synth", "--regions", "2.5"], "--regions expects an integer, got '2.5'")],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+    )
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_a_value_that_does_not_parse_exits_2_naming_its_flag(
+        self, argv, message, source, noisy_panel_path, monkeypatch, caplog, capsys
+    ):
+        command, flag, value = argv
+        argv = [command] + (["--input", str(noisy_panel_path)] if command == "fit" else [])
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            monkeypatch.setenv("SPCGROWTH_" + flag[2:].upper().replace("-", "_"), value)
+        assert main(argv) == 2
+        assert caplog.record_tuples == [("spcgrowth.cli", logging.ERROR, message)]
+        assert capsys.readouterr().out == ""
+
+    # an empty path would name the working directory
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("report", "--input"), ("report", "--out"), ("fit", "--input"), ("fit", "--out"),
+         ("synth", "--out")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_an_empty_path_exits_2_and_writes_nothing(
+        self, command, flag, source, noisy_panel_path, tmp_path, monkeypatch, caplog, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv, paths = [command], {"--out": "run"}
+        if command != "synth":  # small counts keep a run that goes ahead short
+            argv += ["--bootstrap", "20", "--validation", "5"]
+            paths = {"--input": str(noisy_panel_path), **paths}
+        paths[flag] = ""
+        for name, value in paths.items():
+            if name == flag and source == "environment":
+                monkeypatch.setenv("SPCGROWTH_" + name[2:].upper(), value)
+            else:
+                argv += [name, value]
+        assert main(argv) == 2
+        assert caplog.record_tuples == [
+            ("spcgrowth.cli", logging.ERROR, f"{flag} expects a path, got ''")
+        ]
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     # too few points is a numerical failure at every stage
     def test_too_few_points_for_the_full_fit_exits_3(self, tmp_path, caplog):
         regions = [make_region(f"R{i}", [0.1, 0.9]) for i in range(2)]
