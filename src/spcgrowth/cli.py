@@ -16,7 +16,9 @@ Exit codes: 0 success, 2 data or usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import importlib.util
 import logging
 import os
@@ -48,8 +50,19 @@ if _NO_OPENSSL:
         import hmac  # noqa: F401
     finally:
         del sys.modules["_hashlib"]
+# A run makes a few hundred cyclic objects, however large its panel, so
+# the collector's passes over the imports' objects, and CPython's
+# collections at exit, find next to nothing. Where the command line is the first to load numpy and the
+# collector is on, it is off while the package loads; what the imports
+# built is then frozen out of later collections, and at exit so is
+# everything the run built. The collector stays on during the run
+# (README "Start-up").
+_QUIET_GC = "numpy" not in sys.modules and gc.isenabled()
 if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+if _QUIET_GC:
+    gc.disable()
+    atexit.register(gc.freeze)
 try:
     from .align import ContinuityMode
     from .dataset import SyntheticSpec, generate_synthetic, serialize_dataset
@@ -68,6 +81,9 @@ try:
 finally:
     if _ONE_BLAS_THREAD:
         del os.environ["OPENBLAS_NUM_THREADS"]
+    if _QUIET_GC:
+        gc.freeze()
+        gc.enable()
 
 logger = logging.getLogger(__name__)
 

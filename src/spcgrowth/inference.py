@@ -23,6 +23,7 @@ stage's counts.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ from .logistic import (
     fit_logistic,
     fit_tables,
     logistic_eval,
-    logistic_inverse,
     time_table,
 )
 
@@ -281,17 +281,12 @@ def characteristic_timescale(
     """
     if not th1 < th2:
         raise ParameterError(f"need th1 < th2, got ({th1}, {th2})")
-    # one curve at a time, so each crossing is math.log's, as for a lone curve
-    crossings = []
-    for row in ensemble.params.tolist():
-        curve = LogisticParams(*row)
-        try:
-            crossings.append((logistic_inverse(curve, th1), logistic_inverse(curve, th2)))
-        except NumericalError:
-            continue
-    if not crossings:
+    t1 = _crossings(ensemble.params, th1)
+    t2 = _crossings(ensemble.params, th2)
+    crossing = ~(np.isnan(t1) | np.isnan(t2))
+    if not crossing.any():
         raise NumericalError("no bootstrap curve crosses both thresholds")
-    t1, t2 = np.array(list(zip(*crossings)))
+    t1, t2 = t1[crossing], t2[crossing]
     durations = t2 - t1
     return TimescaleEstimate(
         th1=float(th1),
@@ -301,8 +296,30 @@ def characteristic_timescale(
         t2_mean=float(t2.mean()),
         duration_mean=float(durations.mean()),
         n_crossing_curves=int(durations.size),
-        n_excluded_curves=len(ensemble.params) - len(crossings),
+        n_excluded_curves=len(ensemble.params) - int(durations.size),
     )
+
+
+def _crossings(params: np.ndarray, level: float) -> np.ndarray:
+    """``logistic_inverse`` of each finite (a, b, c, d) row at ``level``,
+    bit for bit, with NaN where it raises NumericalError.
+
+    The rows' checks and arithmetic are numpy's, which rounds each step as
+    Python's floats do; each log is ``math.log``'s, one value at a time.
+    """
+    a, b, c, d = params.T
+    if not c.all():
+        raise ParameterError("rate c must be nonzero to invert the curve")
+    inside = (np.minimum(b, a + b) < level) & (level < np.maximum(b, a + b))
+    rows = np.flatnonzero(inside)
+    times = np.full(len(a), np.nan)
+    with np.errstate(over="ignore"):
+        ratio = a[rows] / (level - b[rows]) - 1.0
+        positive = ratio > 0
+        rows, ratio = rows[positive], ratio[positive]
+        logs = np.array([math.log(r) for r in ratio.tolist()], dtype=float)
+        times[rows] = d[rows] - logs / c[rows]
+    return times
 
 
 def empirical_durations(

@@ -332,6 +332,19 @@ class TestPlateauThresholds:
             plateau_thresholds(ens, 3)
 
 
+def assert_crossings_match(rows, level):
+    """``_crossings`` is per-row ``logistic_inverse`` bit for bit, with NaN
+    where that raises NumericalError."""
+    expected = []
+    for row in rows:
+        try:
+            expected.append(logistic_inverse(LogisticParams(*row), level))
+        except NumericalError:
+            expected.append(float("nan"))
+    got = inference._crossings(np.array(rows, dtype=float), level)
+    assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
 class TestCharacteristicTimescale:
     def test_single_curve_matches_the_closed_form(self):
         ens = ensemble_of((1.0, 0.0, 0.001, 0.0))
@@ -379,6 +392,40 @@ class TestCharacteristicTimescale:
         ens = ensemble_of((1.0, 0.0, 0.001, 0.0))
         with pytest.raises(ParameterError):
             characteristic_timescale(ens, 0.8, 0.2)
+
+    # a curve, its mirror, and a curve whose asymptotes are 0.2 and 0.7
+    CURVES = [(1.0, 0.0, 0.001, 0.0), (-1.0, 1.0, -0.001, 0.0), (0.5, 0.2, 0.01, 50.0)]
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 0.2, 0.7, 1.0 - 2.0**-53, 0.5, 5e-324])
+    def test_crossings_at_the_asymptotes_are_the_inverse(self, level):
+        assert_crossings_match(self.CURVES, level)
+
+    @given(data=st.data())
+    def test_crossings_are_the_inverse_row_by_row(self, data):
+        value = st.floats(-1e3, 1e3)
+        rate = st.floats(1e-6, 10.0) | st.floats(-10.0, -1e-6)
+        rows = data.draw(st.lists(st.tuples(value, value, rate, value), min_size=1, max_size=6))
+        a, b, _, _ = data.draw(st.sampled_from(rows))
+        edge = data.draw(st.sampled_from([b, a + b]))
+        ulp_off = [float(np.nextafter(edge, side)) for side in (-np.inf, np.inf)]
+        level = data.draw(st.sampled_from([edge, *ulp_off]) | value)
+        assert_crossings_match(rows, level)
+
+    @pytest.mark.parametrize("level", [0.13, 0.88])
+    def test_each_log_is_math_logs(self, level):
+        # numpy's log differs from math.log in the last bit on some inputs;
+        # among these 4,000 bootstrap-like curves a few such inputs occur
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.8, 1.2, 2000), rng.uniform(-0.1, 0.1, 2000)
+        c, d = rng.uniform(1e-3, 1e-2, 2000), rng.uniform(-1e3, 1e3, 2000)
+        mirrored = np.column_stack([-a, a + b, -c, d])  # the same curves, rate flipped
+        rows = np.vstack([np.column_stack([a, b, c, d]), mirrored])
+        assert_crossings_match(rows.tolist(), level)
+
+    def test_a_zero_rate_is_rejected(self):
+        ens = ensemble_of((1.0, 0.0, 0.001, 0.0), (1.0, 0.0, -0.0, 0.0))
+        with pytest.raises(ParameterError, match="rate c must be nonzero"):
+            characteristic_timescale(ens, 0.2, 0.8)
 
     def test_wider_band_gives_longer_duration(self, noisy_ensemble):
         th1_3, th2_3 = plateau_thresholds(noisy_ensemble, 3)

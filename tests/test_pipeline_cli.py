@@ -338,6 +338,50 @@ class TestBlasThreads:
         assert probe["environ_kept"]
 
 
+# imports spcgrowth.cli after ``{first}``, then runs the exit handlers, and
+# prints the collector's state after the import and what it still tracks
+GC_PROBE = """
+import atexit, gc, json, sys
+{first}
+try:
+    import spcgrowth.cli
+    imported = True
+except ImportError:
+    imported = False
+enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+atexit._run_exitfuncs()
+print(json.dumps({{"imported": imported, "enabled": enabled, "frozen": frozen,
+                  "tracked": len(gc.get_objects())}}))
+"""
+
+
+class TestCollector:
+    @pytest.fixture(scope="class")
+    def cli_first(self):
+        return fresh_import(GC_PROBE.format(first=""))
+
+    def test_the_cli_freezes_its_imports_and_leaves_the_collector_on(self, cli_first):
+        assert cli_first["imported"] and cli_first["enabled"]
+        assert cli_first["frozen"] > 10_000
+
+    @pytest.mark.parametrize("first", ["import numpy", "import gc; gc.disable()"])
+    def test_a_process_that_loaded_numpy_or_stopped_the_collector_keeps_it(
+        self, cli_first, first
+    ):
+        probe = fresh_import(GC_PROBE.format(first=first))
+        assert cli_first["frozen"] > 0
+        assert probe["frozen"] == 0 and probe["tracked"] > 10_000
+        assert probe["enabled"] == (first == "import numpy")
+
+    def test_a_failed_import_still_freezes_and_restarts_the_collector(self):
+        probe = fresh_import(GC_PROBE.format(first="sys.modules['spcgrowth.report'] = None"))
+        assert not probe["imported"]
+        assert probe["enabled"] and probe["frozen"] > 0
+
+    def test_the_exit_freeze_leaves_the_final_collections_nothing(self, cli_first):
+        assert cli_first["tracked"] < 100
+
+
 # runs ``report`` through the command line in this interpreter and prints
 # the modules it loaded and whether OpenSSL's library is mapped
 CLI_REPORT = """
