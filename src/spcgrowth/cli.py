@@ -7,8 +7,8 @@ a finished fit (``check``), or generate a synthetic panel (``synth``).
 Every option can also be supplied through an environment variable named
 ``SPCGROWTH_`` plus the flag name in upper case with ``-`` replaced by
 ``_`` (``SPCGROWTH_SEED=7``, ``SPCGROWTH_K_SIGMA=1,3``); explicit flags win
-over the environment, the environment wins over the ``PipelineConfig``
-defaults.
+over the environment, the environment wins over the defaults: those of
+``PipelineConfig``, and for ``synth``'s panel those of ``SyntheticSpec``.
 
 Exit codes: 0 success, 2 data or usage error, 3 numerical failure.
 """
@@ -89,17 +89,13 @@ logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "SPCGROWTH_"
 
-# PipelineConfig holds the run defaults; the synthetic panel's live here.
-_SYNTH_REGIONS = "8"
-_SYNTH_NOISE = "0.05"
 
-
-def _setting(args: argparse.Namespace, flag: str, default: str | None = None) -> str | None:
-    """The flag's value, else its environment variable, else ``default``."""
+def _setting(args: argparse.Namespace, flag: str) -> str | None:
+    """The flag's value, else its environment variable, else None."""
     name = flag.lstrip("-").replace("-", "_")
     value = getattr(args, name, None)
     if value is None:
-        value = os.environ.get(ENV_PREFIX + name.upper(), default)
+        value = os.environ.get(ENV_PREFIX + name.upper())
     return value
 
 
@@ -143,22 +139,41 @@ _parse_mode = _parser(
 )
 
 
-# flag -> (PipelineConfig field, parser, metavar, help text)
+# flag -> (field, parser, metavar, help text). Each table's fields and
+# their defaults belong to one class: the run options' to PipelineConfig,
+# the synthetic panel's to SyntheticSpec.
+_SEED_OPTION = {"--seed": ("seed", _parse_int, None, "base random seed")}
 _RUN_OPTIONS = {
-    "--seed": ("seed", _parse_int, None, "base random seed"),
+    **_SEED_OPTION,
     "--bootstrap": ("n_bootstrap", _parse_int, "N", "bootstrap iterations"),
     "--validation": ("n_validation", _parse_int, "N", "validation repeats"),
     "--bandwidth": ("bandwidth", _parse_bandwidth, "X|auto", "KDE bandwidth"),
     "--k-sigma": ("k_sigma_list", _each(_parse_int), "LIST", "threshold widths"),
     "--modes": ("continuity_modes", _each(_parse_mode), "LIST", "continuity modes"),
 }
+_SYNTH_OPTIONS = {
+    "--regions": ("n_regions", _parse_int, None, "number of regions"),
+    "--noise": ("noise_sigma", _parse_float, None, "noise sigma"),
+}
 
 
-def _default_text(field: str) -> str:
-    value = getattr(PipelineConfig, field)
-    if isinstance(value, tuple):
-        return ",".join(str(getattr(item, "value", item)) for item in value)
-    return str(value)
+def _given(args: argparse.Namespace, options: dict) -> dict:
+    """The options that are set, parsed, by field."""
+    given = {}
+    for flag, (field, parse, _, _) in options.items():
+        text = _setting(args, flag)
+        if text is not None:
+            given[field] = parse(text, flag)
+    return given
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict, defaults: type) -> None:
+    """Add ``options``, each help text naming its default on ``defaults``."""
+    for flag, (field, _, metavar, help_text) in options.items():
+        value = getattr(defaults, field)
+        if isinstance(value, tuple):
+            value = ",".join(str(getattr(item, "value", item)) for item in value)
+        parser.add_argument(flag, metavar=metavar, help=f"{help_text} (default {value})")
 
 
 def _path(args: argparse.Namespace, flag: str, required: bool = False) -> str | None:
@@ -174,12 +189,7 @@ def _path(args: argparse.Namespace, flag: str, required: bool = False) -> str | 
 def _build_config(args: argparse.Namespace, need_out: bool = False) -> PipelineConfig:
     input_path = _path(args, "--input", required=True)
     out = _path(args, "--out", required=need_out) if "out" in args else None
-    given = {}
-    for flag, (field, parse, _, _) in _RUN_OPTIONS.items():
-        text = _setting(args, flag)
-        if text is not None:
-            given[field] = parse(text, flag)
-    return PipelineConfig(input_path=input_path, output_dir=out, **given)
+    return PipelineConfig(input_path=input_path, output_dir=out, **_given(args, _RUN_OPTIONS))
 
 
 @contextlib.contextmanager
@@ -230,12 +240,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    regions = _setting(args, "--regions", _SYNTH_REGIONS)
-    noise = _setting(args, "--noise", _SYNTH_NOISE)
-    spec = SyntheticSpec(
-        n_regions=_parse_int(regions, "--regions"), noise_sigma=_parse_float(noise, "--noise")
-    )
-    seed = _parse_int(_setting(args, "--seed", _default_text("seed")), "--seed")
+    spec = SyntheticSpec(**_given(args, _SYNTH_OPTIONS))
+    seed = _given(args, _SEED_OPTION).get("seed", PipelineConfig.seed)
     out = _path(args, "--out")
     text = serialize_dataset(generate_synthetic(spec, seed=seed))
     if out is None:
@@ -244,13 +250,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         (target,) = write_files([("synthetic.csv", [text])], out)
         print(f"synthetic panel written to {target}")
     return 0
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="panel CSV file")
-    for flag, (field, _, metavar, help_text) in _RUN_OPTIONS.items():
-        default = _default_text(field)
-        parser.add_argument(flag, metavar=metavar, help=f"{help_text} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, handler) in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         if name == "synth":
-            cmd.add_argument("--regions", help=f"number of regions (default {_SYNTH_REGIONS})")
-            cmd.add_argument("--noise", help=f"noise sigma (default {_SYNTH_NOISE})")
-            cmd.add_argument("--seed", help=f"base random seed (default {_default_text('seed')})")
+            _add_options(cmd, _SYNTH_OPTIONS, SyntheticSpec)
+            _add_options(cmd, _SEED_OPTION, PipelineConfig)
         else:
-            _add_common(cmd)
+            cmd.add_argument("--input", help="panel CSV file")
+            _add_options(cmd, _RUN_OPTIONS, PipelineConfig)
         if name == "check":  # prints its scores and writes nothing
             cmd.add_argument("new_series", help="panel CSV of held-out series")
         else:

@@ -496,22 +496,26 @@ def minmax_scale(dataset: Dataset, extrema: tuple[float, float] | None = None) -
     return Dataset(regions, scale_min=lo, scale_max=hi)
 
 
+# Genuine plateau samples beyond the transition, on each side.
+_PLATEAU_POINTS = 10
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Generator parameters for synthetic panels.
+    """Generator parameters for synthetic panels; the defaults are
+    ``spcgrowth synth``'s.
 
     Each region samples the same logistic curve on a century grid that
     covers the transition (where the curve is within 1/1000 of either
-    asymptote) plus ``plateau_points`` genuine plateau samples on each
-    side, then is shifted into calendar time by its anchor offset and
-    perturbed with iid Gaussian noise of sd ``noise_sigma``.
+    asymptote) plus _PLATEAU_POINTS genuine plateau samples on each
+    side, then is shifted into calendar time by a drawn anchor offset (a
+    whole number of centuries within +-2,500 years) and perturbed with
+    iid Gaussian noise of sd ``noise_sigma``.
     """
 
-    n_regions: int
+    n_regions: int = 8
     params: LogisticParams = LogisticParams(*(1.0, 0.0, 0.002, 0.0))
-    noise_sigma: float = 0.0
-    anchor_offsets: tuple[int, ...] | None = None  # calendar years per region
-    plateau_points: tuple[int, int] = (10, 10)
+    noise_sigma: float = 0.05
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
@@ -524,39 +528,36 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         raise ParameterError(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
     if spec.params.c <= 0 or spec.params.a <= 0:
         raise ParameterError("generator requires a growth curve (a > 0, c > 0)")
-    if spec.anchor_offsets is not None and len(spec.anchor_offsets) != spec.n_regions:
-        raise ParameterError("anchor_offsets length must equal n_regions")
 
     rng = np.random.default_rng(seed)
-    if spec.anchor_offsets is not None:
-        offsets = [int(v) for v in spec.anchor_offsets]
-    else:
-        offsets = [int(v) * 100 for v in rng.integers(-25, 26, size=spec.n_regions)]
+    offsets = [int(v) * 100 for v in rng.integers(-25, 26, size=spec.n_regions)]
 
     p = spec.params
     # Transition half-width: |t - d| beyond which f is within a/1000 of an
     # asymptote, rounded up to whole centuries.
     edge = logistic_inverse(p, p.upper - p.a / 1000.0) - p.d
-    half_steps = int(np.ceil(edge / 100.0))
-    lo_steps = half_steps + int(spec.plateau_points[0])
-    hi_steps = half_steps + int(spec.plateau_points[1])
+    steps = int(np.ceil(edge / 100.0)) + _PLATEAU_POINTS
     # Century grid in the curve's own time frame, centred near the midpoint
     # so that fitting (RelTime, SPC1) recovers d itself.
     mid = int(round(p.d / 100.0)) * 100
-    time_grid = mid + np.arange(-lo_steps, hi_steps + 1) * 100
+    time_grid = mid + np.arange(-steps, steps + 1) * 100
 
     regions = []
     curve = np.asarray(logistic_eval(p, time_grid))
     n = time_grid.size
     continuous = np.ones(n, dtype=bool)
     for r in range(spec.n_regions):
-        noise = rng.normal(0.0, spec.noise_sigma, size=n)
+        raw = curve + rng.normal(0.0, spec.noise_sigma, size=n)
+        if not np.all(np.isfinite(raw)):
+            raise ParameterError(
+                f"noise_sigma {spec.noise_sigma:g} draws scores beyond the float range"
+            )
         regions.append(
             RegionSeries(
                 nga=f"SYN-{r:02d}",
                 pol_id=(f"SYN-{r:02d}-P1",) * n,
                 abs_times=time_grid + offsets[r],
-                raw=curve + noise,
+                raw=raw,
                 rel_time=time_grid,
                 rel_time_present=continuous,
                 cultural=continuous,

@@ -60,17 +60,9 @@ def scott_bandwidth(samples: np.ndarray) -> float:
     return sd * samples.size ** (-1.0 / 5.0)
 
 
-def gaussian_kde(
-    samples,
-    bandwidth: float | str = AUTO_BANDWIDTH,
-    grid: np.ndarray | None = None,
-) -> DensityEstimate:
-    """Estimate the density of ``samples`` on a uniform grid.
-
-    The grid has GRID_SIZE points spanning [min - 4h, max + 4h]; pass
-    ``grid`` to evaluate on an explicit set of points instead (e.g. to
-    compare two estimates pointwise).
-    """
+def gaussian_kde(samples, bandwidth: float | str = AUTO_BANDWIDTH) -> DensityEstimate:
+    """Estimate the density of ``samples`` on a uniform grid of GRID_SIZE
+    points spanning [min - 4h, max + 4h]."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 2:
         raise NumericalError(f"need at least 2 samples, got {samples.size}")
@@ -84,11 +76,7 @@ def gaussian_kde(
         if not (math.isfinite(h) and h > 0):
             raise ParameterError(f"bandwidth must be finite and positive, got {h}")
 
-    if grid is None:
-        grid = np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, GRID_SIZE)
-    else:
-        grid = np.asarray(grid, dtype=float)
-
+    grid = np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, GRID_SIZE)
     n = samples.size
     rows = max(1, _BLOCK_CELLS // n)
     block = np.empty((min(rows, grid.size), n))

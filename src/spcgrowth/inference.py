@@ -3,6 +3,8 @@
 Every stochastic operation here is a pure function of its inputs and an
 integer seed: iteration k draws from the k-th child of a seed sequence,
 so results are independent of execution order and repeatable bit for bit.
+Replicate counts, seeds and k come from the caller; ``PipelineConfig``
+holds their defaults.
 
 The bootstrap resamples whole regions (with replacement); a region drawn
 twice contributes its points twice. Plateau thresholds are conservative
@@ -148,8 +150,8 @@ def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw
 def out_of_sample_validation(
     aligned: AlignedDataset,
     full_fit: FitResult,
-    n_repeats: int = 100,
-    seed: int = 0,
+    n_repeats: int,
+    seed: int,
 ) -> ValidationReport:
     """Repeated random 50/50 train/test splits of the pooled points.
 
@@ -194,8 +196,8 @@ def out_of_sample_validation(
 def bootstrap_fits(
     aligned: AlignedDataset,
     full_fit: FitResult,
-    n_iter: int = 1000,
-    seed: int = 0,
+    n_iter: int,
+    seed: int,
 ) -> BootstrapEnsemble:
     """Region-level bootstrap of the pooled logistic fit.
 
@@ -271,7 +273,7 @@ def plateau_thresholds(ensemble: BootstrapEnsemble, k_sigma: int) -> tuple[float
 
 
 def characteristic_timescale(
-    ensemble: BootstrapEnsemble, th1: float, th2: float, k_sigma: int = 3
+    ensemble: BootstrapEnsemble, th1: float, th2: float, k_sigma: int
 ) -> TimescaleEstimate:
     """Mean relative-time gap between threshold crossings over the ensemble.
 

@@ -187,7 +187,7 @@ def test_criterion_08_parameter_recovery(capfd):
 
         for c in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2):
             truth = LogisticParams(0.9, 0.05, c, 250.0)
-            ds = generate_synthetic(SyntheticSpec(2, params=truth), seed=5)
+            ds = generate_synthetic(SyntheticSpec(2, params=truth, noise_sigma=0.0), seed=5)
             aligned = aligned_from_synthetic(ds)
             fit = fit_logistic(*aligned.pooled())
             rel = np.abs(fit.params.as_array() - truth.as_array()) / np.abs(truth.as_array())

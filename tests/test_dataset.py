@@ -427,7 +427,7 @@ class TestScaling:
 class TestSynthetic:
     def test_noiseless_points_lie_exactly_on_the_curve(self):
         params = LogisticParams(1.0, 0.0, 0.002, 0.0)
-        ds = generate_synthetic(SyntheticSpec(1, params=params), seed=0)
+        ds = generate_synthetic(SyntheticSpec(1, params=params, noise_sigma=0.0), seed=0)
         series = ds.regions[0]
         rel = recorded_rel_times(series)
         want = np.asarray(logistic_eval(params, rel.astype(float)))
@@ -456,12 +456,15 @@ class TestSynthetic:
             assert abs(got - want) <= 0.05 * abs(want)
 
     def test_century_spacing_and_offsets(self):
-        ds = generate_synthetic(
-            SyntheticSpec(2, anchor_offsets=(0, 700), plateau_points=(3, 3)), seed=0
-        )
-        a, b = ds.regions
-        assert np.all(np.diff(a.abs_times) == 100)
-        assert list(b.abs_times - a.abs_times) == [700] * len(a)
+        # each region is shifted by one drawn offset: whole centuries
+        # within +-2,500 years
+        offsets = set()
+        for series in generate_synthetic(SyntheticSpec(40), seed=0).regions:
+            assert np.all(np.diff(series.abs_times) == 100)
+            (offset,) = set((series.abs_times - series.rel_time).tolist())
+            assert offset % 100 == 0 and abs(offset) <= 2500
+            offsets.add(offset)
+        assert len(offsets) > 1
 
     def test_bad_region_count_rejected(self):
         with pytest.raises(ParameterError):
@@ -481,9 +484,9 @@ class TestSynthetic:
         with pytest.raises(ParameterError):
             generate_synthetic(spec, seed=0)
 
-    def test_mismatched_offsets_rejected(self):
-        with pytest.raises(ParameterError):
-            generate_synthetic(SyntheticSpec(3, anchor_offsets=(0, 100)), seed=0)
+    def test_a_draw_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(ParameterError, match="noise_sigma"):
+            generate_synthetic(SyntheticSpec(2, noise_sigma=1e308), seed=1)
 
     def test_duplicate_region_names_rejected(self):
         with pytest.raises(ParameterError):

@@ -75,11 +75,9 @@ class TestKde:
         rng = np.random.default_rng(6)
         s1 = rng.normal(0.3, 0.1, 400)
         s2 = rng.normal(0.7, 0.1, 600)
-        grid = np.linspace(-0.5, 1.5, 512)
-        e1 = gaussian_kde(s1, bandwidth=0.08, grid=grid)
-        e2 = gaussian_kde(s2, bandwidth=0.08, grid=grid)
-        pooled = gaussian_kde(np.concatenate([s1, s2]), bandwidth=0.08, grid=grid)
-        mix = (s1.size * e1.density + s2.size * e2.density) / (s1.size + s2.size)
+        pooled = gaussian_kde(np.concatenate([s1, s2]), bandwidth=0.08)
+        e1, e2 = (dense_kde_reference(s, 0.08, pooled.grid) for s in (s1, s2))
+        mix = (s1.size * e1 + s2.size * e2) / (s1.size + s2.size)
         assert np.max(np.abs(pooled.density - mix)) <= 1e-12
 
     def test_auto_bandwidth_follows_scott(self):
@@ -152,13 +150,14 @@ class TestBlockedKde:
         assert np.array_equal(est.density[rows], want)
 
     @pytest.mark.parametrize("n", [3, 700, 20_000])
-    def test_explicit_grid_equals_the_dense_sum_bit_for_bit(self, n):
-        # 1,000 rows: the last block is partial for 700 and 20,000 samples
+    def test_partial_last_block_equals_the_dense_sum_bit_for_bit(self, n):
+        # the last block of the 1,024 rows is partial for 700 samples (93
+        # rows a block) and for 20,000 (3 rows a block)
         samples = bimodal_sample(n, seed=1)
-        grid = np.linspace(-0.3, 1.3, 1000)
-        est = gaussian_kde(samples, bandwidth=0.04, grid=grid)
-        rows = reference_rows(grid.size, n)
-        assert np.array_equal(est.density[rows], dense_kde_reference(samples, 0.04, grid[rows]))
+        est = gaussian_kde(samples, bandwidth=0.04)
+        rows = reference_rows(GRID_SIZE, n)
+        want = dense_kde_reference(samples, 0.04, est.grid[rows])
+        assert np.array_equal(est.density[rows], want)
 
     def test_memory_does_not_grow_as_grid_times_samples(self):
         # the dense grid x N matrix would be 1024 * 50,000 * 8 B = 390 MB

@@ -6,6 +6,7 @@ import csv
 import errno
 import hashlib
 import importlib
+import inspect
 import json
 import logging
 import os
@@ -17,7 +18,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -691,22 +691,39 @@ class TestCli:
         assert seen == [expected]
         assert _config_sha256(seen[0]) == _config_sha256(expected)
 
+        drawn = []
+
+        def generate(spec, seed):
+            drawn.append((spec, seed))
+            return generate_synthetic(spec, seed=seed)
+
+        monkeypatch.setattr("spcgrowth.cli.generate_synthetic", generate)
+        assert main(["synth", "--out", str(tmp_path / "synth")]) == 0
+        assert drawn == [(SyntheticSpec(), PipelineConfig.seed)]
+
     def test_report_help_shows_the_config_defaults(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "200")  # one line per option
-        with pytest.raises(SystemExit) as done:
-            main(["report", "--help"])
-        assert done.value.code == 0
-        help_text = capsys.readouterr().out
-        for flag, default in [
+        run_defaults = [
             ("--seed", str(PipelineConfig.seed)),
             ("--bootstrap", str(PipelineConfig.n_bootstrap)),
             ("--validation", str(PipelineConfig.n_validation)),
             ("--bandwidth", PipelineConfig.bandwidth),
             ("--k-sigma", ",".join(map(str, PipelineConfig.k_sigma_list))),
             ("--modes", ",".join(m.value for m in PipelineConfig.continuity_modes)),
-        ]:
-            line = rf"^\s+{flag} \S+\s+.*\(default {re.escape(default)}\)$"
-            assert re.search(line, help_text, re.MULTILINE), flag
+        ]
+        synth_defaults = [
+            ("--regions", str(SyntheticSpec().n_regions)),
+            ("--noise", str(SyntheticSpec().noise_sigma)),
+            ("--seed", str(PipelineConfig.seed)),
+        ]
+        for command, defaults in [("report", run_defaults), ("synth", synth_defaults)]:
+            with pytest.raises(SystemExit) as done:
+                main([command, "--help"])
+            assert done.value.code == 0
+            help_text = capsys.readouterr().out
+            for flag, default in defaults:
+                line = rf"^\s+{flag} \S+\s+.*\(default {re.escape(default)}\)$"
+                assert re.search(line, help_text, re.MULTILINE), (command, flag)
 
     def test_report_requires_an_output_directory(self, noisy_panel_path, capsys):
         assert main(["report", "--input", str(noisy_panel_path)]) == 2
@@ -1162,6 +1179,16 @@ class TestCli:
         assert first == second
         assert first.startswith("NGA,PolID,AbsTime,RelTime,SPC1")
 
+    def test_synth_noise_beyond_the_float_range_exits_2_and_writes_nothing(
+        self, tmp_path, caplog, capsys
+    ):
+        out = tmp_path / "synth"
+        argv = ["synth", "--regions", "2", "--noise", "1e308", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "noise_sigma" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_synth_writes_a_loadable_panel(self, tmp_path, capsys):
         code = main(
             ["synth", "--regions", "2", "--seed", "1", "--out", str(tmp_path)]
@@ -1237,17 +1264,34 @@ class TestCli:
         assert_lists_subcommands(proc.stdout)
 
 
+def used_identifiers(sources) -> set[str]:
+    """Every identifier the sources use: names and attributes that are
+    read, imported names, and string constants that are whole identifiers
+    (the keys of ``__init__._SUBMODULE``, the fields the CLI's option
+    tables name)."""
+    used = set()
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
 def unused_names(package: Path) -> list[str]:
     """Functions, classes, methods and module-level constants (dunder names
-    left out) whose name appears nowhere in the package's source but at
-    their definition, and dataclass fields that no ``.field`` expression
-    in it reads."""
+    left out) that no identifier in the package's source uses, and
+    dataclass fields that no ``.field`` expression in it reads."""
     sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
-    text = "\n".join(sources)
-    definitions, attributes, reads = Counter(), [], set()
+    definitions, attributes, reads = set(), [], set()
     for node in (node for source in sources for node in ast.walk(ast.parse(source))):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
-            definitions[node.name] += 1
+            definitions.add(node.name)
         if isinstance(node, ast.Module):
             for item in node.body:
                 if isinstance(item, ast.Assign):
@@ -1269,16 +1313,38 @@ def unused_names(package: Path) -> list[str]:
             ]
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             reads.add(node.attr)
-    unused = [
-        name
-        for name, count in definitions.items()
-        if len(re.findall(rf"\b{name}\b", text)) <= count
-    ]
+    used = used_identifiers(sources)
+    unused = sorted(definitions - used)
     return unused + [f"{cls}.{name}" for cls, name in attributes if name not in reads]
 
 
+# ``ReportBundle.timescale`` is called only by the benchmark
+# (perfbench/workloads.py), which is not part of the package.
+READ_BY_THE_BENCHMARK = ["timescale"]
+
+
 def test_the_package_defines_no_unused_names():
-    assert unused_names(Path(spcgrowth.__file__).parent) == []
+    assert unused_names(Path(spcgrowth.__file__).parent) == READ_BY_THE_BENCHMARK
+    bench = [path.read_text(encoding="utf-8") for path in sorted(BENCH_DIR.glob("*.py"))]
+    assert set(READ_BY_THE_BENCHMARK) <= used_identifiers(bench)
+
+
+def test_no_library_function_defaults_a_run_setting():
+    """PipelineConfig holds the run defaults; the stage functions take
+    them from the caller and repeat none."""
+    settings = {"n_repeats", "n_iter", "seed", "k_sigma"}
+    taken, defaulted = set(), []
+    for name in spcgrowth.__all__:
+        function = getattr(spcgrowth, name)
+        if not inspect.isfunction(function):
+            continue
+        for parameter in inspect.signature(function).parameters.values():
+            if parameter.name in settings:
+                taken.add(parameter.name)
+                if parameter.default is not parameter.empty:
+                    defaulted.append(f"{name}({parameter.name}={parameter.default!r})")
+    assert taken == settings
+    assert defaulted == []
 
 
 def dataclass_field_reads(monkeypatch) -> tuple[set, set]:
