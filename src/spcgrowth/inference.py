@@ -19,7 +19,9 @@ and th2, over the curves whose asymptote interval contains both.
 Validation and bootstrap share one refit driver, ``_refit``. It fits a
 stage's replicates with ``fit_tables``, which stops each on the
 ``logistic`` constants ``MAX_ITER``, ``TOL`` and ``GTOL``, and logs the
-stage's counts.
+stage's counts. Validation scores each fit on its test half's own per-time
+table, with the fitter's objective (``_rho2``), so no repeat keeps the
+points of its split.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .errors import NumericalError, ParameterError
 from .logistic import (
     FitResult,
     LogisticParams,
-    coefficient_of_prediction,
+    _curves,
+    _objectives,
     fit_logistic,
     fit_tables,
-    logistic_eval,
     time_table,
 )
 
@@ -147,6 +149,28 @@ def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw
     return values, len(failures)
 
 
+def _rho2(times, params, counts, means, within_ss) -> float:
+    """rho^2 = 1 - SSE / SST of the curve ``params`` (a, b, c, d) on the
+    points whose per-time table over ``times`` is ``(counts, means,
+    within_ss)``: 1 for an exact prediction, 0 for one at the points' mean,
+    negative for worse. Both sums are the fitter's centred objective,
+
+        SSE = sum_u W_u (f(t_u) - y_u)^2 + S_w,
+        SST = sum_u W_u (y_u - ybar)^2 + S_w,
+
+    with ybar the points' mean, so each equals its sum over the points.
+    Raises NumericalError when the points are constant: when SST is zero to
+    rounding against their sum of squares, by ``fit_tables``' exactness test.
+    """
+    weights = np.array([counts] * 3, dtype=float)
+    ybar = float(weights[0] @ means) / float(weights[0].sum())
+    centred = [_curves(params[None, :], times)[0], np.full(times.size, ybar), np.zeros(times.size)]
+    sse, sst, total = _objectives(np.array(centred) - means, weights, np.full(3, within_ss))
+    if sst <= 1e-24 * max(1.0, total):
+        raise NumericalError("test half has zero variance")
+    return 1.0 - float(sse) / float(sst)
+
+
 def out_of_sample_validation(
     aligned: AlignedDataset,
     full_fit: FitResult,
@@ -157,8 +181,9 @@ def out_of_sample_validation(
 
     Each repeat fits the training half (warm-started from the full fit)
     and scores the prediction on the test half. Repeats whose training
-    fit degenerates are excluded and counted. The training half is fitted
-    as counts over the pooled distinct times.
+    fit degenerates, or whose test half has zero variance, are excluded
+    and counted. Each half is collapsed onto its own table over the pooled
+    distinct times: the training half's is fitted, the test half's scored.
     """
     t, y = aligned.pooled()
     if t.size < 10:
@@ -166,17 +191,14 @@ def out_of_sample_validation(
     if n_repeats < 1:
         raise ParameterError("n_repeats must be >= 1")
     times, inverse = np.unique(t, return_inverse=True)
-    # a block keeps its test halves, block x N/2 indices, until it is
-    # scored; the smallest dtype that holds an index keeps them small
-    index_type = np.min_scalar_type(t.size)
 
     def draw(rng):
         train, test = _split_indices(rng, t.size)
-        return *time_table(inverse[train], y[train], times.size), test.astype(index_type)
+        table = time_table(inverse[train], y[train], times.size)
+        return *table, time_table(inverse[test], y[test], times.size)
 
     def score(params, test):
-        predicted = logistic_eval(LogisticParams(*params), t[test])
-        return coefficient_of_prediction(predicted, y[test])
+        return _rho2(times, params, *test)
 
     rho2, n_failed = _refit("validation", n_repeats, seed, times, full_fit.params, draw, score)
     if not rho2:

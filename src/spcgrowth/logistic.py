@@ -28,7 +28,8 @@ normal matrix J^T W J, and the convergence cosine uses
 |J_k|^2 = sum_u W_u J_uk^2 and |r|^2 = SSE. (Expanding the square into
 sum W f^2 - 2 f sum y + sum y^2 instead cancels catastrophically.) A
 bootstrap replicate or a training split is then just another weight
-vector over the same times.
+vector over the same times, and a validation test half is scored from
+its own table with the same objective.
 
 There is one LM loop, ``fit_tables``, and it fits R such tables over the
 same times at once. It keeps theta as (R, 4), the residuals as (R, U) and
@@ -379,19 +380,3 @@ def fit_logistic(t, y, init: LogisticParams | None = None) -> FitResult:
         converged=bool(fits.converged[0]),
         iterations=int(fits.iterations[0]),
     )
-
-
-def coefficient_of_prediction(predicted, actual) -> float:
-    """1 - SSE / SST: 1 for exact prediction, 0 for mean-level accuracy.
-
-    Negative when the prediction is worse than always using the mean.
-    """
-    predicted = np.asarray(predicted, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if predicted.shape != actual.shape or predicted.size == 0:
-        raise ParameterError("predicted and actual must have equal nonzero length")
-    sst = float(np.sum((actual.mean() - actual) ** 2))
-    if sst == 0.0:
-        raise NumericalError("actual values have zero variance")
-    sse = float(np.sum((predicted - actual) ** 2))
-    return 1.0 - sse / sst

@@ -1,6 +1,6 @@
 """Shared builders and lookups for the test suite, the per-point reference
-fitter, the dense KDE reference, the per-row panel parser, the per-row
-output renderers and the benchmark's modules."""
+fitter and scorer, the dense KDE reference, the per-row panel parser, the
+per-row output renderers and the benchmark's modules."""
 
 import csv
 import importlib.util
@@ -328,6 +328,21 @@ def table_row(fits, r: int = 0) -> FitResult:
         converged=bool(fits.converged[r]),
         iterations=int(fits.iterations[r]),
     )
+
+
+def coefficient_of_prediction(predicted, actual) -> float:
+    """1 - SSE / SST over the points: 1 for exact prediction, 0 for
+    mean-level accuracy, negative when the prediction is worse than always
+    using the mean. The per-point oracle of validation's table scorer."""
+    predicted = np.asarray(predicted, dtype=float)
+    actual = np.asarray(actual, dtype=float)
+    if predicted.shape != actual.shape or predicted.size == 0:
+        raise ParameterError("predicted and actual must have equal nonzero length")
+    sst = float(np.sum((actual.mean() - actual) ** 2))
+    if sst == 0.0:
+        raise NumericalError("actual values have zero variance")
+    sse = float(np.sum((predicted - actual) ** 2))
+    return 1.0 - sse / sst
 
 
 def assert_same_fit(got: FitResult, want: FitResult, rel: float = 1e-12) -> None:

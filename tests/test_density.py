@@ -244,3 +244,10 @@ class TestBimodalThreshold:
         density = np.array([0.0, 3.0, 1.0, 1.0, 1.0, 3.0, 0.0])
         th = find_bimodal_threshold(DensityEstimate(grid, density, 1.0, 7))
         assert th.spc1_0 == 2.0
+
+    def test_equal_peak_ties_break_to_the_smallest_location(self):
+        # the second-highest maximum is tied at 3 and 5; 3 is ranked first
+        grid = np.arange(7, dtype=float)
+        density = np.array([0.0, 5.0, 0.0, 3.0, 0.0, 3.0, 0.0])
+        th = find_bimodal_threshold(DensityEstimate(grid, density, 1.0, 7))
+        assert (th.left_peak, th.right_peak, th.spc1_0) == (1.0, 3.0, 2.0)

@@ -13,6 +13,7 @@ from helpers import (
     aligned_from_synthetic,
     aligned_region,
     assert_same_fit,
+    coefficient_of_prediction,
     recorded_rel_times,
     reference_fit,
     scaled_region,
@@ -41,9 +42,9 @@ from spcgrowth.align import AlignedDataset
 from spcgrowth.inference import BootstrapEnsemble
 from spcgrowth.logistic import (
     LogisticParams,
-    coefficient_of_prediction,
     logistic_eval,
     logistic_inverse,
+    time_table,
 )
 from spcgrowth.report import render_report_json
 
@@ -138,6 +139,72 @@ class TestValidation:
         large = out_of_sample_validation(aligned, fit, n_repeats=100, seed=4)
         ratio = small.stderr_rho2 / large.stderr_rho2
         assert 1.5 < ratio < 2.5
+
+    def test_memory_does_not_grow_with_the_repeats(self):
+        # about 109k points: a block of 64 repeats keeps 64 test-half tables
+        # over the distinct times, not 64 test halves of point indices
+        aligned = aligned_from_synthetic(
+            generate_synthetic(SyntheticSpec(1200, noise_sigma=0.05), seed=1)
+        )
+        full = fit_logistic(*aligned.pooled())
+        out_of_sample_validation(aligned, full, n_repeats=1, seed=1)  # first-call allocations
+        peaks = []
+        for n_repeats in (1, 64):
+            tracemalloc.start()
+            try:
+                out_of_sample_validation(aligned, full, n_repeats=n_repeats, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n", [10, 11, 101])
+    def test_the_halves_partition_the_points_and_the_test_half_gets_the_odd_one(self, n):
+        train, test = inference._split_indices(np.random.default_rng(n), n)
+        assert (train.size, test.size) == (n // 2, n - n // 2)
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
+
+
+class TestTableScore:
+    """``_rho2`` scores a curve on a test half given as its per-time table."""
+
+    TIMES = np.array([-300.0, -100.0, 0.0, 200.0, 500.0])
+    CURVE = np.array([1.0, 0.0, 0.004, 0.0])
+
+    def test_an_exact_prediction_scores_one(self):
+        counts = np.array([1, 3, 2, 0, 4])
+        # a time no point maps to has mean 0, as time_table gives it
+        means = np.where(counts > 0, logistic_eval(LogisticParams(*self.CURVE), self.TIMES), 0.0)
+        assert inference._rho2(self.TIMES, self.CURVE, counts, means, 0.0) == 1.0
+
+    def test_a_prediction_at_the_test_halfs_mean_scores_zero(self):
+        rng = np.random.default_rng(4)
+        inverse = rng.integers(0, self.TIMES.size, 40)
+        y = rng.random(40)
+        flat = np.array([0.0, y.mean(), 0.004, 0.0])
+        table = time_table(inverse, y, self.TIMES.size)
+        assert inference._rho2(self.TIMES, flat, *table) == pytest.approx(0.0, abs=1e-14)
+
+    def test_a_test_half_with_zero_variance_is_a_failed_repeat(self, aligned_noisy):
+        aligned, full = aligned_noisy
+        t, y = aligned.pooled()
+        times, inverse = np.unique(t, return_inverse=True)
+        # 0.4 summed and divided per time does not give 0.4 back exactly
+        constant = time_table(inverse, np.full(y.size, 0.4), times.size)
+        assert not np.all(constant[1][constant[0] > 0] == 0.4)
+        with pytest.raises(NumericalError, match="zero variance"):
+            inference._rho2(times, full.params.as_array(), *constant)
+        train = time_table(inverse, y, times.size)
+
+        def score(params, table):
+            return inference._rho2(times, params, *table)
+
+        values, n_failed = inference._refit(
+            "validation", 3, 0, times, full.params, lambda rng: (*train, constant), score
+        )
+        assert (values, n_failed) == ([], 3)
 
 
 def fail_every_third_fit(monkeypatch):
@@ -500,6 +567,13 @@ class TestEmpiricalDurations:
     def test_ordered_thresholds_required(self, small_panel):
         with pytest.raises(ParameterError):
             empirical_durations(small_panel, 0.9, 0.3)
+
+    def test_a_score_equal_to_a_threshold_does_not_exceed_it(self):
+        # 0.3 == th1 sits at rel 0 and 0.9 == th2 at rel 200; the next rows
+        # are the first strictly above
+        delta = aligned_region(scaled_region("Delta", [0.1, 0.3, 0.5, 0.9, 0.95]), -900)
+        (entry,) = empirical_durations(AlignedDataset((delta,)), 0.3, 0.9).per_nga
+        assert (entry.tau1, entry.tau2, entry.duration) == (100.0, 300.0, 200.0)
 
 
 class TestContinuityComparison:

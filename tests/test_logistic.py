@@ -5,7 +5,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import assert_same_fit, recorded_rel_times, reference_fit, table_row
+from helpers import (
+    assert_same_fit,
+    coefficient_of_prediction,
+    recorded_rel_times,
+    reference_fit,
+    table_row,
+)
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -16,7 +22,6 @@ from spcgrowth.logistic import (
     _jacobians,
     _objectives,
     _solve,
-    coefficient_of_prediction,
     fit_tables,
     logistic_eval,
     logistic_inverse,

@@ -32,6 +32,7 @@ from helpers import (
     build_dataset,
     child_pids,
     joined,
+    json_leaves,
     make_region,
     open_fds,
     plot_files,
@@ -62,6 +63,7 @@ from spcgrowth.pipeline import (
     run_fit_stage,
 )
 from spcgrowth.report import (
+    bundle_to_dict,
     fit_stage_files,
     plot_data_files,
     render_report_json,
@@ -282,6 +284,29 @@ class TestFullPipeline:
         digests = [report["provenance"].pop("input_sha256") for report in reports]
         assert digests[0] != digests[1]
         assert reports[0] == reports[1]
+
+    def test_shifting_one_region_in_calendar_time_moves_only_its_anchor(self, tmp_path):
+        # alignment is by each region's own threshold crossing, so 700 years
+        # later is the same region in relative time
+        ds = generate_synthetic(SyntheticSpec(6, noise_sigma=0.05), seed=3)
+        header, *rows = serialize_dataset(ds).splitlines()
+        cells = [row.split(",") for row in rows]
+        moved = ds.regions[2].nga
+        for cell in cells:
+            if cell[0] == moved:
+                cell[2] = str(int(cell[2]) + 700)
+        leaves = []
+        for name, body in (("given.csv", rows), ("moved.csv", [",".join(c) for c in cells])):
+            path = tmp_path / name
+            path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+            config = PipelineConfig(input_path=str(path), n_bootstrap=20, n_validation=5)
+            leaves.append(json_leaves(bundle_to_dict(run_pipeline(config))))
+        given, shifted = leaves
+        (nga,) = [k for k, v in given.items() if k.startswith("alignment.") and v == moved]
+        anchor = nga.replace(".nga", ".anchor_year")
+        assert given.keys() == shifted.keys()
+        assert {k for k in given if given[k] != shifted[k]} == {"provenance.input_sha256", anchor}
+        assert int(shifted[anchor]) == int(given[anchor]) + 700
 
 
 def blas_is_openblas() -> bool:
