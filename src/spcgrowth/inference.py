@@ -16,12 +16,15 @@ with the population standard deviation (divide by N). The characteristic
 growth duration is the mean gap between each curve's crossings of th1
 and th2, over the curves whose asymptote interval contains both.
 
-Validation and bootstrap share one refit driver, ``_refit``. It fits a
-stage's replicates with ``fit_tables``, which stops each on the
-``logistic`` constants ``MAX_ITER``, ``TOL`` and ``GTOL``, and logs the
-stage's counts. Validation scores each fit on its test half's own per-time
-table, with the fitter's objective (``_rho2``), so no repeat keeps the
-points of its split.
+Validation and bootstrap share one refit driver, ``_refit``. It works a
+block of replicates at a time: the stage's ``draw`` turns the block's
+random generators into its per-time tables, ``fit_tables`` fits them,
+stopping each on the ``logistic`` constants ``MAX_ITER``, ``TOL`` and
+``GTOL``, and the stage's ``score`` turns the block's parameters into its
+values. Only the random calls, and validation's tabling of each split,
+run once per replicate. The driver logs the stage's counts. Validation scores each block of fits on its test halves'
+own per-time tables, with the fitter's objective (``_rho2``), so no repeat
+keeps the points of its split.
 """
 
 from __future__ import annotations
@@ -107,39 +110,36 @@ def _split_indices(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
 def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw, score):
     """Fit and score a stage's ``n_fits`` refits over ``times``.
 
-    Refit k draws from the k-th child of ``SeedSequence(seed)``: ``draw(rng)``
-    returns its ``(counts, means, within_ss)`` table plus what ``score``
-    needs. Tables are built, fitted and scored ``_BLOCK_ROWS`` at a time, so
-    memory does not grow with ``n_fits``. ``score(params, drawn)`` makes a
-    fitted (a, b, c, d) row the stage's value; a row that failed to fit, or
-    whose score raises NumericalError, is dropped and counted. Logs one INFO
-    line of the counts (fits, LM iterations, unconverged, failed) and, when
-    a fit failed, one WARNING with the first reason. Returns
-    ``(values, n_failed)``.
+    Refit k draws from the k-th child of ``SeedSequence(seed)``. Refits run
+    ``_BLOCK_ROWS`` at a time, so memory does not grow with ``n_fits``.
+    ``draw(rngs)`` takes a block's generators, one per refit, and returns
+    the block's tables ``(counts, means, within_ss)`` as (R, U), (R, U) and
+    (R,) arrays, plus what ``score`` needs. ``score(params, drawn)`` makes
+    the block's fitted (R, 4) parameters the stage's values, one per row,
+    and returns them with the reason each row could not be scored (None
+    for a row that could). Neither computes a row from another row, so a
+    refit gets the same bits in any block. A row that failed to fit or to
+    score is dropped and counted. Logs one INFO line of the counts (fits,
+    LM iterations, unconverged, failed) and, when a fit failed, one
+    WARNING with the first reason. Returns ``(values, n_failed)``.
     """
     seeds = np.random.SeedSequence(seed)
     values, failures = [], []
     lm_iterations = n_unconverged = 0
     for start in range(0, n_fits, _BLOCK_ROWS):
         block = seeds.spawn(min(_BLOCK_ROWS, n_fits - start))
-        counts, means = np.empty((2, len(block), times.size))
-        within_ss = np.empty(len(block))
-        drawn = []
-        for r, child in enumerate(block):
-            counts[r], means[r], within_ss[r], extra = draw(np.random.default_rng(child))
-            drawn.append(extra)
+        counts, means, within_ss, drawn = draw([np.random.default_rng(c) for c in block])
         fits = fit_tables(times, means, counts, within_ss, init)
         fitted = np.array([e is None for e in fits.errors])
         lm_iterations += int(fits.iterations.sum())
         n_unconverged += int(np.count_nonzero(fitted & ~fits.converged))
-        for params, error, extra in zip(fits.params, fits.errors, drawn):
-            if error is None:
-                try:
-                    values.append(score(params, extra))
-                    continue
-                except NumericalError as exc:
-                    error = str(exc)
-            failures.append(error)
+        scores, score_errors = score(fits.params, drawn)
+        for value, fit_error, score_error in zip(scores, fits.errors, score_errors):
+            error = fit_error or score_error
+            if error:
+                failures.append(error)
+            else:
+                values.append(value)
     tally = (n_fits, lm_iterations, n_unconverged, len(failures))
     logger.info("%s: %d fits, %d LM iterations, %d unconverged, %d failed", stage, *tally)
     if failures:
@@ -149,26 +149,36 @@ def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw
     return values, len(failures)
 
 
-def _rho2(times, params, counts, means, within_ss) -> float:
-    """rho^2 = 1 - SSE / SST of the curve ``params`` (a, b, c, d) on the
-    points whose per-time table over ``times`` is ``(counts, means,
-    within_ss)``: 1 for an exact prediction, 0 for one at the points' mean,
-    negative for worse. Both sums are the fitter's centred objective,
+def _rho2(times, params, counts, means, within_ss) -> tuple[np.ndarray, list[str | None]]:
+    """rho^2 = 1 - SSE / SST of each curve ``params[r]`` (a, b, c, d) on the
+    points whose per-time table over ``times`` is ``(counts[r], means[r],
+    within_ss[r])``: 1 for an exact prediction, 0 for one at the points'
+    mean, negative for worse. Both sums are the fitter's centred objective,
 
         SSE = sum_u W_u (f(t_u) - y_u)^2 + S_w,
         SST = sum_u W_u (y_u - ybar)^2 + S_w,
 
     with ybar the points' mean, so each equals its sum over the points.
-    Raises NumericalError when the points are constant: when SST is zero to
-    rounding against their sum of squares, by ``fit_tables``' exactness test.
+    Rows are scored together, each from its own table alone. Returns the
+    (R,) values and, per row, the reason it has none (None if it has one):
+    a row whose points are constant, so that SST is zero to rounding
+    against their sum of squares by ``fit_tables``' exactness test, gets
+    NaN and "test half has zero variance".
     """
-    weights = np.array([counts] * 3, dtype=float)
-    ybar = float(weights[0] @ means) / float(weights[0].sum())
-    centred = [_curves(params[None, :], times)[0], np.full(times.size, ybar), np.zeros(times.size)]
-    sse, sst, total = _objectives(np.array(centred) - means, weights, np.full(3, within_ss))
-    if sst <= 1e-24 * max(1.0, total):
-        raise NumericalError("test half has zero variance")
-    return 1.0 - float(sse) / float(sst)
+    weights = np.tile(counts, (3, 1))
+    ybar = (counts[:, None, :] @ means[:, :, None])[:, 0, 0] / counts.sum(axis=1)
+    centred = np.concatenate([_curves(params, times) - means, ybar[:, None] - means, -means])
+    sse, sst, total = _objectives(centred, weights, np.tile(within_ss, 3)).reshape(3, -1)
+    constant = sst <= 1e-24 * np.maximum(1.0, total)
+    rho2 = 1.0 - sse / np.where(constant, 1.0, sst)
+    rho2[constant] = np.nan
+    return rho2, ["test half has zero variance" if c else None for c in constant]
+
+
+def _stack(tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``time_table`` results as one block: (R, U) counts and means, (R,) within_ss."""
+    counts, means, within_ss = zip(*tables)
+    return np.array(counts, dtype=float), np.array(means), np.array(within_ss)
 
 
 def out_of_sample_validation(
@@ -184,6 +194,8 @@ def out_of_sample_validation(
     fit degenerates, or whose test half has zero variance, are excluded
     and counted. Each half is collapsed onto its own table over the pooled
     distinct times: the training half's is fitted, the test half's scored.
+    A repeat's split is made and tabled alone, so a block holds R tables
+    and never R splits of the points.
     """
     t, y = aligned.pooled()
     if t.size < 10:
@@ -192,10 +204,12 @@ def out_of_sample_validation(
         raise ParameterError("n_repeats must be >= 1")
     times, inverse = np.unique(t, return_inverse=True)
 
-    def draw(rng):
-        train, test = _split_indices(rng, t.size)
-        table = time_table(inverse[train], y[train], times.size)
-        return *table, time_table(inverse[test], y[test], times.size)
+    def table(half):
+        return time_table(inverse[half], y[half], times.size)
+
+    def draw(rngs):
+        train, test = zip(*([table(h) for h in _split_indices(rng, t.size)] for rng in rngs))
+        return *_stack(train), _stack(test)
 
     def score(params, test):
         return _rho2(times, params, *test)
@@ -257,15 +271,24 @@ def bootstrap_fits(
         ]
     )
 
-    def draw(rng):
-        drawn = rng.integers(0, n_regions, size=n_regions)
-        counts, sums, squares = (np.bincount(drawn, minlength=n_regions) @ table).reshape(3, -1)
+    def draw(rngs):
+        rows = len(rngs)
+        drawn = np.array([rng.integers(0, n_regions, size=n_regions) for rng in rngs])
+        drawn += n_regions * np.arange(rows)[:, None]
+        m = np.bincount(drawn.ravel(), minlength=rows * n_regions).reshape(rows, n_regions)
+        # one matrix-vector product per row, as numpy computes a lone
+        # replicate's m @ table; a 2-D m @ table is a matrix product whose
+        # BLAS kernel sums in another order, and so moves the bits
+        stacked = (m[:, None, :] @ table)[:, 0].reshape(rows, 3, -1)
+        counts, sums, squares = stacked.transpose(1, 0, 2)
         shift = sums / np.maximum(counts, 1.0)
-        return counts, center + shift, max(float(np.sum(squares - sums * shift)), 0.0), None
+        within_ss = np.maximum(np.sum(squares - sums * shift, axis=1), 0.0)
+        return counts, center + shift, within_ss, None
 
-    params, n_failed = _refit(
-        "bootstrap", n_iter, seed, times, full_fit.params, draw, lambda row, _: row
-    )
+    def score(params, _):
+        return params, [None] * len(params)
+
+    params, n_failed = _refit("bootstrap", n_iter, seed, times, full_fit.params, draw, score)
     if not params:
         raise NumericalError("every bootstrap iteration failed")
     return BootstrapEnsemble(

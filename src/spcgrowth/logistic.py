@@ -35,7 +35,10 @@ There is one LM loop, ``fit_tables``, and it fits R such tables over the
 same times at once. It keeps theta as (R, 4), the residuals as (R, U) and
 one damping level lambda, step count and active flag per row; the
 Jacobians are stacked as (R, U, 4), and J^T W J and J^T W r are formed by
-batched ``matmul`` and solved by batched ``np.linalg.solve``. The inner
+batched ``matmul`` and solved by batched ``np.linalg.solve``. A row's
+Jacobian reuses the denominators 1 + exp(-c (t - d)) of the trial it
+accepted, and the Jacobians and their weighted copies are written into
+two buffers made once per call, so a round allocates neither. The inner
 damping loop runs in rounds: each round, every active row tries its own
 lambda, and each row stops on its own tests. Every operation acts on one
 row at a time with the same BLAS and LAPACK calls as a lone fit, so a
@@ -145,20 +148,34 @@ def logistic_inverse(params: LogisticParams, y: float) -> float:
     return params.d - math.log(ratio) / params.c
 
 
-def _curves(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """f at the times ``t`` (U,) for each row of ``theta`` (R, 4): (R, U)."""
-    a, b, c, d = (theta[:, k, None] for k in range(4))
-    z = np.clip(-c * (t - d), -EXP_CLAMP, EXP_CLAMP)
-    return a / (1.0 + np.exp(z)) + b
+def _denominators(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """1 + exp(-c (t - d)), its exponent clipped, at the times ``t`` (U,)
+    for each row of ``theta`` (R, 4): (R, U)."""
+    _, _, c, d = (theta[:, k, None] for k in range(4))
+    return 1.0 + np.exp(np.clip(-c * (t - d), -EXP_CLAMP, EXP_CLAMP))
 
 
-def _jacobians(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """df/d(a, b, c, d) at the times ``t`` for each row of ``theta``: (R, U, 4)."""
+def _curves(theta: np.ndarray, t: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
+    """f at the times ``t`` (U,) for each row of ``theta`` (R, 4): (R, U).
+    ``denom`` is the rows' ``_denominators``, when already computed."""
+    if denom is None:
+        denom = _denominators(theta, t)
+    return theta[:, 0, None] / denom + theta[:, 1, None]
+
+
+def _jacobians(
+    theta: np.ndarray,
+    t: np.ndarray,
+    denom: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """df/d(a, b, c, d) at the times ``t`` for each row of ``theta``: (R, U, 4).
+    ``denom`` is the rows' ``_denominators``, when already computed; ``out``
+    is an (R, U, 4) array to fill in place of a new one."""
     a, _, c, d = (theta[:, k, None] for k in range(4))
-    z = np.clip(-c * (t - d), -EXP_CLAMP, EXP_CLAMP)
-    s = 1.0 / (1.0 + np.exp(z))  # sigmoid
+    s = 1.0 / (_denominators(theta, t) if denom is None else denom)  # sigmoid
     sw = s * (1.0 - s)
-    jac = np.empty(s.shape + (4,))
+    jac = np.empty(s.shape + (4,)) if out is None else out
     jac[..., 0] = s
     jac[..., 1] = 1.0
     jac[..., 2] = a * sw * (t - d)
@@ -236,7 +253,8 @@ def fit_tables(
     """
     n_rows = means.shape[0]
     theta = np.tile(init.canonical().as_array(), (n_rows, 1))
-    res = _curves(theta, times) - means
+    denom = _denominators(theta, times)  # of each row's current theta
+    res = _curves(theta, times, denom) - means
     objective = _objectives(res, weights, within_ss)
     n_points = np.rint(weights.sum(axis=1)).astype(np.int64)
     errors: list[str | None] = [None] * n_rows
@@ -254,14 +272,18 @@ def fit_tables(
     grad = np.zeros((n_rows, 4))
     scale = np.zeros((n_rows, 4, 4))
     diag = np.arange(4)
+    # the Jacobians and their weighted copies; a leading slice has the
+    # strides of a new array, so each matmul below is the same BLAS call
+    jac_buf, wjac_buf = np.empty((2, n_rows, times.size, 4))
 
     # One round: rows that took a step form J^T W J and J^T W r at their
     # new point, then every active row tries its current damping level.
     while active.any():
         rows = np.flatnonzero(stale)
         if rows.size:
-            jac = _jacobians(theta[rows], times)
-            wjac_t = (jac * weights[rows, :, None]).transpose(0, 2, 1)
+            jac = _jacobians(theta[rows], times, denom[rows], jac_buf[: rows.size])
+            wjac = np.multiply(jac, weights[rows, :, None], out=wjac_buf[: rows.size])
+            wjac_t = wjac.transpose(0, 2, 1)
             jtj[rows] = wjac_t @ jac
             grad[rows] = (wjac_t @ res[rows, :, None])[..., 0]
             degenerate = ~(
@@ -280,13 +302,15 @@ def fit_tables(
         step = _solve(jtj[rows] + lam[rows, None, None] * scale[rows], -grad[rows])
         solved = np.flatnonzero(np.isfinite(step).all(axis=1))
         trial = theta[rows[solved]] + step[solved]
-        trial_res = _curves(trial, times) - means[rows[solved]]
+        trial_denom = _denominators(trial, times)
+        trial_res = _curves(trial, times, trial_denom) - means[rows[solved]]
         trial_obj = _objectives(trial_res, weights[rows[solved]], within_ss[rows[solved]])
         better = np.isfinite(trial_obj) & (trial_obj <= objective[rows[solved]])
 
         taken = rows[solved[better]]
         rel_decrease = (objective[taken] - trial_obj[better]) / np.maximum(objective[taken], 1e-300)
         theta[taken] = trial[better]
+        denom[taken] = trial_denom[better]
         res[taken] = trial_res[better]
         objective[taken] = trial_obj[better]
         lam[taken] = np.maximum(lam[taken] / 10.0, 1e-12)
@@ -322,8 +346,9 @@ def fit_tables(
     # max_k |J_k . r| / (|J_k| |r|), the cosine of the steepest column
     # angle, where over the points J_k . r = sum W_u J_uk res_u and
     # |J_k|^2 = sum W_u J_uk^2.
-    jac = _jacobians(theta, times)
-    g = ((jac * weights[:, :, None]).transpose(0, 2, 1) @ res[:, :, None])[..., 0]
+    jac = _jacobians(theta, times, out=jac_buf)
+    wjac = np.multiply(jac, weights[:, :, None], out=wjac_buf)
+    g = (wjac.transpose(0, 2, 1) @ res[:, :, None])[..., 0]
     jac *= jac
     col = np.sqrt(weights[:, None, :] @ jac)[:, 0]
     col[col == 0.0] = np.inf

@@ -2,6 +2,7 @@
 
 import logging
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,7 +169,8 @@ class TestSplit:
 
 
 class TestTableScore:
-    """``_rho2`` scores a curve on a test half given as its per-time table."""
+    """``_rho2`` scores a block of curves, each on a test half given as its
+    own per-time table."""
 
     TIMES = np.array([-300.0, -100.0, 0.0, 200.0, 500.0])
     CURVE = np.array([1.0, 0.0, 0.004, 0.0])
@@ -177,34 +179,62 @@ class TestTableScore:
         counts = np.array([1, 3, 2, 0, 4])
         # a time no point maps to has mean 0, as time_table gives it
         means = np.where(counts > 0, logistic_eval(LogisticParams(*self.CURVE), self.TIMES), 0.0)
-        assert inference._rho2(self.TIMES, self.CURVE, counts, means, 0.0) == 1.0
+        block = inference._stack([(counts, means, 0.0)])
+        rho2, errors = inference._rho2(self.TIMES, self.CURVE[None, :], *block)
+        assert rho2.tolist() == [1.0] and errors == [None]
 
     def test_a_prediction_at_the_test_halfs_mean_scores_zero(self):
         rng = np.random.default_rng(4)
         inverse = rng.integers(0, self.TIMES.size, 40)
         y = rng.random(40)
         flat = np.array([0.0, y.mean(), 0.004, 0.0])
-        table = time_table(inverse, y, self.TIMES.size)
-        assert inference._rho2(self.TIMES, flat, *table) == pytest.approx(0.0, abs=1e-14)
+        block = inference._stack([time_table(inverse, y, self.TIMES.size)])
+        rho2, errors = inference._rho2(self.TIMES, flat[None, :], *block)
+        assert rho2[0] == pytest.approx(0.0, abs=1e-14) and errors == [None]
 
-    def test_a_test_half_with_zero_variance_is_a_failed_repeat(self, aligned_noisy):
+    def test_a_test_half_with_zero_variance_is_a_failed_repeat(self, aligned_noisy, caplog):
         aligned, full = aligned_noisy
         t, y = aligned.pooled()
         times, inverse = np.unique(t, return_inverse=True)
         # 0.4 summed and divided per time does not give 0.4 back exactly
         constant = time_table(inverse, np.full(y.size, 0.4), times.size)
         assert not np.all(constant[1][constant[0] > 0] == 0.4)
-        with pytest.raises(NumericalError, match="zero variance"):
-            inference._rho2(times, full.params.as_array(), *constant)
         train = time_table(inverse, y, times.size)
-
-        def score(params, table):
-            return inference._rho2(times, params, *table)
-
-        values, n_failed = inference._refit(
-            "validation", 3, 0, times, full.params, lambda rng: (*train, constant), score
+        rho2, errors = inference._rho2(
+            times, np.tile(full.params.as_array(), (2, 1)), *inference._stack([constant, train])
         )
+        assert np.isnan(rho2[0]) and np.isfinite(rho2[1])
+        assert errors == ["test half has zero variance", None]
+
+        def draw(rngs):
+            return *inference._stack([train] * len(rngs)), inference._stack([constant] * len(rngs))
+
+        with caplog.at_level(logging.WARNING, logger=inference.__name__):
+            values, n_failed = inference._refit(
+                "validation",
+                3,
+                0,
+                times,
+                full.params,
+                draw,
+                lambda params, test: inference._rho2(times, params, *test),
+            )
         assert (values, n_failed) == ([], 3)
+        assert "(first: test half has zero variance)" in caplog.text
+
+    def test_rows_without_a_score_raise_no_warning(self):
+        # a row whose fit failed comes with NaN parameters, and a table of
+        # zeros has SST exactly 0: scoring neither may warn of an invalid
+        # value or a division by zero
+        counts = np.array([[1, 3, 2, 0, 4]] * 3, dtype=float)
+        means = np.tile(logistic_eval(LogisticParams(*self.CURVE), self.TIMES), (3, 1))
+        means[2] = 0.0
+        params = np.array([self.CURVE, [np.nan] * 4, self.CURVE])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho2, errors = inference._rho2(self.TIMES, params, counts, means, np.zeros(3))
+        assert rho2[0] == 1.0 and np.isnan(rho2[1:]).all()
+        assert errors == [None, None, "test half has zero variance"]
 
 
 def fail_every_third_fit(monkeypatch):
@@ -312,6 +342,72 @@ class TestBatchedFits:
                 assert np.array_equal(alone.params[0], fits.params[r])
                 assert alone.iterations[0] == fits.iterations[r]
                 assert alone.converged[0] == fits.converged[r]
+
+    def test_the_stages_give_the_same_bits_in_blocks_of_1_7_and_64(
+        self, aligned_noisy, monkeypatch, caplog
+    ):
+        # draws and scores are computed a block at a time as well as fits
+        aligned, full = aligned_noisy
+        runs = []
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(inference, "_BLOCK_ROWS", rows)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger=inference.__name__):
+                ensemble = bootstrap_fits(aligned, full, n_iter=50, seed=13)
+                report = out_of_sample_validation(aligned, full, n_repeats=50, seed=9)
+            lines = [r.getMessage() for r in caplog.records if "LM iterations" in r.getMessage()]
+            assert len(lines) == 2
+            runs.append(
+                (ensemble.params, ensemble.failed_fits, report.rho2_values, report.n_failed, lines)
+            )
+        for params, *rest in runs[1:]:
+            assert np.array_equal(params, runs[0][0])
+            assert rest == list(runs[0][1:])
+
+    def test_a_block_draws_each_replicates_own_table(self, aligned_noisy, monkeypatch):
+        aligned, full = aligned_noisy
+        real_fit = inference.fit_tables
+        blocks = []
+
+        def keep(times, means, weights, within_ss, init):
+            blocks.append((means, weights, within_ss))
+            return real_fit(times, means, weights, within_ss, init)
+
+        monkeypatch.setattr(inference, "fit_tables", keep)
+        bootstrap_fits(aligned, full, n_iter=50, seed=13)
+        [(means, weights, within_ss)] = blocks
+        # each replicate's table as one vector @ the per-region table, as a
+        # lone replicate computes it
+        n = len(aligned.regions)
+        t, y = aligned.pooled()
+        times, inverse = np.unique(t, return_inverse=True)
+        _, center, _ = time_table(inverse, y, times.size)
+        dev = y - center[inverse]
+        cell = np.repeat(np.arange(n), [r.rel_time.size for r in aligned.regions]) * times.size
+        table = np.hstack(
+            [
+                np.bincount(cell + inverse, weights=w, minlength=n * times.size).reshape(n, -1)
+                for w in (None, dev, dev * dev)
+            ]
+        )
+        m = np.array(
+            [
+                np.bincount(np.random.default_rng(child).integers(0, n, size=n), minlength=n)
+                for child in np.random.SeedSequence(13).spawn(50)
+            ]
+        )
+        per_replicate = np.stack([row @ table for row in m])
+        # The stacked product runs the same matrix-vector product per row.
+        # A 2-D m @ table is one matrix product, whose BLAS kernel sums in
+        # another order: it moves the last bits of some entries, and so of
+        # the fits and the report.
+        assert np.array_equal((m[:, None, :] @ table)[:, 0], per_replicate)
+        for r, row in enumerate(per_replicate):
+            counts, sums, squares = row.reshape(3, -1)
+            shift = sums / np.maximum(counts, 1.0)
+            assert np.array_equal(weights[r], counts)
+            assert np.array_equal(means[r], center + shift)
+            assert within_ss[r] == max(float(np.sum(squares - sums * shift)), 0.0)
 
     def test_bootstrap_memory_does_not_grow_with_the_replicates(self, aligned_noisy):
         aligned, full = aligned_noisy
