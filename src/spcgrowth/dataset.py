@@ -187,6 +187,19 @@ def _spc1(cell: str) -> float:
     return value
 
 
+def _scores(cells: Sequence[str]) -> np.ndarray:
+    """The SPC1 cells of a block as one array, converted in one pass; where
+    a cell is not a number or not finite, _Rejected from ``_spc1`` at the
+    first such cell."""
+    try:
+        raw = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        raw = None
+    if raw is None or not np.isfinite(raw).all():
+        raw = np.array(list(map(_spc1, cells)), dtype=np.float64)
+    return raw
+
+
 def _label(column: str, continuous: str):
     """The rule of a continuity column: True for ``continuous``, False for
     'outside.central' or a blank cell."""
@@ -254,11 +267,12 @@ class _Columns:
     """The panel's columns, filled one block of rows at a time.
 
     A block is converted a column at a time, each column through its one
-    rule: SPC1 once per cell, and every other column once per distinct
-    cell, with the results kept for the blocks that follow, so a name is
-    stripped and checked once however many rows repeat it. A block that
-    a rule rejects is converted again one row at a time, by the same
-    method, to name its first bad row.
+    rule: SPC1 in one pass over its cells, checked as a whole and through
+    ``_spc1`` cell by cell only when that check fails, and every other
+    column once per distinct cell, with the results kept for the blocks
+    that follow, so a name is stripped and checked once however many
+    rows repeat it. A block that a rule rejects is converted again one
+    row at a time, by the same method, to name its first bad row.
     """
 
     def __init__(self):
@@ -294,7 +308,7 @@ class _Columns:
         years = self._column(abs_time, _ABS_TIME)
         rel_text = tuple(map(str.strip, rel_time))
         rel_values = self._column(tuple(filter(None, rel_text)), _REL_TIME)
-        raw = np.array(list(map(_spc1, spc1)), dtype=np.float64)
+        raw = _scores(spc1)
         cultural = self._column(culture, _CULTURE)
         institutional = self._column(institution, _INSTITUTIONS)
         region = _lookup(names, self.names, self._name_code)

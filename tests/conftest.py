@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -32,6 +34,16 @@ def no_child_left_behind():
     left = child_pids() - before
     if left:
         pytest.fail(f"child process(es) {sorted(left)} left running or unreaped", pytrace=False)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that returns while a thread it started is still alive."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"thread(s) {left} left running", pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -312,8 +312,10 @@ class TestBlockParse:
     @pytest.mark.parametrize(
         "bad_row, message",
         [("R,P,1.5,,0.5,,", "AbsTime value '1.5' is not an integer year"),
-         ("R\x01,P,0,,0.5,,", "NGA name 'R\\x01' contains a control character")],
-        ids=["year", "name"],
+         ("R\x01,P,0,,0.5,,", "NGA name 'R\\x01' contains a control character"),
+         ("R,P,-100,,-inf,,", "SPC1 value '-inf' is not finite"),
+         ("R,P,-100,,0.5x,,", "SPC1 value '0.5x' is not a number")],
+        ids=["year", "name", "SPC1 not finite", "SPC1 not a number"],
     )
     def test_a_bad_row_on_either_side_of_a_block_boundary(self, at, bad_row, message):
         rows = ['R,"P\nQ",0,,0.5,,'] + [f"R,P,{100 * i},,0.5,," for i in range(1, 1000)]

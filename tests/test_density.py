@@ -1,5 +1,6 @@
 """Pooled-score density estimation and the bimodal valley threshold."""
 
+import threading
 import tracemalloc
 import warnings
 
@@ -126,7 +127,7 @@ def bimodal_sample(n, seed=0):
 def reference_rows(grid_size, n):
     """Grid rows to compare against the dense reference: all of them while the
     dense matrix is small, else every 31st row and the last, to keep its
-    memory small. Blocks then hold at most 16 rows, so the sampled rows fall
+    memory small. Blocks then hold at most 32 rows, so the sampled rows fall
     at every position within a block."""
     if grid_size * n <= 1 << 22:
         return np.arange(grid_size)
@@ -134,6 +135,10 @@ def reference_rows(grid_size, n):
 
 
 BLOCK_ROWS_N = _BLOCK_CELLS // GRID_SIZE  # N where a block is exactly the grid
+
+
+def block_count(n):
+    return -(-GRID_SIZE // max(1, _BLOCK_CELLS // n))
 
 
 class TestBlockedKde:
@@ -170,11 +175,86 @@ class TestBlockedKde:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_overflowing_terms_raise_no_warning(self):
+    @pytest.mark.parametrize("n", [2, 1000], ids=["one block", "both halves"])
+    def test_overflowing_terms_raise_no_warning(self, n):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = gaussian_kde(np.array([0.0, 1.0]), bandwidth=1e-300)
+            est = gaussian_kde(bimodal_sample(n), bandwidth=1e-300)
         assert np.all(est.density[1:-1] == 0.0)
+
+
+def exp_failing_in(thread, error):
+    """``np.exp`` that raises ``error`` when called in the caller's thread
+    ("caller") or in any other ("worker")."""
+    exp = np.exp
+
+    def patched(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == (thread == "caller"):
+            raise error
+        return exp(*args, **kwargs)
+
+    return patched
+
+
+class KdeFailure(Exception):
+    pass
+
+
+class TestThreadedKde:
+    """The caller fills the first half of the grid's blocks and one worker
+    thread the rest."""
+
+    @pytest.mark.parametrize(
+        "n, blocks",
+        [(BLOCK_ROWS_N, 1), (20_000, 171), (3_000, 24)],
+        ids=["one block", "odd blocks", "partial last block"],
+    )
+    def test_the_halves_equal_the_dense_sum_bit_for_bit(self, n, blocks):
+        # 171 blocks of 6 rows split 86 / 85; 24 blocks of 43 rows end in 35
+        assert block_count(n) == blocks
+        samples = bimodal_sample(n, seed=2)
+        est = gaussian_kde(samples, bandwidth=0.04)
+        rows = reference_rows(GRID_SIZE, n)
+        want = dense_kde_reference(samples, 0.04, est.grid[rows])
+        assert np.array_equal(est.density[rows], want)
+
+    @pytest.mark.parametrize("thread", ["caller", "worker"])
+    def test_a_failure_in_either_half_reaches_the_caller(self, thread, monkeypatch):
+        threads = threading.active_count()
+        monkeypatch.setattr(np, "exp", exp_failing_in(thread, KdeFailure(f"exp failed: {thread}")))
+        with pytest.raises(KdeFailure, match=f"^exp failed: {thread}$"):
+            gaussian_kde(bimodal_sample(1000), bandwidth=0.04)
+        assert threading.active_count() == threads
+
+    def test_the_worker_ignores_overflow_on_its_own(self, monkeypatch):
+        # numpy's error state is per thread: the caller's does not reach
+        # the worker, so only the worker's half overflows here
+        exp = np.exp
+
+        def overflowing_in_the_worker(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                np.float64(1e308) * 10.0
+            return exp(*args, **kwargs)
+
+        samples = bimodal_sample(1000)
+        want = gaussian_kde(samples, bandwidth=0.04).density
+        monkeypatch.setattr(np, "exp", overflowing_in_the_worker)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = gaussian_kde(samples, bandwidth=0.04)
+        assert np.array_equal(est.density, want)
+
+    def test_a_thread_that_cannot_start_leaves_the_caller_filling_both_halves(
+        self, monkeypatch
+    ):
+        samples = bimodal_sample(1000)
+        want = gaussian_kde(samples, bandwidth=0.04).density
+
+        def unavailable(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", unavailable)
+        assert np.array_equal(gaussian_kde(samples, bandwidth=0.04).density, want)
 
 
 class TestBimodalThreshold:
@@ -230,6 +310,28 @@ class TestBimodalThreshold:
         est = gaussian_kde(np.array([0.1, 0.2, 0.8, 0.9]), bandwidth=1e-9)
         with pytest.raises(NumericalError, match="too small for the grid"):
             find_bimodal_threshold(est)
+
+    @pytest.mark.parametrize("bandwidth", [1e-4, 1e-6])
+    def test_a_bandwidth_below_the_grid_step_is_refused(self, bandwidth):
+        # the density is then a row of single-sample spikes, whose lowest
+        # point between the two highest means nothing
+        est = gaussian_kde(bimodal_sample(2000), bandwidth=bandwidth)
+        step = est.grid[1] - est.grid[0]
+        assert bandwidth < step < 1e-3
+        message = (
+            f"bandwidth {bandwidth:g} is too small for the grid (try a larger bandwidth): "
+            f"it is below the grid step {step:g}"
+        )
+        with pytest.raises(NumericalError) as err:
+            find_bimodal_threshold(est)
+        assert str(err.value) == message
+
+    def test_a_bandwidth_of_one_grid_step_is_kept(self):
+        grid = np.linspace(0.0, 1.0, 1024)
+        density = mixture_density(grid, 0.5)
+        step = (grid[-1] - grid[0]) / (grid.size - 1)
+        th = find_bimodal_threshold(DensityEstimate(grid, density, step, 2))
+        assert abs(th.spc1_0 - EQUAL_MIX_VALLEY) <= step
 
     def test_plateau_peak_collapses_to_its_midpoint(self):
         grid = np.arange(7, dtype=float)

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -938,6 +939,43 @@ class TestCli:
         assert "series" in forked and len(forked) > 20
         assert tree_bytes(tmp_path / "in-process") == forked
 
+    def test_the_writer_forks_a_process_with_one_thread(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        # the KDE's worker thread is joined before the fit stage ends
+        threads = []
+        fork = os.fork
+
+        def counted_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
+                "--validation", "5", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        assert threads == [1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_a_report_pinned_to_one_cpu_writes_the_same_bytes(self, noisy_panel_path, tmp_path):
+        cpu = min(os.sched_getaffinity(0))
+        trees = []
+        for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "spcgrowth.cli", "report", "--input",
+                 str(noisy_panel_path), "--out", str(out), "--bootstrap", "20",
+                 "--validation", "5"],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=child_env(),
+                preexec_fn=pin,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append(tree_bytes(out))
+        assert "kde.csv" in trees[0] and trees[0] == trees[1]
+
     @pytest.mark.parametrize(
         "module, failing", [(tempfile, "mkdtemp"), (os, "fork")], ids=["mkdtemp", "fork"]
     )
@@ -1052,6 +1090,15 @@ class TestCli:
         assert "try a smaller bandwidth" not in caplog.text
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-4", "1e-6"])
+    def test_a_bandwidth_below_the_kde_grid_step_exits_3(self, noisy_panel_path, value, caplog):
+        # the density is a row of spikes there, and its lowest point
+        # between the two highest is no threshold
+        code = main(["fit", "--input", str(noisy_panel_path), "--bandwidth", value])
+        assert code == 3
+        assert f"bandwidth {float(value):g} is too small for the grid" in caplog.text
+        assert "below the grid step 0.00097" in caplog.text
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_unusable_bandwidth_exits_2(self, noisy_panel_path, value, caplog):
