@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,12 +67,13 @@ class AlignedDataset:
         y = np.concatenate([r.scaled for r in self.regions])
         return t.astype(float), y
 
-    def time_range(self) -> tuple[float, float]:
-        """The smallest and largest of ``pooled()``'s times, without joining
-        the regions' arrays."""
-        first = min(r.rel_time.min() for r in self.regions)
-        last = max(r.rel_time.max() for r in self.regions)
-        return float(first), float(last)
+    @cached_property
+    def time_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``pooled()``'s distinct times, ascending, and the row among them
+        of each pooled point; empty arrays when no region is retained."""
+        if not self.regions:
+            return np.empty(0), np.empty(0, dtype=np.intp)
+        return np.unique(self.pooled()[0], return_inverse=True)
 
 
 @dataclass(frozen=True)

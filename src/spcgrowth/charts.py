@@ -157,7 +157,8 @@ def _document(width: int, height: int, title: str, body: Iterable[str]) -> Itera
 
 
 def _curve_grid(bundle: ReportBundle, n: int = 257) -> np.ndarray:
-    return np.linspace(*bundle.aligned.time_range(), n)
+    times, _ = bundle.aligned.time_rows
+    return np.linspace(times[0], times[-1], n)
 
 
 def _y_span(ys) -> tuple[float, float]:
@@ -298,16 +299,14 @@ def density_chart(bundle: ReportBundle) -> Iterator[str]:
 
 
 def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
-    """Pooled residuals around the fitted curve with the 2x RMSE band."""
+    """Pooled residuals around the fitted curve with the 2x RMSE band,
+    scaled to the fit's largest residual; the residuals are walked once,
+    for the dots, a region at a time."""
     width, height = 760, 420
-    # the residuals are taken once for the scale and again for the dots,
-    # so that only one region's residuals are held at a time
-    band = 2.0 * bundle.full_fit.rmse
-    largest = max(float(np.max(np.abs(res))) for _, _, res in region_residuals(bundle))
-    y_hi = max(largest, band) * 1.1
-    frame = _Frame(
-        (60, 40, width - 20, height - 40), bundle.aligned.time_range(), (-y_hi, y_hi)
-    )
+    fit, times = bundle.full_fit, bundle.aligned.time_rows[0]
+    band = 2.0 * fit.rmse
+    y_hi = max(fit.max_abs_residual, band) * 1.1
+    frame = _Frame((60, 40, width - 20, height - 40), (times[0], times[-1]), (-y_hi, y_hi))
     body = [
         f'<line x1="{frame.left}" y1="{frame.y(0.0):.2f}" x2="{frame.right}" '
         f'y2="{frame.y(0.0):.2f}" stroke="#888888" stroke-width="1"/>'
@@ -319,7 +318,8 @@ def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
             f'y2="{py:.2f}" stroke="#d62728" stroke-width="1" '
             'stroke-dasharray="4 3"/>'
         )
-    dots = (frame.circles(r.rel_time, res) for r, _, res in region_residuals(bundle))
+    walk = region_residuals(bundle.aligned, fit.params)
+    dots = (frame.circles(r.rel_time, res) for r, _, res in walk)
     body = chain(body, chain.from_iterable(dots), frame.axes())
     yield from _document(width, height, "residuals against the fitted curve", body)
 

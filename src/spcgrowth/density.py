@@ -167,7 +167,8 @@ def find_bimodal_threshold(estimate: DensityEstimate) -> BimodalThreshold:
     between the grid ends) and its valleys mean nothing, and when fewer
     than two local maxima exist (an oversmoothed density), in which case
     no low/high threshold is defined and the pipeline must abort with a
-    diagnostic.
+    diagnostic. More than two local maxima (a bandwidth of a few grid
+    steps) are logged as a WARNING naming the two used.
     """
     density = estimate.density
     grid = estimate.grid
@@ -186,11 +187,15 @@ def find_bimodal_threshold(estimate: DensityEstimate) -> BimodalThreshold:
             f"density has {len(maxima)} local maxima; threshold between two "
             "modes is undefined (try a smaller bandwidth)"
         )
-    if len(maxima) > 2:
-        logger.info("density has %d local maxima; using the two highest", len(maxima))
     # Two highest; ties broken toward the smaller grid location.
     ranked = sorted(maxima, key=lambda i: (-density[i], grid[i]))
     left, right = sorted(ranked[:2])
+    if len(maxima) > 2:
+        logger.warning(
+            "density has %d local maxima at bandwidth %.6g; using the two highest, at %.6g "
+            "and %.6g",
+            len(maxima), estimate.bandwidth, grid[left], grid[right],
+        )
 
     interior = slice(left + 1, right)
     rel = int(np.argmin(density[interior]))  # first occurrence = smallest location

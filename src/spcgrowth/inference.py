@@ -22,9 +22,12 @@ random generators into its per-time tables, ``fit_tables`` fits them,
 stopping each on the ``logistic`` constants ``MAX_ITER``, ``TOL`` and
 ``GTOL``, and the stage's ``score`` turns the block's parameters into its
 values. Only the random calls, and validation's tabling of each split,
-run once per replicate. The driver logs the stage's counts. Validation scores each block of fits on its test halves'
-own per-time tables, with the fitter's objective (``_rho2``), so no repeat
-keeps the points of its split.
+run once per replicate. ``_refit`` logs the stage's counts.
+
+Validation scores each block of fits on its test halves' own per-time
+tables, with the fitter's objective (``_rho2``), so no repeat keeps the
+points of its split. Both stages table over the aligned panel's distinct
+times, ``AlignedDataset.time_rows``, which is computed once per panel.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ def out_of_sample_validation(
         raise NumericalError(f"need at least 10 pooled points, got {t.size}")
     if n_repeats < 1:
         raise ParameterError("n_repeats must be >= 1")
-    times, inverse = np.unique(t, return_inverse=True)
+    times, inverse = aligned.time_rows
 
     def table(half):
         return time_table(inverse[half], y[half], times.size)
@@ -254,8 +257,8 @@ def bootstrap_fits(
     if n_iter < 1:
         raise ParameterError("n_iter must be >= 1")
 
-    t, y = aligned.pooled()
-    times, inverse = np.unique(t, return_inverse=True)
+    _, y = aligned.pooled()
+    times, inverse = aligned.time_rows
     _, center, _ = time_table(inverse, y, times.size)
     dev = y - center[inverse]
     region = np.repeat(np.arange(n_regions), [r.rel_time.size for r in aligned.regions])

@@ -117,6 +117,7 @@ class FitResult:
 
     params: LogisticParams
     rmse: float  # root mean square of the per-point residuals
+    max_abs_residual: float  # the largest of their absolute values
     n_points: int
     converged: bool
     iterations: int  # accepted LM steps
@@ -373,10 +374,10 @@ def fit_logistic(t, y, init: LogisticParams | None = None) -> FitResult:
     ``converged`` is True when the residual is orthogonal to the Jacobian
     columns within ``GTOL``; otherwise the best iterate comes back with
     ``converged=False`` and the caller decides whether to accept it.
-    ``rmse`` is taken over the points. Raises ParameterError for mismatched
-    lengths or a zero initial rate, and NumericalError for non-finite
-    inputs or a failed row: fewer than 5 points, a non-finite objective at
-    the start, or a non-finite Jacobian.
+    ``rmse`` and ``max_abs_residual`` are taken over the points. Raises
+    ParameterError for mismatched lengths or a zero initial rate, and
+    NumericalError for non-finite inputs or a failed row: fewer than 5
+    points, a non-finite objective at the start, or a non-finite Jacobian.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -401,6 +402,7 @@ def fit_logistic(t, y, init: LogisticParams | None = None) -> FitResult:
     return FitResult(
         params=params,
         rmse=float(np.sqrt(np.mean(res**2))),
+        max_abs_residual=float(np.max(np.abs(res))),
         n_points=int(fits.n_points[0]),
         converged=bool(fits.converged[0]),
         iterations=int(fits.iterations[0]),

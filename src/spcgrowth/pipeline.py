@@ -44,7 +44,7 @@ from .inference import (
     out_of_sample_validation,
     plateau_thresholds,
 )
-from .logistic import FitResult, fit_logistic, logistic_eval
+from .logistic import FitResult, fit_logistic
 
 logger = logging.getLogger(__name__)
 
@@ -309,10 +309,13 @@ def benchmark_check(bundle: ReportBundle, new_series_path) -> CheckReport:
 
     Each new region is scaled with the bundle's stored extrema and
     aligned against its threshold by ``shift_to_reltime``, as the panel's
-    regions are; residuals are taken against the full fitted curve. A
-    region that never crosses the threshold comes back as a
-    not-anchorable row rather than an error.
+    regions are. Its residuals against the full fitted curve are those
+    ``report.region_residuals`` gives, as for ``residuals.csv``. A region
+    that never crosses the threshold comes back as a not-anchorable row
+    rather than an error.
     """
+    from .report import region_residuals
+
     if bundle.dataset.scale_min is None:
         raise ParameterError("bundle dataset carries no scaling extrema")
     raw = load_dataset(new_series_path)
@@ -320,39 +323,22 @@ def benchmark_check(bundle: ReportBundle, new_series_path) -> CheckReport:
         raw, extrema=(bundle.dataset.scale_min, bundle.dataset.scale_max)
     )
     aligned = shift_to_reltime(scaled, bundle.threshold.spc1_0)
-    retained = {region.nga: region for region in aligned.regions}
+    # retained regions and anchors are both in name order
+    walk = region_residuals(aligned, bundle.full_fit.params)
     n_points = {series.nga: len(series) for series in scaled.regions}
     reference_rmse = bundle.full_fit.rmse
     checks = []
     for anchor in aligned.anchor_results:
-        region = retained.get(anchor.nga)
-        if region is None:
-            checks.append(
-                SeriesCheck(
-                    nga=anchor.nga,
-                    anchored=False,
-                    anchor_year=None,
-                    n_points=n_points[anchor.nga],
-                    rmse=float("nan"),
-                    max_abs_residual=float("nan"),
-                    frac_beyond=float("nan"),
-                )
+        scores = (float("nan"),) * 3
+        if anchor.crossed:
+            _, _, residuals = next(walk)
+            scores = (
+                float(np.sqrt(np.mean(residuals**2))),
+                float(np.max(np.abs(residuals))),
+                float(np.mean(np.abs(residuals) > 2.0 * reference_rmse)),
             )
-            continue
-        residuals = region.scaled - logistic_eval(
-            bundle.full_fit.params, region.rel_time.astype(float)
-        )
-        checks.append(
-            SeriesCheck(
-                nga=anchor.nga,
-                anchored=True,
-                anchor_year=anchor.anchor_year,
-                n_points=n_points[anchor.nga],
-                rmse=float(np.sqrt(np.mean(residuals**2))),
-                max_abs_residual=float(np.max(np.abs(residuals))),
-                frac_beyond=float(np.mean(np.abs(residuals) > 2.0 * reference_rmse)),
-            )
-        )
+        year, n = anchor.anchor_year, n_points[anchor.nga]
+        checks.append(SeriesCheck(anchor.nga, anchor.crossed, year, n, *scores))
     return CheckReport(
         reference_rmse=reference_rmse,
         spc1_0=bundle.threshold.spc1_0,

@@ -13,8 +13,8 @@ that computed the same values produce the same bytes.
 source of truth). The long CSVs are formatted a column at a time: each
 region's or curve's columns are taken out with ``tolist()`` once, and
 every row fills one ``%d``/``%r`` template, with names quoted by
-``dataset.csv_field``. ``region_residuals`` gives ``residuals.csv`` and
-the residuals chart the same residuals, a region at a time.
+``dataset.csv_field``. ``region_residuals`` gives ``residuals.csv``, the
+residuals chart and ``check`` the same residuals, a region at a time.
 
 ``report_files``, ``plot_data_files``, ``fit_stage_files`` and
 ``charts.chart_files`` are streams of ``(relative path, text chunks)``: a
@@ -53,9 +53,10 @@ import numpy as np
 
 from .dataset import Dataset, csv_field, serialize_dataset
 from .errors import ParameterError
-from .logistic import logistic_eval
+from .logistic import LogisticParams, logistic_eval
 
 if TYPE_CHECKING:
+    from .align import AlignedDataset
     from .inference import ContinuityComparison
     from .pipeline import CheckReport, ReportBundle
 
@@ -275,7 +276,8 @@ def _joined(pieces: Iterator[str]) -> str:
 
 
 def _curves_csv(bundle: ReportBundle) -> str:
-    grid = np.linspace(*bundle.aligned.time_range(), CURVE_SAMPLES)
+    times, _ = bundle.aligned.time_rows
+    grid = np.linspace(times[0], times[-1], CURVE_SAMPLES)
     parts = ["curve,rel_time,value\n"]
     curves = [("full", bundle.full_fit)] + [
         (c.mode.value, c.fit) for c in bundle.continuity
@@ -294,30 +296,29 @@ def _kde_csv(bundle: ReportBundle) -> str:
     return "".join(["grid,density\n", *rows])
 
 
-def region_residuals(bundle: ReportBundle) -> Iterator[tuple]:
-    """Each aligned region in turn, with the ``repr`` text of the fitted
-    curve at its times and its residuals (curve minus scaled score), so
-    only one region's residuals are held at a time.
+def region_residuals(aligned: AlignedDataset, params: LogisticParams) -> Iterator[tuple]:
+    """Each aligned region in turn, with the ``repr`` text of the curve
+    ``params`` at its times and its residuals (curve minus scaled score),
+    so only one region's residuals are held at a time. This is the one
+    place a fitted curve meets aligned points: ``residuals.csv``,
+    ``residuals.svg`` and ``check`` all read it.
 
-    The curve is evaluated, and its text formatted, once per distinct
-    (integer) time.
+    The curve is evaluated, and its text formatted, once per distinct time
+    of ``aligned.time_rows``; a region's points read theirs by row, so each
+    residual has the bits of ``logistic_eval(params, t) - y`` at its point.
     """
-    regions = bundle.aligned.regions
-    distinct = set()
-    for region in regions:
-        distinct.update(region.rel_time.tolist())
-    times = np.array(sorted(distinct), dtype=np.int64)
-    values = logistic_eval(bundle.full_fit.params, times.astype(float))
+    times, rows = aligned.time_rows
+    values = logistic_eval(params, times)
     text = np.array([repr(value) for value in values.tolist()], dtype=object)
-    for region in regions:
-        at = np.searchsorted(times, region.rel_time)
+    ends = np.cumsum([region.rel_time.size for region in aligned.regions])
+    for region, at in zip(aligned.regions, np.split(rows, ends[:-1])):
         yield region, text[at], values[at] - region.scaled
 
 
 def _residuals_csv(bundle: ReportBundle) -> Iterator[str]:
     """The header, then one chunk per region."""
     yield "nga,rel_time,scaled,predicted,residual\n"
-    for region, predicted, residuals in region_residuals(bundle):
+    for region, predicted, residuals in region_residuals(bundle.aligned, bundle.full_fit.params):
         rows = _template_rows(
             "%s,%d,%r,%s,%r\n",
             repeat(csv_field(region.nga)),

@@ -309,6 +309,7 @@ def reference_fit(t, y, init=None) -> FitResult:
     return FitResult(
         params=final,
         rmse=float(np.sqrt(np.mean(res**2))),
+        max_abs_residual=float(np.max(np.abs(res))),
         n_points=t.size,
         converged=converged,
         iterations=iterations,
@@ -318,12 +319,14 @@ def reference_fit(t, y, init=None) -> FitResult:
 def table_row(fits, r: int = 0) -> FitResult:
     """Row ``r`` of a ``logistic.fit_tables`` result as a FitResult for
     ``assert_same_fit``; a failed row raises its NumericalError. A table
-    holds no per-point residuals, so ``rmse`` is NaN."""
+    holds no per-point residuals, so ``rmse`` and ``max_abs_residual`` are
+    NaN."""
     if fits.errors[r] is not None:
         raise NumericalError(fits.errors[r])
     return FitResult(
         params=LogisticParams(*fits.params[r]),
         rmse=math.nan,
+        max_abs_residual=math.nan,
         n_points=int(fits.n_points[r]),
         converged=bool(fits.converged[r]),
         iterations=int(fits.iterations[r]),

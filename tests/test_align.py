@@ -23,7 +23,12 @@ from spcgrowth import (
     minmax_scale,
     shift_to_reltime,
 )
-from spcgrowth.align import anchor_time, central_segments, extract_central_sequence
+from spcgrowth.align import (
+    AlignedDataset,
+    anchor_time,
+    central_segments,
+    extract_central_sequence,
+)
 from spcgrowth.dataset import parse_dataset
 
 
@@ -138,6 +143,19 @@ class TestShift:
         aligned = shift_to_reltime(minmax_scale(ds), 0.5)
         t, y = aligned.pooled()
         assert t.size == y.size == 4
+
+    def test_time_rows_are_the_distinct_pooled_times_and_each_points_row(self):
+        ds = build_dataset(
+            [make_region("A", [0.1, 0.3, 0.9], start=-700), make_region("B", [0.2, 0.8])]
+        )
+        aligned = shift_to_reltime(minmax_scale(ds), 0.5)
+        t, _ = aligned.pooled()
+        times, rows = aligned.time_rows
+        assert times.tolist() == [-200.0, -100.0, 0.0] and times.dtype == float
+        assert np.array_equal(times[rows], t)
+        assert aligned.time_rows is aligned.time_rows  # computed once
+        times, rows = AlignedDataset(()).time_rows  # no region retained
+        assert times.size == rows.size == 0
 
 
 def labelled_aligned(culture, institution=None, values=None, anchor=-600):

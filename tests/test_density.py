@@ -1,5 +1,6 @@
 """Pooled-score density estimation and the bimodal valley threshold."""
 
+import logging
 import threading
 import tracemalloc
 import warnings
@@ -8,7 +9,15 @@ import numpy as np
 import pytest
 from helpers import dense_kde_reference, kde_mass, normal_pdf
 
-from spcgrowth import NumericalError, ParameterError, find_bimodal_threshold, gaussian_kde
+from spcgrowth import (
+    NumericalError,
+    ParameterError,
+    SyntheticSpec,
+    find_bimodal_threshold,
+    gaussian_kde,
+    generate_synthetic,
+    minmax_scale,
+)
 from spcgrowth.density import _BLOCK_CELLS, GRID_SIZE, DensityEstimate, scott_bandwidth
 
 # Height of N(mu, 0.05^2) at its mode: 1 / (0.05 * sqrt(2 pi)).
@@ -332,6 +341,24 @@ class TestBimodalThreshold:
         step = (grid[-1] - grid[0]) / (grid.size - 1)
         th = find_bimodal_threshold(DensityEstimate(grid, density, step, 2))
         assert abs(th.spc1_0 - EQUAL_MIX_VALLEY) <= step
+
+    def test_more_than_two_maxima_are_a_warning_that_names_them(self, caplog):
+        grid = np.arange(9, dtype=float)
+        density = np.array([0.0, 3.0, 0.0, 1.0, 0.0, 5.0, 0.0, 2.0, 0.0])
+        th = find_bimodal_threshold(DensityEstimate(grid, density, 1.5, 9))
+        assert (th.left_peak, th.spc1_0, th.right_peak) == (1.0, 2.0, 5.0)
+        message = (
+            "density has 4 local maxima at bandwidth 1.5; using the two highest, at 1 and 5"
+        )
+        assert caplog.record_tuples == [("spcgrowth.density", logging.WARNING, message)]
+
+    @pytest.mark.parametrize("n_regions", [30, 300])
+    def test_the_auto_bandwidth_on_a_synthetic_panel_finds_two_maxima(self, n_regions, caplog):
+        # the bench's panel sizes: the automatic bandwidth smooths each
+        # mode into one peak, so no warning of extra maxima is logged
+        panel = generate_synthetic(SyntheticSpec(n_regions, noise_sigma=0.05), seed=7)
+        find_bimodal_threshold(gaussian_kde(minmax_scale(panel).all_scaled()))
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_plateau_peak_collapses_to_its_midpoint(self):
         grid = np.arange(7, dtype=float)

@@ -286,6 +286,17 @@ class TestFullPipeline:
         assert digests[0] != digests[1]
         assert reports[0] == reports[1]
 
+    @staticmethod
+    def report_leaves(tmp_path, header: str, *bodies) -> list[dict[str, str]]:
+        """The ``bundle_to_dict`` leaves of a small run on each panel body."""
+        leaves = []
+        for n, body in enumerate(bodies):
+            path = tmp_path / f"panel{n}.csv"
+            path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+            config = PipelineConfig(input_path=str(path), n_bootstrap=20, n_validation=5)
+            leaves.append(json_leaves(bundle_to_dict(run_pipeline(config))))
+        return leaves
+
     def test_shifting_one_region_in_calendar_time_moves_only_its_anchor(self, tmp_path):
         # alignment is by each region's own threshold crossing, so 700 years
         # later is the same region in relative time
@@ -296,18 +307,35 @@ class TestFullPipeline:
         for cell in cells:
             if cell[0] == moved:
                 cell[2] = str(int(cell[2]) + 700)
-        leaves = []
-        for name, body in (("given.csv", rows), ("moved.csv", [",".join(c) for c in cells])):
-            path = tmp_path / name
-            path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
-            config = PipelineConfig(input_path=str(path), n_bootstrap=20, n_validation=5)
-            leaves.append(json_leaves(bundle_to_dict(run_pipeline(config))))
-        given, shifted = leaves
+        given, shifted = self.report_leaves(tmp_path, header, rows, [",".join(c) for c in cells])
         (nga,) = [k for k, v in given.items() if k.startswith("alignment.") and v == moved]
         anchor = nga.replace(".nga", ".anchor_year")
         assert given.keys() == shifted.keys()
         assert {k for k in given if given[k] != shifted[k]} == {"provenance.input_sha256", anchor}
         assert int(shifted[anchor]) == int(given[anchor]) + 700
+
+    def test_an_affine_map_of_the_scores_moves_only_the_extrema(self, tmp_path):
+        # min-max scaling undoes SPC1 -> 3 SPC1 + 5 up to rounding: the
+        # extrema and the digest move, and every other leaf stays within
+        # 1e-13 relative. The largest drift seen on small synthetic panels
+        # was 1.1e-13 (validation rho2_std, 30 regions); on this one it is
+        # 8.3e-15 (a mean crossing time).
+        ds = generate_synthetic(SyntheticSpec(6, noise_sigma=0.05), seed=3)
+        header, *rows = serialize_dataset(ds).splitlines()
+        column = header.split(",").index("SPC1")
+        cells = [row.split(",") for row in rows]
+        for cell in cells:
+            cell[column] = repr(3.0 * float(cell[column]) + 5.0)
+        given, mapped = self.report_leaves(tmp_path, header, rows, [",".join(c) for c in cells])
+        assert given.keys() == mapped.keys()
+        extrema = {"scaling.scale_min", "scaling.scale_max"}
+        moved = {k for k in given if given[k] != mapped[k]}
+        assert moved >= extrema | {"provenance.input_sha256"}
+        for key in extrema:
+            # x -> 3x + 5 rounds monotonically, so each extremum maps exactly
+            assert float(mapped[key]) == 3.0 * float(given[key]) + 5.0
+        for key in moved - extrema - {"provenance.input_sha256"}:
+            assert float(mapped[key]) == pytest.approx(float(given[key]), rel=1e-13, abs=0), key
 
 
 def blas_is_openblas() -> bool:
@@ -1099,6 +1127,23 @@ class TestCli:
         assert code == 3
         assert f"bandwidth {float(value):g} is too small for the grid" in caplog.text
         assert "below the grid step 0.00097" in caplog.text
+
+    @pytest.mark.parametrize("value, n_warnings", [("2e-3", 1), ("auto", 0)])
+    def test_a_narrow_bandwidth_warns_once_of_its_many_maxima(
+        self, noisy_panel_path, value, n_warnings, caplog
+    ):
+        # two grid steps: the density is a comb of peaks, and the threshold
+        # between its two highest is kept but named in a warning
+        code = main(["fit", "--input", str(noisy_panel_path), "--bandwidth", value])
+        assert code == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warned) == n_warnings
+        pattern = (
+            r"density has (\d+) local maxima at bandwidth 0\.002; "
+            r"using the two highest, at \S+ and \S+"
+        )
+        for message in warned:
+            assert int(re.fullmatch(pattern, message).group(1)) > 2, message
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_unusable_bandwidth_exits_2(self, noisy_panel_path, value, caplog):

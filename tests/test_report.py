@@ -3,6 +3,7 @@ text report against its JSON sidecar, the memory that writing the outputs
 takes, and what a failed write leaves."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -32,7 +33,8 @@ from spcgrowth import (
 )
 from spcgrowth.charts import _Frame
 from spcgrowth.dataset import HEADER, csv_field, load_dataset, serialize_dataset
-from spcgrowth.report import report_files, write_outputs
+from spcgrowth.logistic import logistic_eval
+from spcgrowth.report import region_residuals, report_files, write_outputs
 
 # names csv.writer quotes (comma, double quote), a non-ASCII one, two that
 # share a slug, a percent sign, which a row template must not read, and the
@@ -87,6 +89,56 @@ def test_charts_match_the_per_point_reference(awkward_bundle):
     texts = chart_texts(bundle)
     assert len(texts) == 5
     assert texts == reference_chart_files(bundle)
+
+
+@pytest.mark.parametrize("name", ["fit_bundle", "awkward_bundle"])
+def test_region_residuals_are_the_per_point_residuals(name, request):
+    # the one walk of the fitted curve against the aligned points: each
+    # residual has the bits of the curve evaluated at its point alone, and
+    # the fit's largest absolute residual is the walk's
+    bundle = request.getfixturevalue(name)
+    bundle = bundle[0] if name == "awkward_bundle" else bundle
+    params = bundle.full_fit.params
+    walked = list(region_residuals(bundle.aligned, params))
+    assert len(walked) == len(bundle.aligned.regions)
+    largest = 0.0
+    for (region, predicted, residuals), want in zip(walked, bundle.aligned.regions):
+        assert region is want
+        curve = [logistic_eval(params, t) for t in region.rel_time.astype(float).tolist()]
+        points = [f - y for f, y in zip(curve, region.scaled.tolist())]
+        assert residuals.tobytes() == np.array(points).tobytes()
+        assert predicted.tolist() == [repr(f) for f in curve]
+        largest = max(largest, *map(abs, points))
+    assert bundle.full_fit.max_abs_residual == largest
+
+
+def _y_ticks(svg: str) -> list[str]:
+    """The y-axis tick labels of a chart, bottom to top."""
+    return re.findall(r'text-anchor="end" font-size="11" font-family="sans-serif">([^<]*)<', svg)
+
+
+def test_the_residuals_chart_is_scaled_to_the_largest_residual(fit_bundle):
+    fit = fit_bundle.full_fit
+    band = 2.0 * fit.rmse
+    assert fit.max_abs_residual > band
+    # the largest residual sets the scale when it lies outside the 2x RMSE
+    # band, and the band when it lies inside
+    for largest, y_hi in [(fit.max_abs_residual,) * 2, (4.0, 4.0), (0.0, band)]:
+        bundle = replace(fit_bundle, full_fit=replace(fit, max_abs_residual=largest))
+        ticks = _y_ticks("".join(charts.residuals_chart(bundle)))
+        assert ticks[0] == f"{-1.1 * y_hi:.3g}" and ticks[-1] == f"{1.1 * y_hi:.3g}"
+
+
+def test_the_residuals_chart_walks_the_residuals_once(fit_bundle, monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return region_residuals(*args)
+
+    monkeypatch.setattr(charts, "region_residuals", counted)
+    "".join(charts.residuals_chart(fit_bundle))
+    assert walks == [(fit_bundle.aligned, fit_bundle.full_fit.params)]
 
 
 @pytest.mark.parametrize("name", ["full_bundle", "fit_bundle", "awkward_bundle"])
