@@ -77,7 +77,7 @@ try:
         run_fit_stage,
         run_pipeline,
     )
-    from .report import render_check_text, report_files, write_files
+    from .report import FitStageWriter, render_check_text, report_files
 finally:
     if _ONE_BLAS_THREAD:
         del os.environ["OPENBLAS_NUM_THREADS"]
@@ -216,7 +216,8 @@ def _cmd_stage(args: argparse.Namespace) -> int:
     files = dict(report_files(bundle))
     print(*files["report.txt"], sep="", end="")
     if config.output_dir is not None:
-        write_files(files.items(), config.output_dir)
+        with FitStageWriter(config.output_dir) as staged:
+            staged.move_in(files.items())
         logger.info("wrote report files to %s", config.output_dir)
     return 0
 
@@ -247,7 +248,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if out is None:
         print(text, end="")
     else:
-        (target,) = write_files([("synthetic.csv", [text])], out)
+        with FitStageWriter(out) as staged:
+            (target,) = staged.move_in([("synthetic.csv", [text])])
         print(f"synthetic panel written to {target}")
     return 0
 

@@ -2,15 +2,17 @@
 
 The pipeline runs parse -> scale -> density threshold -> align -> fit ->
 validate -> bootstrap -> timescales -> empirical durations -> continuity
-comparisons. With an output directory, the files that need only the fit
-stage (``report.fit_stage_files``) are written by a forked child while
-the refits run (``report.FitStageWriter``), into a hidden staging
-directory in the output directory or its nearest existing ancestor.
-After the last stage the other files are written, and the staged ones
-are moved into place. A stage that fails kills the child and removes the
-staging directory, so it leaves the output directory as it was. Where
-``os.fork`` does not exist or fails, or the child exits nonzero, every
-file is written after the last stage, and a failed stage writes nothing.
+comparisons. With an output directory, every file is written into one
+hidden staging directory, made in the output directory or its nearest
+existing ancestor right after the fit stage (``report.FitStageWriter``).
+The files that need only the fit stage (``report.fit_stage_files``) are
+written there by a forked child while the refits run; where ``os.fork``
+does not exist or fails, or the child exits nonzero, they are written
+after the last stage. After the last stage the other files are written
+there too, and then every staged file is renamed into place,
+``report.json`` last. A failure before the first rename leaves the
+output directory as it was, and the staging directory is removed on
+every path.
 
 Reproducibility contract: identical input bytes and configuration give a
 byte-identical report. The provenance block records the seed, a digest
@@ -102,13 +104,6 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    seed: int
-    config_sha256: str
-    input_sha256: str
-
-
-@dataclass(frozen=True)
 class ReportBundle:
     """All results of a run. Inference fields are None until their stage
     has run; ``complete`` tells whether the configured stages all have."""
@@ -119,7 +114,8 @@ class ReportBundle:
     threshold: BimodalThreshold
     aligned: AlignedDataset
     full_fit: FitResult
-    provenance: Provenance
+    config_sha256: str
+    input_sha256: str
     validation: ValidationReport | None = None
     ensemble: BootstrapEnsemble | None = None
     timescales: tuple[TimescaleEstimate, ...] = ()
@@ -218,11 +214,6 @@ def run_fit_stage(config: PipelineConfig) -> ReportBundle:
         full_fit.n_points,
         full_fit.iterations,
     )
-    provenance = Provenance(
-        seed=config.seed,
-        config_sha256=_config_sha256(config),
-        input_sha256=_file_sha256(config.input_path),
-    )
     return ReportBundle(
         config=config,
         dataset=scaled,
@@ -230,7 +221,8 @@ def run_fit_stage(config: PipelineConfig) -> ReportBundle:
         threshold=threshold,
         aligned=aligned,
         full_fit=full_fit,
-        provenance=provenance,
+        config_sha256=_config_sha256(config),
+        input_sha256=_file_sha256(config.input_path),
     )
 
 
@@ -296,10 +288,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         return add_continuity(add_bootstrap(add_validation(bundle)))
     from . import report
 
-    # staged is None where the writer cannot fork
-    with report.FitStageWriter(bundle, config.output_dir) as staged:
+    with report.FitStageWriter(config.output_dir, bundle) as staged:
         bundle = add_continuity(add_bootstrap(add_validation(bundle)))
-        written = report.write_outputs(bundle, config.output_dir, staged)
+        written = report.write_outputs(bundle, staged)
     logger.info("wrote %d file(s) to %s", len(written), config.output_dir)
     return bundle
 

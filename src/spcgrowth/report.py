@@ -22,22 +22,32 @@ file is rendered while it is written, a chunk at a time (a region of
 ``residuals.csv``, a line of an SVG, a region's dots), so the output
 layer holds one chunk, not one file or group. Nothing of a file renders
 before its chunks are taken, so a stream's paths cost nothing.
-``write_files`` is the one place output files are written.
+
+Every file of every command reaches its output directory one way.
+``FitStageWriter`` owns a hidden staging directory
+(``.spcgrowth-staging-*``); ``write_files`` writes only there, and
+``FitStageWriter.move_in`` renames every staged file into place,
+``report.json`` last, after checking that no target is a directory and
+making each target's directory. Until the first rename the output
+directory is untouched; only an I/O error between renames can leave it
+mixed. The staging directory is removed on every path, but a run killed
+outright (``kill -9``) can leave it behind.
 
 ``fit_stage_files`` holds the files that need nothing past the fit stage
 (``kde.csv``, ``residuals.csv``, ``series/*.csv``, ``regions.svg``,
-``density.svg``, ``residuals.svg``). ``FitStageWriter`` forks a child that
-writes them while the refits run, into a hidden staging directory
-(``.spcgrowth-staging-*``); the child reports by its exit status alone.
-``write_outputs`` writes the other files and moves the staged ones in.
-Where ``os.fork`` does not exist or fails, or the child exits nonzero, it
-writes the fit-stage stream itself, so an error in it is raised with its
-own type and message. A run killed outright (``kill -9``) can leave the
-staging directory behind.
+``density.svg``, ``residuals.svg``). For ``report``, ``FitStageWriter``
+forks a child that writes them into the staging directory while the
+refits run; the child reports by its exit status alone. Where
+``os.fork`` does not exist or fails, or the child exits nonzero,
+``move_in`` writes them itself, so an error in them is raised with its
+own type and message. ``write_outputs`` stages the other files and
+moves them all in.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import logging
 import os
@@ -45,7 +55,7 @@ import shutil
 import signal
 import tempfile
 import warnings
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -84,9 +94,9 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
     dataset = bundle.dataset
     data: dict = {
         "provenance": {
-            "seed": bundle.provenance.seed,
-            "config_sha256": bundle.provenance.config_sha256,
-            "input_sha256": bundle.provenance.input_sha256,
+            "seed": bundle.config.seed,
+            "config_sha256": bundle.config_sha256,
+            "input_sha256": bundle.input_sha256,
         },
         "scaling": {
             "scale_min": float(dataset.scale_min),
@@ -414,52 +424,32 @@ def report_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
     yield "report.json", [render_report_json(bundle)]
 
 
-def write_files(files: Iterable[tuple[str, Iterable[str]]], out_dir) -> list[Path]:
+def write_files(files: Iterable[tuple[str, Iterable[str]]], staging: Path) -> None:
     """Write each ``(relative path, text chunks)`` of ``files`` as UTF-8
-    under ``out_dir``, creating directories as needed; returns the written
-    paths in the order written.
+    under ``staging``, creating directories as needed.
 
     Each file is opened once and its chunks are written as they arrive, so
-    no file's text is held whole. When a chunk's renderer or a write
-    raises, the file is removed before the error propagates, so no
-    truncated file is left behind.
+    no file's text is held whole. ``staging`` is always a
+    ``FitStageWriter``'s staging directory, so a file left truncated by a
+    renderer or a write that raises is removed with it.
     """
-    root = Path(out_dir)
-    written = []
     for rel_path, chunks in files:
-        target = root / rel_path
+        target = staging / rel_path
         target.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(target, "w", encoding="utf-8", newline="")
-        try:
-            with handle:
-                handle.writelines(chunks)
-        except BaseException:
-            target.unlink(missing_ok=True)
-            raise
-        written.append(target)
-    return written
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
 
 
-def write_outputs(
-    bundle: ReportBundle, output_dir, staged: FitStageWriter | None = None
-) -> list[Path]:
-    """Write the text report, the JSON sidecar, and all plot artifacts.
-
-    With ``staged``, the writer of this bundle's fit-stage files, those
-    files are moved in from its staging directory; without it, or when
-    its child failed, they are written here.
-    """
+def write_outputs(bundle: ReportBundle, staged: FitStageWriter) -> list[Path]:
+    """Write the text report, the JSON sidecar, and all plot artifacts
+    through ``staged``, the writer of ``bundle``'s output directory, and
+    move them in; returns their paths there (see ``move_in``)."""
     if not bundle.complete:
         raise ParameterError("bundle is incomplete; run the remaining stages first")
     from .charts import chart_files
 
-    root = Path(output_dir)
-    written = []
-    for render in (report_files, plot_data_files, chart_files):
-        written += write_files(render(bundle), root)
-    moved = staged.move_in() if staged is not None else None
-    written += moved if moved is not None else write_files(fit_stage_files(bundle), root)
-    return sorted(written, key=lambda path: path.relative_to(root).as_posix())
+    files = chain(report_files(bundle), plot_data_files(bundle), chart_files(bundle))
+    return staged.move_in(files, bundle)
 
 
 def _write_in_child(bundle: ReportBundle, staging: Path):
@@ -475,41 +465,53 @@ def _write_in_child(bundle: ReportBundle, staging: Path):
         os._exit(code)
 
 
+@contextlib.contextmanager
+def _sigint_held():
+    """SIGINT waits until the block ends, where the platform can hold it."""
+    held = hasattr(signal, "pthread_sigmask")
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}) if held else None
+    try:
+        yield
+    finally:
+        if held:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 class FitStageWriter:
-    """A bundle's fit-stage files, written by a forked child into a new
-    hidden staging directory while the caller goes on.
+    """The one way files reach an output directory: each is written into
+    a new hidden staging directory, and ``move_in`` renames them all into
+    place together.
 
     The directory is made in ``output_dir``, or in its nearest existing
     ancestor (a directory that does not exist cannot be a mount point, so
-    the files can be renamed into place). Entering the ``with`` block
-    makes it and forks the child, and gives the writer, or None where
-    ``os.fork`` does not exist or the directory or the fork fails with
-    ``OSError``. ``move_in`` waits for the child and moves its files in.
-    Leaving the block kills and reaps a child that still runs and removes
-    the staging directory.
+    the files can be renamed into place); entering the ``with`` block
+    makes it, and an ``OSError`` there leaves nothing behind. Given a
+    ``bundle``, entering also forks a child that writes its fit-stage
+    files there while the caller goes on, where ``os.fork`` exists and
+    does not fail. Leaving the block kills and reaps a child that still
+    runs and removes the staging directory, whatever happened.
     """
 
-    def __init__(self, bundle: ReportBundle, output_dir):
+    def __init__(self, output_dir, bundle: ReportBundle | None = None):
         self._bundle = bundle
         self.root = Path(output_dir)
         self._staging = None
         self._pid = None
 
-    def __enter__(self) -> FitStageWriter | None:
-        if not hasattr(os, "fork"):
-            return None
+    def __enter__(self) -> FitStageWriter:
+        near = next(path for path in (self.root, *self.root.parents) if path.exists())
+        self._staging = Path(tempfile.mkdtemp(prefix=".spcgrowth-staging-", dir=near))
+        if self._bundle is None or not hasattr(os, "fork"):
+            return self
         # both processes render charts: loaded once here, the child does
         # not compile and run the module again
         from . import charts  # noqa: F401
 
         try:
-            near = next(path for path in (self.root, *self.root.parents) if path.exists())
-            self._staging = Path(tempfile.mkdtemp(prefix=".spcgrowth-staging-", dir=near))
             # SIGINT waits until the child's pid is kept, so that ``close``
             # always reaps it; the child keeps it blocked and is killed by
             # the parent instead
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
+            with _sigint_held():
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on fork() in a process with
                     # threads. The command line loads numpy with one BLAS
@@ -519,11 +521,8 @@ class FitStageWriter:
                     self._pid = os.fork()
                 if self._pid == 0:
                     _write_in_child(self._bundle, self._staging)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        except OSError:  # write every file after the refits instead
-            self.close()
-            return None
+        except OSError:  # ``move_in`` writes the fit-stage files instead
+            pass
         except BaseException:
             self.close()
             raise
@@ -532,10 +531,11 @@ class FitStageWriter:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def move_in(self) -> list[Path] | None:
-        """Wait for the child and move the fit-stage files it wrote into
-        the output directory; returns their paths there, or None when it
-        exited nonzero."""
+    def _child_wrote(self) -> bool:
+        """Wait for the child, if one was forked; whether it wrote every
+        fit-stage file."""
+        if self._pid is None:
+            return False
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         if status != 0:
@@ -543,15 +543,38 @@ class FitStageWriter:
                 "the fit-stage writer ended (%d); writing its files after the refits",
                 os.waitstatus_to_exitcode(status),
             )
-            return None
-        moved = []
-        for rel_path, _ in fit_stage_files(self._bundle):
-            target = self.root / rel_path
-            if not moved or target.parent != moved[-1].parent:
-                target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(self._staging / rel_path, target)
-            moved.append(target)
-        return moved
+        return status == 0
+
+    def move_in(self, files: Iterable[tuple[str, Iterable[str]]], bundle=None) -> list[Path]:
+        """Write ``files`` into the staging directory, and ``bundle``'s
+        fit-stage files when no child wrote them; then rename every staged
+        file into the output directory, ``report.json`` last. Returns the
+        paths there in the order renamed.
+
+        Nothing in the output directory changes before the first rename:
+        a target that is a directory raises ``IsADirectoryError``, and
+        each target's directory is made, first. SIGINT waits until the
+        last rename, where the platform can hold it.
+        """
+        write_files(files, self._staging)
+        if not self._child_wrote() and bundle is not None:
+            write_files(fit_stage_files(bundle), self._staging)
+        names = sorted(
+            os.path.relpath(os.path.join(top, name), self._staging)
+            for top, _, found in os.walk(self._staging)
+            for name in found
+        )
+        names.sort(key="report.json".__eq__)
+        targets = [self.root / name for name in names]
+        for target in targets:
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, "an output file's name is a directory", str(target))
+        for parent in dict.fromkeys(target.parent for target in targets):
+            parent.mkdir(parents=True, exist_ok=True)
+        with _sigint_held():
+            for name, target in zip(names, targets):
+                os.replace(self._staging / name, target)
+        return targets
 
     def close(self) -> None:
         if self._pid:  # None before the fork and once reaped

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+import spcgrowth
 from spcgrowth import (
     DataError,
     NumericalError,
@@ -46,6 +47,9 @@ OUT = OUTSIDE_CENTRAL
 
 PANEL_HEADER = "NGA,PolID,AbsTime,RelTime,SPC1,Culture.Sequence,Institutions.Sequence"
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+# the directory that holds the imported package, so a child interpreter
+# finds the same copy whether it comes from src/ or from an install
+PACKAGE_ROOT = Path(spcgrowth.__file__).resolve().parent.parent
 
 
 def bench_module(stem: str):
@@ -70,6 +74,13 @@ def joined(files) -> dict[str, str]:
         assert path not in texts, f"{path} streamed twice"
         texts[path] = "".join(chunks)
     return texts
+
+
+def child_env() -> dict:
+    """This environment, with the package under test first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
+    return env
 
 
 def child_pids() -> set[int]:

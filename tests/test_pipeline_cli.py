@@ -31,6 +31,7 @@ from helpers import (
     PANEL_HEADER,
     bench_module,
     build_dataset,
+    child_env,
     child_pids,
     joined,
     json_leaves,
@@ -64,6 +65,7 @@ from spcgrowth.pipeline import (
     run_fit_stage,
 )
 from spcgrowth.report import (
+    FitStageWriter,
     bundle_to_dict,
     fit_stage_files,
     plot_data_files,
@@ -74,9 +76,6 @@ from spcgrowth.report import (
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-# the directory that holds the imported package, so a child interpreter
-# finds the same copy whether it comes from src/ or from an install
-PACKAGE_ROOT = Path(spcgrowth.__file__).resolve().parent.parent
 SUBCOMMANDS = ("fit", "bootstrap", "continuity", "report", "check", "synth")
 # what a generated console script does with a ``module:function`` target;
 # the target is argv[1] and the remaining arguments go to the function
@@ -87,13 +86,6 @@ func = getattr(importlib.import_module(module), attr)
 sys.argv[0] = "spcgrowth"
 sys.exit(func())
 """
-
-
-def child_env() -> dict:
-    """This environment, with the package under test first on the path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
-    return env
 
 
 def assert_lists_subcommands(help_text: str) -> None:
@@ -179,11 +171,12 @@ class TestFitStage:
     def test_bundle_is_incomplete_without_inference(self, fit_bundle, tmp_path):
         assert not fit_bundle.complete
         with pytest.raises(ParameterError, match="bundle is incomplete"):
-            write_outputs(fit_bundle, tmp_path / "out")
+            with FitStageWriter(tmp_path / "out") as staged:
+                write_outputs(fit_bundle, staged)
 
     def test_input_digest_matches_the_file_bytes(self, fit_bundle, noisy_panel_path):
         digest = hashlib.sha256(Path(noisy_panel_path).read_bytes()).hexdigest()
-        assert fit_bundle.provenance.input_sha256 == digest
+        assert fit_bundle.input_sha256 == digest
 
     def test_all_regions_of_the_synthetic_panel_anchor(self, fit_bundle):
         assert len(fit_bundle.aligned.regions) == 12
@@ -661,7 +654,8 @@ class TestPlotData:
 
     def test_write_outputs_places_reports_next_to_plot_data(self, full_bundle, tmp_path):
         out = tmp_path / "artifacts"
-        written = write_outputs(full_bundle, out)
+        with FitStageWriter(out) as staged:
+            written = write_outputs(full_bundle, staged)
         names = {p.relative_to(out).as_posix() for p in written}
         assert "report.txt" in names and "report.json" in names
         assert "curves.csv" in names and "overview.svg" in names
@@ -847,8 +841,8 @@ class TestCli:
         out_dir = tmp_path / "run"
         argv = ["report", "--input", str(noisy_panel_path), "--out", str(out_dir)]
         assert main(argv + ["--bootstrap", "20", "--validation", "5"]) == 2
-        assert not (out_dir / "residuals.csv").exists()
-        assert (out_dir / "curves.csv").is_file()
+        # every file waited in staging, so none reached --out
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_stage_failing_after_the_fork_leaves_out_as_it_was(
         self, noisy_panel_path, tmp_path, caplog
@@ -864,6 +858,111 @@ class TestCli:
         assert "need at least 10 pooled points, got 8" in caplog.text
         assert tree_bytes(out_dir) == before
         assert child_pids() == set()
+
+    @pytest.mark.parametrize(
+        "taken", ["overview.svg", "series"], ids=["directory-at-a-file", "file-at-a-directory"]
+    )
+    def test_an_output_name_of_another_kind_exits_2_and_leaves_out_as_it_was(
+        self, taken, noisy_panel_path, tmp_path, caplog
+    ):
+        out_dir = tmp_path / "run"
+        argv = ["report", "--input", str(noisy_panel_path), "--out", str(out_dir),
+                "--bootstrap", "20", "--validation", "5"]
+        assert main(argv) == 0
+        if taken == "series":
+            shutil.rmtree(out_dir / "series")
+            (out_dir / "series").write_text("kept\n", encoding="utf-8")
+        else:
+            (out_dir / taken).unlink()
+            (out_dir / taken / "kept").mkdir(parents=True)
+        before = tree_bytes(out_dir)
+        assert main(argv + ["--seed", "1"]) == 2
+        assert str(out_dir / taken) in caplog.text
+        # not one file of seed 1 is beside seed 0's, and no staging is left
+        assert tree_bytes(out_dir) == before
+        assert list(tmp_path.iterdir()) == [out_dir]
+
+    @pytest.mark.parametrize("command", ["fit", "synth"])
+    def test_fit_and_synth_stage_their_files_too(self, command, noisy_panel_path, tmp_path):
+        out_dir = tmp_path / "run"
+        argv = [command, "--out", str(out_dir)]
+        if command == "fit":
+            argv += ["--input", str(noisy_panel_path), "--validation", "5"]
+        assert main(argv) == 0
+        taken = out_dir / ("report.json" if command == "fit" else "synthetic.csv")
+        taken.unlink()
+        taken.mkdir()
+        before = tree_bytes(out_dir)
+        assert main(argv + ["--seed", "1"]) == 2
+        assert tree_bytes(out_dir) == before
+        assert list(tmp_path.iterdir()) == [out_dir]
+
+    def test_an_out_that_is_a_file_exits_2_before_the_refits_and_keeps_it(
+        self, noisy_panel_path, tmp_path, monkeypatch, caplog
+    ):
+        out = tmp_path / "taken"
+        out.write_bytes(b"not a directory\n")
+        refits = []
+        monkeypatch.setattr(spcgrowth.pipeline, "add_validation", refits.append)
+        assert main(["report", "--input", str(noisy_panel_path), "--out", str(out)]) == 2
+        assert "Not a directory" in caplog.text
+        assert refits == []
+        assert out.read_bytes() == b"not a directory\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="SIGINT cannot be held")
+    def test_an_interrupt_during_the_renames_leaves_the_whole_new_tree(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        argv = ["report", "--input", str(noisy_panel_path), "--bootstrap", "20",
+                "--validation", "5", "--out"]
+        assert main(argv + [str(tmp_path / "whole")]) == 0
+        whole = tree_bytes(tmp_path / "whole")
+        renamed = []
+        replace = os.replace
+
+        def interrupted_replace(source, target):
+            renamed.append(Path(target).relative_to(tmp_path / "run").as_posix())
+            if len(renamed) == 3:
+                # to this thread, which holds it: a process-wide SIGINT may
+                # be taken by any thread that does not
+                signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + [str(tmp_path / "run")])
+        # the interrupt came after the last rename, and report.json was last
+        assert sorted(renamed) == sorted(path for path, data in whole.items() if data is not None)
+        assert renamed[-1] == "report.json"
+        assert tree_bytes(tmp_path / "run") == whole
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run", "whole"]
+
+    def test_an_error_between_renames_leaves_the_old_report_json(
+        self, noisy_panel_path, tmp_path, monkeypatch, caplog
+    ):
+        out_dir = tmp_path / "run"
+        argv = ["report", "--input", str(noisy_panel_path), "--out", str(out_dir),
+                "--bootstrap", "20", "--validation", "5"]
+        assert main(argv) == 0
+        old_json = (out_dir / "report.json").read_bytes()
+        calls = []
+        replace = os.replace
+
+        def failing_replace(source, target):
+            calls.append(target)
+            if len(calls) == 3:
+                raise OSError(errno.EIO, "Input/output error")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(argv + ["--seed", "1"]) == 2
+        assert "Input/output error" in caplog.text
+        # the one mixed case: two files of seed 1 moved in, but report.json,
+        # moved last, still names seed 0's run
+        assert (out_dir / "report.json").read_bytes() == old_json
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert not list(out_dir.glob(".spcgrowth-staging-*"))
 
     def test_an_interrupt_during_the_refits_leaves_no_child_and_no_output(
         self, noisy_panel_path, tmp_path, monkeypatch
@@ -1018,10 +1117,22 @@ class TestCli:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(module, failing, unavailable)
+        refits = []
+        add_validation = spcgrowth.pipeline.add_validation
+        monkeypatch.setattr(
+            spcgrowth.pipeline, "add_validation", lambda b: refits.append(b) or add_validation(b)
+        )
         fds = open_fds()
-        assert main(argv + [str(tmp_path / "unforked")]) == 0
+        if failing == "mkdtemp":
+            # without a staging directory nothing can be written: the run
+            # stops before the refits
+            assert main(argv + [str(tmp_path / "unforked")]) == 2
+            assert refits == []
+            assert not (tmp_path / "unforked").exists()
+        else:
+            assert main(argv + [str(tmp_path / "unforked")]) == 0
+            assert tree_bytes(tmp_path / "unforked") == tree_bytes(tmp_path / "forked")
         assert open_fds() == fds
-        assert tree_bytes(tmp_path / "unforked") == tree_bytes(tmp_path / "forked")
 
     def test_the_fork_warning_of_a_threaded_process_is_not_shown(
         self, noisy_panel_path, tmp_path, monkeypatch

@@ -34,7 +34,7 @@ from spcgrowth import (
 from spcgrowth.charts import _Frame
 from spcgrowth.dataset import HEADER, csv_field, load_dataset, serialize_dataset
 from spcgrowth.logistic import logistic_eval
-from spcgrowth.report import region_residuals, report_files, write_outputs
+from spcgrowth.report import FitStageWriter, region_residuals, report_files, write_outputs
 
 # names csv.writer quotes (comma, double quote), a non-ASCII one, two that
 # share a slug, a percent sign, which a row template must not read, and the
@@ -206,7 +206,8 @@ def test_writing_holds_less_than_the_bytes_it_writes(tmp_path):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            written = write_outputs(bundle, tmp_path / f"out{n}")
+            with FitStageWriter(tmp_path / f"out{n}") as staged:
+                written = write_outputs(bundle, staged)
             peaks[n] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -232,6 +233,9 @@ def test_a_file_whose_renderer_raises_is_not_left_behind(
     monkeypatch.setattr(module, name, render)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="renderer failed"):
-        write_outputs(bundle, out)
+        with FitStageWriter(out) as staged:
+            write_outputs(bundle, staged)
+    # the report files were staged first, but nothing reached ``out``
     assert not (out / path).exists()
-    assert (out / "report.json").is_file()
+    assert not (out / "report.json").exists()
+    assert list(tmp_path.iterdir()) == []
