@@ -12,7 +12,8 @@ A region's central segment for a continuity mode is the maximal
 contiguous run of observations labelled continuous for that mode that
 contains the anchor observation: the run of set entries in the mode's
 mask of the region (``RegionSeries.cultural`` or ``.institutional``)
-around the anchor index.
+around the anchor index. It is returned as a ``slice`` of the region's
+rows, so no segment copies the region's arrays.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ class AlignedDataset:
         return np.unique(self.pooled()[0], return_inverse=True)
 
 
-@dataclass(frozen=True)
-class CentralSegment:
-    nga: str
-    length: int
-    rel_time: np.ndarray
-    scaled: np.ndarray
-
-
 def anchor_time(series: RegionSeries, threshold: float) -> AnchorResult:
     """First calendar year at which the scaled score strictly exceeds
     ``threshold``; ``crossed=False`` when the region never does."""
@@ -135,10 +128,9 @@ def shift_to_reltime(dataset: Dataset, threshold: float) -> AlignedDataset:
     return AlignedDataset(tuple(retained), tuple(anchors))
 
 
-def extract_central_sequence(
-    region: RegionSeries, mode: ContinuityMode
-) -> CentralSegment:
-    """Maximal contiguous continuity-labelled run containing rel_time 0.
+def extract_central_sequence(region: RegionSeries, mode: ContinuityMode) -> slice:
+    """Maximal contiguous continuity-labelled run containing rel_time 0, as
+    the slice of ``region``'s rows it spans.
 
     Raises NumericalError when no row has a present RelTime of 0, or when
     the anchor observation itself is labelled outside the central
@@ -162,24 +154,20 @@ def extract_central_sequence(
     k = int(np.searchsorted(breaks, anchor_idx))
     start = int(breaks[k - 1]) + 1 if k > 0 else 0
     stop = int(breaks[k]) if k < breaks.size else continuous.size
-    return CentralSegment(
-        nga=region.nga,
-        length=stop - start,
-        rel_time=region.rel_time[start:stop].astype(float),
-        scaled=region.scaled[start:stop],
-    )
+    return slice(start, stop)
 
 
 def central_segments(
     aligned: AlignedDataset, mode: ContinuityMode
-) -> tuple[list[CentralSegment], list[str]]:
-    """Central segments for every retained region; regions without one are
-    returned in the skipped list (and logged)."""
+) -> tuple[list[tuple[RegionSeries, slice]], list[str]]:
+    """``(region, central segment)`` for every retained region that has
+    one, in region order; regions without one are returned in the skipped
+    list (and logged)."""
     segments = []
     skipped = []
     for region in aligned.regions:
         try:
-            segments.append(extract_central_sequence(region, mode))
+            segments.append((region, extract_central_sequence(region, mode)))
         except NumericalError as exc:
             logger.warning("continuity %s: %s", mode.value, exc)
             skipped.append(region.nga)

@@ -28,6 +28,10 @@ Validation scores each block of fits on its test halves' own per-time
 tables, with the fitter's objective (``_rho2``), so no repeat keeps the
 points of its split. Both stages table over the aligned panel's distinct
 times, ``AlignedDataset.time_rows``, which is computed once per panel.
+
+A continuity comparison pools each region's central segment, a slice of
+the region's rows (``align.central_segments``), and keeps each segment's
+length beside its fit, not the segment's points.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignedDataset, CentralSegment, ContinuityMode, central_segments
+from .align import AlignedDataset, ContinuityMode, central_segments
 from .errors import NumericalError, ParameterError
 from .logistic import (
     FitResult,
@@ -132,12 +136,12 @@ def _refit(stage: str, n_fits: int, seed: int, times, init: LogisticParams, draw
     for start in range(0, n_fits, _BLOCK_ROWS):
         block = seeds.spawn(min(_BLOCK_ROWS, n_fits - start))
         counts, means, within_ss, drawn = draw([np.random.default_rng(c) for c in block])
-        fits = fit_tables(times, means, counts, within_ss, init)
-        fitted = np.array([e is None for e in fits.errors])
-        lm_iterations += int(fits.iterations.sum())
-        n_unconverged += int(np.count_nonzero(fitted & ~fits.converged))
-        scores, score_errors = score(fits.params, drawn)
-        for value, fit_error, score_error in zip(scores, fits.errors, score_errors):
+        params, converged, iterations, errors = fit_tables(times, means, counts, within_ss, init)
+        fitted = np.array([e is None for e in errors])
+        lm_iterations += int(iterations.sum())
+        n_unconverged += int(np.count_nonzero(fitted & ~converged))
+        scores, score_errors = score(params, drawn)
+        for value, fit_error, score_error in zip(scores, errors, score_errors):
             error = fit_error or score_error
             if error:
                 failures.append(error)
@@ -416,17 +420,15 @@ def _median(values: np.ndarray) -> float:
 class ContinuityComparison:
     mode: ContinuityMode
     fit: FitResult
-    segments: tuple[CentralSegment, ...]
+    lengths: tuple[tuple[str, int], ...]  # (nga, central segment length), region order
     skipped: tuple[str, ...]
 
     @property
     def mean_length(self) -> float:
-        return float(np.mean([s.length for s in self.segments]))
+        return float(np.mean([length for _, length in self.lengths]))
 
     def length_ranking(self) -> list[tuple[str, int]]:
-        return sorted(
-            ((s.nga, s.length) for s in self.segments), key=lambda x: (-x[1], x[0])
-        )
+        return sorted(self.lengths, key=lambda x: (-x[1], x[0]))
 
 
 def continuity_comparison(
@@ -441,13 +443,12 @@ def continuity_comparison(
             f"continuity mode {mode.value}: only {len(segments)} region(s) "
             "have a central segment"
         )
-    t = np.concatenate([s.rel_time for s in segments])
-    y = np.concatenate([s.scaled for s in segments])
+    t = np.concatenate([region.rel_time[seg] for region, seg in segments])
+    y = np.concatenate([region.scaled[seg] for region, seg in segments])
     if t.size < 5:
         raise NumericalError(
             f"continuity mode {mode.value}: only {t.size} pooled point(s)"
         )
     fit = fit_logistic(t, y, init=full_fit.params)
-    return ContinuityComparison(
-        mode=mode, fit=fit, segments=tuple(segments), skipped=tuple(skipped)
-    )
+    lengths = tuple((region.nga, seg.stop - seg.start) for region, seg in segments)
+    return ContinuityComparison(mode=mode, fit=fit, lengths=lengths, skipped=tuple(skipped))

@@ -43,8 +43,9 @@ damping loop runs in rounds: each round, every active row tries its own
 lambda, and each row stops on its own tests. Every operation acts on one
 row at a time with the same BLAS and LAPACK calls as a lone fit, so a
 row's result (parameters, step count, convergence) does not depend on the
-other rows in its call. ``fit_logistic`` fits the table of its points as
-the R = 1 case. Every fit stops on the module constants: after
+other rows in its call. It returns ``(params, converged, iterations,
+errors)``, one entry per row. ``fit_logistic`` fits the table of its
+points as the R = 1 case. Every fit stops on the module constants: after
 ``MAX_ITER`` accepted steps, or on a step that lowers the objective by
 less than ``TOL`` relative; it counts as converged when its residual is
 orthogonal to the Jacobian columns within ``GTOL``.
@@ -220,37 +221,25 @@ def time_table(inverse: np.ndarray, y: np.ndarray, n_times: int):
     return counts, means, float(np.einsum("i,i", dev, dev))
 
 
-@dataclass(frozen=True, eq=False)
-class TableFits:
-    """R fits over one set of distinct times, row r from table r: what the
-    callers read, and nothing per time or per step.
-
-    A row that failed has its message in ``errors`` (None for a row that
-    fitted) and NaN parameters; ``converged`` is False for it.
-    """
-
-    params: np.ndarray  # (R, 4) canonical (a, b, c, d)
-    n_points: np.ndarray  # (R,)
-    converged: np.ndarray  # (R,) bool
-    iterations: np.ndarray  # (R,) accepted steps
-    errors: tuple[str | None, ...]
-
-
 def fit_tables(
     times: np.ndarray,
     means: np.ndarray,
     weights: np.ndarray,
     within_ss: np.ndarray,
     init: LogisticParams,
-) -> TableFits:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str | None, ...]]:
     """Levenberg-Marquardt fits of R per-time tables over the same times.
 
     ``means`` and ``weights`` are (R, U) over ``times`` (U,), ``within_ss``
     is (R,). Each row starts from ``init`` (canonicalised) with its own
     damping and stops on its own tests, so a row gets the same bits
-    whichever rows share its call. Nothing raises for the batch: a row with
+    whichever rows share its call. Returns ``(params, converged,
+    iterations, errors)``: the (R, 4) canonical (a, b, c, d), the (R,)
+    convergence flags and (R,) accepted step counts, and per row its
+    failure message or None. Nothing raises for the batch: a row with
     fewer than 5 points, a non-finite starting objective or a non-finite
-    Jacobian is marked failed with its message.
+    Jacobian is marked failed with its message, NaN parameters and
+    ``converged`` False.
     """
     n_rows = means.shape[0]
     theta = np.tile(init.canonical().as_array(), (n_rows, 1))
@@ -356,13 +345,7 @@ def fit_tables(
     with np.errstate(divide="ignore", invalid="ignore"):
         cosine = np.max(np.abs(g) / (col * rnorm[:, None]), axis=1)
     cosine[rnorm == 0.0] = 0.0
-    return TableFits(
-        params=theta,
-        n_points=n_points,
-        converged=fitted & (exact | (cosine <= GTOL)),
-        iterations=iterations,
-        errors=tuple(errors),
-    )
+    return theta, fitted & (exact | (cosine <= GTOL)), iterations, tuple(errors)
 
 
 def fit_logistic(t, y, init: LogisticParams | None = None) -> FitResult:
@@ -392,18 +375,18 @@ def fit_logistic(t, y, init: LogisticParams | None = None) -> FitResult:
 
     times, inverse = np.unique(t, return_inverse=True)
     counts, means, within_ss = time_table(inverse, y, times.size)
-    fits = fit_tables(
+    (theta,), (converged,), (iterations,), (error,) = fit_tables(
         times, means[None, :], counts[None, :].astype(float), np.array([within_ss]), init
     )
-    if fits.errors[0] is not None:
-        raise NumericalError(fits.errors[0])
-    params = LogisticParams(*fits.params[0])
+    if error is not None:
+        raise NumericalError(error)
+    params = LogisticParams(*theta)
     res = logistic_eval(params, t) - y
     return FitResult(
         params=params,
         rmse=float(np.sqrt(np.mean(res**2))),
         max_abs_residual=float(np.max(np.abs(res))),
-        n_points=int(fits.n_points[0]),
-        converged=bool(fits.converged[0]),
-        iterations=int(fits.iterations[0]),
+        n_points=t.size,
+        converged=bool(converged),
+        iterations=int(iterations),
     )

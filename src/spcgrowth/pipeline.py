@@ -14,6 +14,10 @@ there too, and then every staged file is renamed into place,
 output directory as it was, and the staging directory is removed on
 every path.
 
+``benchmark_check`` scores held-out series against a fit-stage bundle and
+returns them as the plain ``{"check": {...}}`` dict that ``check`` prints
+(``report.render_check_text``).
+
 Reproducibility contract: identical input bytes and configuration give a
 byte-identical report. The provenance block records the seed, a digest
 of the configuration (paths excluded, so the digest is machine
@@ -139,30 +143,6 @@ class ReportBundle:
             return False
         have_modes = {c.mode for c in self.continuity}
         return have_modes == set(self.config.continuity_modes)
-
-
-@dataclass(frozen=True)
-class SeriesCheck:
-    """Divergence of one held-out series from the fitted curve."""
-
-    nga: str
-    anchored: bool
-    anchor_year: int | None
-    n_points: int
-    rmse: float
-    max_abs_residual: float
-    frac_beyond: float  # fraction of |residuals| above 2x reference RMSE
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    reference_rmse: float
-    spc1_0: float
-    series: tuple[SeriesCheck, ...]
-
-    @property
-    def n_anchored(self) -> int:
-        return sum(1 for s in self.series if s.anchored)
 
 
 def _file_sha256(path) -> str:
@@ -295,15 +275,19 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     return bundle
 
 
-def benchmark_check(bundle: ReportBundle, new_series_path) -> CheckReport:
+def benchmark_check(bundle: ReportBundle, new_series_path) -> dict:
     """Score held-out series against a finished run.
 
     Each new region is scaled with the bundle's stored extrema and
     aligned against its threshold by ``shift_to_reltime``, as the panel's
     regions are. Its residuals against the full fitted curve are those
     ``report.region_residuals`` gives, as for ``residuals.csv``. A region
-    that never crosses the threshold comes back as a not-anchorable row
-    rather than an error.
+    that never crosses the threshold comes back as a not-anchorable row,
+    its anchor year None and its scores NaN, rather than an error.
+
+    Returns ``{"check": {...}}``, the one list of the check's fields, as
+    ``report.bundle_to_dict`` is the report's; ``report.render_check_text``
+    walks it.
     """
     from .report import region_residuals
 
@@ -318,20 +302,31 @@ def benchmark_check(bundle: ReportBundle, new_series_path) -> CheckReport:
     walk = region_residuals(aligned, bundle.full_fit.params)
     n_points = {series.nga: len(series) for series in scaled.regions}
     reference_rmse = bundle.full_fit.rmse
-    checks = []
+    series = []
     for anchor in aligned.anchor_results:
-        scores = (float("nan"),) * 3
+        rmse = max_abs = beyond = float("nan")
         if anchor.crossed:
             _, _, residuals = next(walk)
-            scores = (
-                float(np.sqrt(np.mean(residuals**2))),
-                float(np.max(np.abs(residuals))),
-                float(np.mean(np.abs(residuals) > 2.0 * reference_rmse)),
-            )
-        year, n = anchor.anchor_year, n_points[anchor.nga]
-        checks.append(SeriesCheck(anchor.nga, anchor.crossed, year, n, *scores))
-    return CheckReport(
-        reference_rmse=reference_rmse,
-        spc1_0=bundle.threshold.spc1_0,
-        series=tuple(checks),
-    )
+            rmse = float(np.sqrt(np.mean(residuals**2)))
+            max_abs = float(np.max(np.abs(residuals)))
+            beyond = float(np.mean(np.abs(residuals) > 2.0 * reference_rmse))
+        series.append(
+            {
+                "nga": anchor.nga,
+                "anchored": anchor.crossed,
+                "anchor_year": anchor.anchor_year,
+                "n_points": n_points[anchor.nga],
+                "rmse": rmse,
+                "max_abs_residual": max_abs,
+                "frac_beyond": beyond,  # share of |residuals| above 2x the reference RMSE
+            }
+        )
+    return {
+        "check": {
+            "reference_rmse": reference_rmse,
+            "spc1_0": bundle.threshold.spc1_0,
+            "n_series": len(series),
+            "n_anchored": sum(s["anchored"] for s in series),
+            "series": series,
+        }
+    }

@@ -3,7 +3,8 @@
 ``bundle_to_dict`` is the one list of the report's fields. The JSON
 sidecar ``report.json`` serialises it, and ``report.txt`` walks it: one
 ``[section]`` per top-level key and one ``path = value`` line per leaf, so
-the text holds every value of the JSON. ``check``'s text is walked alike.
+the text holds every value of the JSON. ``render_check_text`` walks the
+``{"check": {...}}`` dict of ``pipeline.benchmark_check`` alike.
 Every number printed here is read from a result object; nothing is
 recomputed at render time. Floats are written with ``repr`` so two runs
 that computed the same values produce the same bytes.
@@ -68,7 +69,7 @@ from .logistic import LogisticParams, logistic_eval
 if TYPE_CHECKING:
     from .align import AlignedDataset
     from .inference import ContinuityComparison
-    from .pipeline import CheckReport, ReportBundle
+    from .pipeline import ReportBundle
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +187,7 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
                 "upper_plateau": float(
                     comparison.fit.params.a + comparison.fit.params.b
                 ),
-                "n_segments": len(comparison.segments),
+                "n_segments": len(comparison.lengths),
                 "mean_length": float(comparison.mean_length),
                 "skipped": list(comparison.skipped),
                 "lengths": [
@@ -223,29 +224,10 @@ def render_report_text(bundle: ReportBundle) -> str:
     return _walked_text("social complexity growth report", bundle_to_dict(bundle))
 
 
-def render_check_text(check: CheckReport) -> str:
-    """The ``check`` result as text, laid out like ``report.txt``."""
-    data = {
-        "check": {
-            "reference_rmse": check.reference_rmse,
-            "spc1_0": check.spc1_0,
-            "n_series": len(check.series),
-            "n_anchored": check.n_anchored,
-            "series": [
-                {
-                    "nga": s.nga,
-                    "anchored": s.anchored,
-                    "anchor_year": s.anchor_year,
-                    "n_points": s.n_points,
-                    "rmse": s.rmse,
-                    "max_abs_residual": s.max_abs_residual,
-                    "frac_beyond": s.frac_beyond,
-                }
-                for s in check.series
-            ],
-        }
-    }
-    return _walked_text("benchmark check against fitted curve", data)
+def render_check_text(check: dict) -> str:
+    """``benchmark_check``'s ``{"check": {...}}`` as text, laid out like
+    ``report.txt``."""
+    return _walked_text("benchmark check against fitted curve", check)
 
 
 def _walked_text(title: str, data: dict) -> str:

@@ -327,20 +327,23 @@ def reference_fit(t, y, init=None) -> FitResult:
     )
 
 
-def table_row(fits, r: int = 0) -> FitResult:
-    """Row ``r`` of a ``logistic.fit_tables`` result as a FitResult for
-    ``assert_same_fit``; a failed row raises its NumericalError. A table
+def table_row(table, r: int = 0) -> FitResult:
+    """Row ``r`` of ``(fits, weights)``, a ``logistic.fit_tables`` result
+    ``(params, converged, iterations, errors)`` and the (R, U) weights it
+    fitted, as a FitResult for ``assert_same_fit``; a failed row raises its
+    NumericalError. ``n_points`` is the sum of the row's weights. A table
     holds no per-point residuals, so ``rmse`` and ``max_abs_residual`` are
     NaN."""
-    if fits.errors[r] is not None:
-        raise NumericalError(fits.errors[r])
+    (params, converged, iterations, errors), weights = table
+    if errors[r] is not None:
+        raise NumericalError(errors[r])
     return FitResult(
-        params=LogisticParams(*fits.params[r]),
+        params=LogisticParams(*params[r]),
         rmse=math.nan,
         max_abs_residual=math.nan,
-        n_points=int(fits.n_points[r]),
-        converged=bool(fits.converged[r]),
-        iterations=int(fits.iterations[r]),
+        n_points=int(np.rint(np.sum(weights[r]))),
+        converged=bool(converged[r]),
+        iterations=int(iterations[r]),
     )
 
 

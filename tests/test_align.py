@@ -169,18 +169,18 @@ class TestCentralSegments:
     def test_fully_continuous_region_keeps_every_point(self):
         region = labelled_aligned([CULT] * 5)
         seg = extract_central_sequence(region, ContinuityMode.CULTURAL)
-        assert seg.length == 5
-        assert list(seg.rel_time) == list(region.rel_time)
-        assert list(seg.scaled) == list(region.scaled)
+        assert seg == slice(0, 5)
+        assert list(region.rel_time[seg]) == list(region.rel_time)
+        assert list(region.scaled[seg]) == list(region.scaled)
 
     def test_run_is_clipped_at_the_nearest_breaks(self):
         labels = [OUT, CULT, CULT, CULT, CULT, OUT, CULT]
         region = labelled_aligned(labels, anchor=-700)  # anchor at index 3
         seg = extract_central_sequence(region, ContinuityMode.CULTURAL)
-        assert seg.length == 4
-        assert list(seg.rel_time - 700) == [-900, -800, -700, -600]
-        assert list(seg.rel_time) == [-200, -100, 0, 100]
-        assert list(seg.scaled) == list(region.scaled[1:5])
+        assert seg == slice(1, 5)
+        assert list(region.rel_time[seg] - 700) == [-900, -800, -700, -600]
+        assert list(region.rel_time[seg]) == [-200, -100, 0, 100]
+        assert list(region.scaled[seg]) == list(region.scaled[1:5])
 
     def test_anchor_outside_the_sequence_is_an_error(self):
         labels = [CULT, CULT, OUT, CULT, CULT]
@@ -208,10 +208,10 @@ class TestCentralSegments:
         region = labelled_aligned(culture, institution, anchor=-800)  # anchor index 2
         cult = extract_central_sequence(region, ContinuityMode.CULTURAL)
         inst = extract_central_sequence(region, ContinuityMode.INSTITUTIONAL)
-        assert cult.length == 5
-        assert inst.length == 2
-        assert list(inst.rel_time - 800) == [-800, -700]
-        assert list(inst.scaled) == list(region.scaled[2:4])
+        assert cult == slice(0, 5)
+        assert inst == slice(2, 4)
+        assert list(region.rel_time[inst] - 800) == [-800, -700]
+        assert list(region.scaled[inst]) == list(region.scaled[2:4])
 
     def test_skipped_regions_are_named(self):
         good = labelled_aligned([CULT] * 4, anchor=-800)
@@ -223,7 +223,7 @@ class TestCentralSegments:
 
         aligned = AlignedDataset((good, bad))
         segments, skipped = central_segments(aligned, ContinuityMode.CULTURAL)
-        assert [s.nga for s in segments] == ["R"]
+        assert segments == [(good, slice(0, 4))]
         assert skipped == ["S"]
 
     def test_mode_labels(self):

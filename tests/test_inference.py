@@ -3,7 +3,7 @@
 import logging
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from spcgrowth import (
     out_of_sample_validation,
     plateau_thresholds,
 )
-from spcgrowth.align import AlignedDataset
+from spcgrowth.align import AlignedDataset, extract_central_sequence
 from spcgrowth.inference import BootstrapEnsemble
 from spcgrowth.logistic import (
     LogisticParams,
@@ -107,8 +107,8 @@ class TestValidation:
         real_fit = inference.fit_tables
 
         def always_fails(*args, **kwargs):
-            fits = real_fit(*args, **kwargs)
-            return replace(fits, errors=("synthetic failure",) * len(fits.errors))
+            *fits, errors = real_fit(*args, **kwargs)
+            return *fits, ("synthetic failure",) * len(errors)
 
         monkeypatch.setattr(inference, "fit_tables", always_fails)
         with pytest.raises(NumericalError, match="every validation repeat failed"):
@@ -243,12 +243,12 @@ def fail_every_third_fit(monkeypatch):
     rows = {"n": 0}
 
     def flaky(*args, **kwargs):
-        fits = real_fit(*args, **kwargs)
+        *fits, fit_errors = real_fit(*args, **kwargs)
         errors = []
-        for error in fits.errors:
+        for error in fit_errors:
             rows["n"] += 1
             errors.append("synthetic failure" if rows["n"] % 3 == 0 else error)
-        return replace(fits, errors=tuple(errors))
+        return *fits, tuple(errors)
 
     monkeypatch.setattr(inference, "fit_tables", flaky)
 
@@ -290,10 +290,10 @@ class TestFitCountLog:
         iterations = []
 
         def every_fourth_unconverged(*args, **kwargs):
-            block = flaky(*args, **kwargs)
-            numbers = len(iterations) + 1 + np.arange(block.converged.size)
-            iterations.extend(block.iterations.tolist())
-            return replace(block, converged=block.converged & (numbers % 4 != 0))
+            params, converged, block_iterations, errors = flaky(*args, **kwargs)
+            numbers = len(iterations) + 1 + np.arange(converged.size)
+            iterations.extend(block_iterations.tolist())
+            return params, converged & (numbers % 4 != 0), block_iterations, errors
 
         monkeypatch.setattr(inference, "fit_tables", every_fourth_unconverged)
         add_stage = pipeline.add_validation if stage == "validation" else pipeline.add_bootstrap
@@ -329,19 +329,23 @@ class TestBatchedFits:
         times = blocks[0][0]
         means, weights, within_ss = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
         batch = real_fit(times, means, weights, within_ss, full.params)
-        assert len(batch.errors) == 1000 and len(blocks) > 1
-        assert np.array_equal(batch.params, np.concatenate([b[4].params for b in blocks]))
-        assert np.array_equal(batch.iterations, np.concatenate([b[4].iterations for b in blocks]))
+        params, _, iterations, errors = batch
+        block_params, _, block_iterations, _ = zip(*(fits for *_, fits in blocks))
+        assert len(errors) == 1000 and len(blocks) > 1
+        assert np.array_equal(params, np.concatenate(block_params))
+        assert np.array_equal(iterations, np.concatenate(block_iterations))
         # a distant start makes rows reject steps, so their damping paths part
         far = LogisticParams(0.3, 0.5, 0.02, 1500.0)
         far_batch = real_fit(times, means, weights, within_ss, far)
-        for init, fits in ((full.params, batch), (far, far_batch)):
+        for init, (params, converged, iterations, _) in ((full.params, batch), (far, far_batch)):
             for r in range(0, 1000, 10):
                 one = slice(r, r + 1)
-                alone = real_fit(times, means[one], weights[one], within_ss[one], init)
-                assert np.array_equal(alone.params[0], fits.params[r])
-                assert alone.iterations[0] == fits.iterations[r]
-                assert alone.converged[0] == fits.converged[r]
+                (alone,), (done,), (steps,), _ = real_fit(
+                    times, means[one], weights[one], within_ss[one], init
+                )
+                assert np.array_equal(alone, params[r])
+                assert steps == iterations[r]
+                assert done == converged[r]
 
     def test_the_stages_give_the_same_bits_in_blocks_of_1_7_and_64(
         self, aligned_noisy, monkeypatch, caplog
@@ -682,6 +686,27 @@ class TestContinuityComparison:
         assert np.allclose(got, want, atol=1e-4)
         assert comparison.skipped == ()
 
+    def test_a_comparison_keeps_no_point_arrays(self, fit_bundle):
+        # a central segment is a slice of its region's rows, so a comparison
+        # holds each segment's length and no copy of its points
+        bundle = pipeline.add_continuity(fit_bundle)
+        assert len(bundle.continuity) == 2
+
+        def arrays(value) -> int:
+            """The arrays in ``value``, its items and its fields."""
+            if isinstance(value, np.ndarray):
+                return 1
+            if isinstance(value, (tuple, list)):
+                return sum(arrays(item) for item in value)
+            if is_dataclass(value):
+                return sum(arrays(getattr(value, f.name)) for f in fields(value))
+            return 0
+
+        for comparison in bundle.continuity:
+            held = {f.name: arrays(getattr(comparison, f.name)) for f in fields(comparison)}
+            assert held == {"mode": 0, "fit": 0, "lengths": 0, "skipped": 0}
+            assert [type(n) for _, n in comparison.lengths] == [int] * len(comparison.lengths)
+
     def test_segment_lengths_and_ranking(self):
         long = aligned_region(
             scaled_region("Long", [0.1, 0.3, 0.6, 0.8, 0.9], culture=[CULT] * 5), -800
@@ -727,9 +752,9 @@ def record_fits(monkeypatch) -> list:
     fits = []
     real_fit = inference.fit_tables
 
-    def recording(*args, **kwargs):
-        block = real_fit(*args, **kwargs)
-        fits.extend(table_row(block, r) for r in range(len(block.errors)))
+    def recording(times, means, weights, within_ss, init):
+        block = real_fit(times, means, weights, within_ss, init)
+        fits.extend(table_row((block, weights), r) for r in range(len(weights)))
         return block
 
     monkeypatch.setattr(inference, "fit_tables", recording)
@@ -796,8 +821,11 @@ class TestAgainstPerPointReference:
         aligned = labelled_panel()
         full = fit_logistic(*aligned.pooled())
         comparison = continuity_comparison(aligned, full, mode)
-        t = np.concatenate([s.rel_time for s in comparison.segments]).astype(float)
-        y = np.concatenate([s.scaled for s in comparison.segments])
+        segments = [extract_central_sequence(region, mode) for region in aligned.regions]
+        pairs = list(zip(aligned.regions, segments))
+        t = np.concatenate([region.rel_time[seg] for region, seg in pairs]).astype(float)
+        y = np.concatenate([region.scaled[seg] for region, seg in pairs])
+        assert comparison.lengths == tuple((r.nga, r.scaled[seg].size) for r, seg in pairs)
         assert t.size < aligned.pooled()[0].size  # the breaks clipped something
         ref = reference_fit(t, y, init=full.params)
         assert_same_fit(comparison.fit, ref)

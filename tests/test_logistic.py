@@ -34,9 +34,10 @@ DEFAULT = LogisticParams(*DEFAULT_INIT_PARAMS)
 
 
 def fit_table(times, means, weights, within_ss=0.0, init=DEFAULT):
-    """One per-time table through ``fit_tables``: its only row."""
-    weights = np.asarray(weights, dtype=float)
-    return fit_tables(times, means[None, :], weights[None, :], np.array([within_ss]), init)
+    """One per-time table through ``fit_tables``: the result and the (1, U)
+    weights it fitted, for ``table_row``."""
+    weights = np.asarray(weights, dtype=float)[None, :]
+    return fit_tables(times, means[None, :], weights, np.array([within_ss]), init), weights
 
 
 def bisect_inverse(params, y, lo, hi, iters=200):
@@ -390,7 +391,8 @@ class TestTableFit:
         times = np.arange(-250.0, 350.0, 100.0)
         means = np.asarray(logistic_eval(SLOW, times))
         fits = fit_table(times, means, [1, 1, 0, 1, 1, 0])
-        assert fits.errors == ("need at least 5 points, got 4",)
+        (*_, errors), _ = fits
+        assert errors == ("need at least 5 points, got 4",)
         with pytest.raises(NumericalError, match="need at least 5 points, got 4"):
             table_row(fits)
 
@@ -405,14 +407,17 @@ class TestBatchedCore:
         weights = np.ones_like(means)
         weights[1] = 0.0
         weights[1, :4] = 1.0
-        batch = fit_tables(times, means, weights, np.zeros(3), SLOW)
-        assert batch.errors == (None, "need at least 5 points, got 4", None)
-        assert np.all(np.isnan(batch.params[1])) and not batch.converged[1]
+        params, converged, iterations, errors = fit_tables(times, means, weights, np.zeros(3), SLOW)
+        assert errors == (None, "need at least 5 points, got 4", None)
+        assert np.all(np.isnan(params[1])) and not converged[1]
         for r in (0, 2):
-            alone = fit_tables(times, means[r : r + 1], weights[r : r + 1], np.zeros(1), SLOW)
-            assert np.array_equal(alone.params[0], batch.params[r])
-            assert alone.iterations[0] == batch.iterations[r]
-            assert alone.converged[0] == batch.converged[r]
+            one = slice(r, r + 1)
+            (alone,), (done,), (steps,), _ = fit_tables(
+                times, means[one], weights[one], np.zeros(1), SLOW
+            )
+            assert np.array_equal(alone, params[r])
+            assert steps == iterations[r]
+            assert done == converged[r]
 
     def test_a_singular_system_gives_nan_for_its_row_only(self):
         matrices = np.stack([np.eye(4), np.zeros((4, 4)), 2.0 * np.eye(4)])

@@ -544,25 +544,25 @@ class TestBenchmarkCheck:
             [make_region("Curveton", list(raw), start=int(anchor + offsets[0]))],
         )
 
-        check = benchmark_check(full_bundle, path)
-        assert check.reference_rmse == full_bundle.full_fit.rmse
-        assert check.n_anchored == 1
-        series = check.series[0]
-        assert series.anchored and series.anchor_year == anchor
-        assert series.max_abs_residual < 1e-9
-        assert series.frac_beyond == 0.0
+        check = benchmark_check(full_bundle, path)["check"]
+        assert check["reference_rmse"] == full_bundle.full_fit.rmse
+        assert check["n_anchored"] == 1
+        series = check["series"][0]
+        assert series["anchored"] and series["anchor_year"] == anchor
+        assert series["max_abs_residual"] < 1e-9
+        assert series["frac_beyond"] == 0.0
 
     def test_non_crossing_series_is_reported_not_rejected(self, full_bundle, tmp_path):
         lo, hi = full_bundle.dataset.scale_min, full_bundle.dataset.scale_max
         # raw values pinned near the lower plateau
         raw = [lo + 0.05 * (hi - lo) + 0.001 * i for i in range(6)]
         path = write_panel(tmp_path / "flat.csv", [make_region("Flatland", raw)])
-        check = benchmark_check(full_bundle, path)
-        assert check.n_anchored == 0
-        series = check.series[0]
-        assert not series.anchored
-        assert series.anchor_year is None
-        assert np.isnan(series.rmse) and np.isnan(series.frac_beyond)
+        check = benchmark_check(full_bundle, path)["check"]
+        assert check["n_anchored"] == 0
+        series = check["series"][0]
+        assert not series["anchored"]
+        assert series["anchor_year"] is None
+        assert np.isnan(series["rmse"]) and np.isnan(series["frac_beyond"])
 
     def test_held_out_region_stays_close_to_the_fit(self, noisy_panel_path, tmp_path):
         ds = load_dataset(noisy_panel_path)
@@ -570,11 +570,11 @@ class TestBenchmarkCheck:
         train = write_panel(tmp_path / "train.csv", list(kept))
         held_path = write_panel(tmp_path / "held.csv", [held])
         bundle = run_fit_stage(PipelineConfig(input_path=str(train)))
-        check = benchmark_check(bundle, held_path)
-        series = check.series[0]
-        assert series.anchored
-        assert series.rmse < 3 * check.reference_rmse
-        assert series.frac_beyond < 0.5
+        check = benchmark_check(bundle, held_path)["check"]
+        series = check["series"][0]
+        assert series["anchored"]
+        assert series["rmse"] < 3 * check["reference_rmse"]
+        assert series["frac_beyond"] < 0.5
 
 
 class TestPlotData:
@@ -793,18 +793,24 @@ class TestCli:
         assert out.startswith("benchmark check against fitted curve\n")
         config = PipelineConfig(input_path=str(noisy_panel_path))
         check = benchmark_check(run_fit_stage(config), held)
-        anchored = {s.nga: s.anchored for s in check.series}
+        assert list(check) == ["check"]
+        check = check["check"]
+        anchored = {s["nga"]: s["anchored"] for s in check["series"]}
         assert anchored == {crossing.nga: True, flat.nga: False}
         expected = {
-            "check.reference_rmse": repr(check.reference_rmse),
-            "check.spc1_0": repr(check.spc1_0),
+            "check.reference_rmse": repr(check["reference_rmse"]),
+            "check.spc1_0": repr(check["spc1_0"]),
             "check.n_series": "2",
             "check.n_anchored": "1",
         }
-        for i, series in enumerate(check.series):
-            for field in fields(series):
-                value = getattr(series, field.name)
-                expected[f"check.series.{i}.{field.name}"] = (
+        assert list(check) == ["reference_rmse", "spc1_0", "n_series", "n_anchored", "series"]
+        for i, series in enumerate(check["series"]):
+            assert list(series) == [
+                "nga", "anchored", "anchor_year", "n_points", "rmse", "max_abs_residual",
+                "frac_beyond",
+            ]
+            for name, value in series.items():
+                expected[f"check.series.{i}.{name}"] = (
                     value if isinstance(value, str) else json.dumps(value)
                 )
         assert text_leaves(out) == expected
@@ -1621,4 +1627,6 @@ def test_every_dataclass_field_is_read_by_the_package(tmp_path, monkeypatch, cap
         assert main([command, *runs]) == 0
     assert main(["check", *runs, panel]) == 0
     capsys.readouterr()
+    # the package's 17 records, every one of which has fields
+    assert len({cls for cls, _ in declared}) == 17
     assert sorted(f"{cls}.{name}" for cls, name in declared - reads) == []
