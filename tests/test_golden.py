@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import child_env, json_leaves, text_leaves
+from helpers import build_dataset, child_env, json_leaves, make_region, text_leaves
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORT_ARGS = ["--bootstrap", "20", "--validation", "5"]
@@ -207,8 +207,6 @@ def test_the_leaf_comparison_allows_drift_within_rel_tol_and_no_more():
 def held_out_panel() -> str:
     """Two regions for ``check``: one drawn as the panel's are (seed 11),
     which anchors, and one that hovers below the threshold."""
-    from helpers import build_dataset, make_region
-
     from spcgrowth.dataset import SyntheticSpec, generate_synthetic, serialize_dataset
 
     (drawn,) = generate_synthetic(SyntheticSpec(n_regions=1), seed=11).regions
