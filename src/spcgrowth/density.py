@@ -8,12 +8,15 @@ evaluated on a uniform grid, with phi the standard normal density. The
 grid x sample terms are evaluated in blocks of grid rows holding at most
 _BLOCK_CELLS cells (one row when n exceeds it), so memory is O(grid + n)
 rather than O(grid * n). The blocks are split into two contiguous halves:
-the caller fills the first and one worker thread the second, each in a
-block buffer of its own, so the sum runs on two cores while numpy's
-ufuncs release the interpreter lock. numpy's floating-point error state
-is per thread, so each half sets its own. Each row's sum is the same
-reduction as over the full matrix, whichever thread computes it, so the
-blocking and the split leave the result unchanged. The automatic
+the caller fills the first and the one thread of a
+``concurrent.futures.ThreadPoolExecutor`` the second, each in a block
+buffer of its own, so the sum runs on two cores while numpy's ufuncs
+release the interpreter lock. The executor starts, joins and reports the
+thread; a grid of one block starts none, and where no thread can start
+the caller fills both halves. numpy's floating-point error state is per
+thread, so each half sets its own. Each row's sum is the same reduction
+as over the full matrix, whichever thread computes it, so the blocking
+and the split leave the result unchanged. The automatic
 bandwidth is Scott's rule h = std(x) * n**(-1/5) (sample standard
 deviation). The threshold separating the low and high modes of a
 bimodal distribution is the grid location of the minimum density strictly
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,36 +111,27 @@ def _fill(grid, samples, h: float, rows: int, out) -> None:
 def _kernel_sums(grid, samples, h: float) -> np.ndarray:
     """The kernel sum at every grid point: the first half of the blocks
     filled by the caller, the rest by one worker thread, joined before
-    this returns. An exception in either half reaches the caller."""
+    this returns. An exception in either half reaches the caller. The
+    executor is imported here, not at start-up."""
+    from concurrent.futures import ThreadPoolExecutor
+
     rows = max(1, _BLOCK_CELLS // samples.size)
     sums = np.empty(grid.size)
     blocks = -(-grid.size // rows)
     split = min(grid.size, rows * -(-blocks // 2))  # the caller's half holds the odd block
     first, rest = slice(0, split), slice(split, grid.size)
-    failed = []
-
-    def fill_rest():
-        try:
-            _fill(grid[rest], samples, h, rows, sums[rest])
-        except BaseException as exc:  # raised again in the caller
-            failed.append(exc)
-
-    worker = None
-    if split < grid.size:
-        worker = threading.Thread(target=fill_rest, name="spcgrowth-kde")
-        try:
-            worker.start()
-        except RuntimeError:  # no thread can start; the caller fills both halves
-            worker = None
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="spcgrowth-kde") as worker:
+        half = None
+        if split < grid.size:
+            try:
+                half = worker.submit(_fill, grid[rest], samples, h, rows, sums[rest])
+            except RuntimeError:  # no thread can start; the caller fills both halves
+                pass
         _fill(grid[first], samples, h, rows, sums[first])
-        if worker is None:
+        if half is None:
             _fill(grid[rest], samples, h, rows, sums[rest])
-    finally:
-        if worker is not None:
-            worker.join()
-    if failed:
-        raise failed[0]
+        else:
+            half.result()
     return sums
 
 

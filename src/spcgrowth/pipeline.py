@@ -20,8 +20,9 @@ returns them as the plain ``{"check": {...}}`` dict that ``check`` prints
 
 Reproducibility contract: identical input bytes and configuration give a
 byte-identical report. The provenance block records the seed, a digest
-of the configuration (paths excluded, so the digest is machine
-independent), and the SHA-256 of the input file.
+of the configuration, and the SHA-256 of the input file. The digest is
+taken over every field of ``PipelineConfig`` but the two paths, so it is
+machine independent and a setting added later is digested with the rest.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -94,6 +95,8 @@ class PipelineConfig:
                 raise ParameterError(f"bandwidth must be {AUTO_BANDWIDTH!r} or a positive number, got {self.bandwidth!r}")
         elif not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ParameterError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        else:
+            object.__setattr__(self, "bandwidth", float(self.bandwidth))
         if not self.continuity_modes:
             raise ParameterError("continuity_modes must name at least one mode")
         modes = []
@@ -154,21 +157,17 @@ def _file_sha256(path) -> str:
 
 
 def _config_sha256(config: PipelineConfig) -> str:
-    """Digest of the run configuration. Paths are excluded so the digest
-    only changes when the analysis itself would."""
-    bandwidth = (
-        config.bandwidth
-        if isinstance(config.bandwidth, str)
-        else repr(float(config.bandwidth))
-    )
-    payload = {
-        "seed": config.seed,
-        "n_bootstrap": config.n_bootstrap,
-        "n_validation": config.n_validation,
-        "k_sigma_list": list(config.k_sigma_list),
-        "bandwidth": bandwidth,
-        "continuity_modes": [m.value for m in config.continuity_modes],
-    }
+    """Digest of the run configuration: every field but the two paths, so
+    the digest only changes when the analysis itself would. A tuple is
+    written as the list of its items' values, and a float as its
+    ``repr``."""
+    payload = {}
+    for field in fields(config):
+        if field.name not in ("input_path", "output_dir"):
+            value = getattr(config, field.name)
+            if isinstance(value, tuple):
+                value = [getattr(item, "value", item) for item in value]
+            payload[field.name] = repr(value) if isinstance(value, float) else value
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -18,11 +18,12 @@ every row fills one ``%d``/``%r`` template, with names quoted by
 residuals chart and ``check`` the same residuals, a region at a time.
 
 ``report_files``, ``plot_data_files``, ``fit_stage_files`` and
-``charts.chart_files`` are streams of ``(relative path, text chunks)``: a
-file is rendered while it is written, a chunk at a time (a region of
-``residuals.csv``, a line of an SVG, a region's dots), so the output
-layer holds one chunk, not one file or group. Nothing of a file renders
-before its chunks are taken, so a stream's paths cost nothing.
+``charts.chart_files`` are streams of ``(relative path, text chunks)``,
+and a stream renders each file when it reaches it, just before the file
+is opened. A long file is rendered while it is written, a chunk at a
+time (a region of ``residuals.csv``, a line of an SVG, a region's dots),
+and a short one is a list of one chunk, so no group of files is ever held
+whole.
 
 Every file of every command reaches its output directory one way.
 ``FitStageWriter`` owns a hidden staging directory
@@ -58,7 +59,7 @@ import tempfile
 import warnings
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -359,30 +360,25 @@ def _lengths_csv(comparison: ContinuityComparison) -> str:
     return "".join(["rank,nga,length\n", *rows])
 
 
-def _later(render: Callable[..., str], *args) -> Iterator[str]:
-    """``render(*args)`` as one chunk, rendered when it is taken."""
-    yield render(*args)
-
-
 def plot_data_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
     """(Relative path, CSV chunks) for the quantitative data of the figures
-    that need the refits, each file rendered when its chunks are taken."""
-    yield "curves.csv", _later(_curves_csv, bundle)
+    that need the refits, each file rendered when the stream reaches it."""
+    yield "curves.csv", [_curves_csv(bundle)]
     if bundle.timescales:
-        yield "growth_window.csv", _later(_growth_window_csv, bundle)
+        yield "growth_window.csv", [_growth_window_csv(bundle)]
     if bundle.durations is not None:
-        yield "durations.csv", _later(_durations_csv, bundle)
+        yield "durations.csv", [_durations_csv(bundle)]
     for comparison in bundle.continuity:
-        yield f"lengths_{comparison.mode.value}.csv", _later(_lengths_csv, comparison)
+        yield f"lengths_{comparison.mode.value}.csv", [_lengths_csv(comparison)]
 
 
 def fit_stage_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]:
     """(Relative path, text chunks) for the files whose content needs
     nothing past the fit stage (the density, the threshold, the alignment
-    and the full fit), each file rendered when its chunks are taken."""
+    and the full fit), each file rendered when the stream reaches it."""
     from .charts import density_chart, residuals_chart, small_multiples_chart
 
-    yield "kde.csv", _later(_kde_csv, bundle)
+    yield "kde.csv", [_kde_csv(bundle)]
     yield "residuals.csv", _residuals_csv(bundle)
     series_paths = set()
     for region in bundle.aligned.regions:
@@ -394,7 +390,7 @@ def fit_stage_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]
             path = f"series/{_slug(region.nga)}-{n}.csv"
         series_paths.add(path)
         single = Dataset((region,), bundle.dataset.scale_min, bundle.dataset.scale_max)
-        yield path, _later(serialize_dataset, single)
+        yield path, [serialize_dataset(single)]
     yield "regions.svg", small_multiples_chart(bundle)
     yield "density.svg", density_chart(bundle)
     yield "residuals.svg", residuals_chart(bundle)

@@ -633,7 +633,8 @@ def plot_files(bundle):
 
 
 def chart_texts(bundle) -> dict[str, str]:
-    """Every chart of ``plot_files``, joined; the CSVs are not rendered."""
+    """Every chart of ``plot_files``, joined; the CSVs are skipped (a short
+    one is still rendered when its stream reaches it)."""
     return joined((path, chunks) for path, chunks in plot_files(bundle) if path.endswith(".svg"))
 
 

@@ -105,6 +105,36 @@ class TestParse:
             parse_dataset(bad + "\nLatium,P,-600,,0.3,,\n")
         assert "Culture.Sequence" in str(err.value)
 
+    def test_header_columns_out_of_order_are_refused(self):
+        names = PANEL_HEADER.split(",")
+        names[2], names[3] = names[3], names[2]
+        with pytest.raises(DataError) as err:
+            parse_dataset(",".join(names) + "\nLatium,P,-600,,0.3,,\n")
+        assert str(err.value) == f"header columns out of order; expected {PANEL_HEADER}"
+
+    def test_an_unexpected_extra_header_column_is_named(self):
+        with pytest.raises(DataError) as err:
+            parse_dataset(PANEL_HEADER + ",Notes\nLatium,P,-600,,0.3,,,x\n")
+        assert str(err.value) == "unexpected extra column(s): Notes"
+
+    def test_a_byte_order_mark_before_the_header_is_stripped(self, tmp_path):
+        text = panel_text(LATIUM_ROWS)
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want = [series_fields(s) for s in parse_dataset(text).regions]
+        for ds in (parse_dataset("\ufeff" + text), load_dataset(path)):
+            assert [series_fields(s) for s in ds.regions] == want
+
+    def test_a_header_field_over_the_csv_limit_names_line_1(self):
+        with pytest.raises(RowParseError, match="^line 1: malformed CSV: field larger than") as err:
+            parse_dataset(PANEL_HEADER + "," + "x" * 131_073 + "\n")
+        assert err.value.line == 1
+
+    def test_cells_past_the_header_columns_are_ignored(self):
+        extra = [row + ",0.5,anything" for row in LATIUM_ROWS]
+        want = [series_fields(s) for s in parse_dataset(panel_text(LATIUM_ROWS)).regions]
+        assert [series_fields(s) for s in parse_dataset(panel_text(extra)).regions] == want
+
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="input is empty"):
             parse_dataset("")

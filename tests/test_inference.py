@@ -458,6 +458,22 @@ class TestBootstrap:
         with pytest.raises(ParameterError):
             bootstrap_fits(aligned, fit, n_iter=0, seed=0)
 
+    def test_every_replicate_failing_is_a_numerical_error(self, aligned_noisy, caplog):
+        # one region of 4 points: every replicate pools those 4 points
+        _, fit = aligned_noisy
+        solo = aligned_region(scaled_region("Solo", [0.1, 0.3, 0.7, 0.9]), -800)
+        with caplog.at_level(logging.WARNING, logger=inference.__name__):
+            with pytest.raises(NumericalError, match="^every bootstrap iteration failed$"):
+                bootstrap_fits(AlignedDataset((solo,)), fit, n_iter=5, seed=0)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "bootstrap: 5 of 5 fits failed (first: need at least 5 points, got 4)"
+        ]
+
+    def test_no_retained_region_is_refused(self, aligned_noisy):
+        _, fit = aligned_noisy
+        with pytest.raises(ParameterError, match="^need at least 1 retained region$"):
+            bootstrap_fits(AlignedDataset(()), fit, n_iter=5, seed=0)
+
 
 class TestPlateauThresholds:
     def test_degenerate_ensemble_returns_the_plateaus(self):

@@ -419,6 +419,27 @@ class TestBatchedCore:
             assert steps == iterations[r]
             assert done == converged[r]
 
+    def test_a_row_whose_starting_objective_is_not_finite_fails_with_its_reason(self):
+        times = np.arange(-300.0, 400.0, 100.0)
+        means = np.asarray(logistic_eval(SLOW, times))
+        means[2] = np.nan
+        (params, converged, iterations, errors), _ = fit_table(times, means, np.ones(7), init=SLOW)
+        assert errors == ("objective not finite at initial parameters",)
+        assert np.all(np.isnan(params)) and not converged[0] and iterations[0] == 0
+
+    def test_a_row_whose_normal_equations_overflow_fails_as_degenerate(self):
+        # the curve and objective are finite (c t is at most 0.01), but the
+        # rate's column of J, about t / 4, squares past the float range
+        times = np.array([-1e308, -5e307, 0.0, 5e307, 1e308])
+        means = np.array([0.1, 0.2, 0.5, 0.8, 0.9])
+        tiny_rate = LogisticParams(1.0, 0.0, 1e-310, 0.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            (params, converged, iterations, errors), _ = fit_table(
+                times, means, np.ones(5), init=tiny_rate
+            )
+        assert errors == ("Jacobian degenerate (non-finite entries)",)
+        assert np.all(np.isnan(params)) and not converged[0] and iterations[0] == 0
+
     def test_a_singular_system_gives_nan_for_its_row_only(self):
         matrices = np.stack([np.eye(4), np.zeros((4, 4)), 2.0 * np.eye(4)])
         rhs = np.arange(12.0).reshape(3, 4)

@@ -152,11 +152,37 @@ class TestPipelineConfig:
         )
 
     def test_config_digest_ignores_paths_but_not_settings(self):
+        # one other value per setting; a new field fails here until it has one
+        other = {
+            "seed": 2,
+            "n_bootstrap": 999,
+            "n_validation": 99,
+            "k_sigma_list": (3,),
+            "bandwidth": 0.05,
+            "continuity_modes": (ContinuityMode.CULTURAL,),
+        }
+        paths = {"input_path": "b.csv", "output_dir": "out"}
         base = PipelineConfig(input_path="a.csv", seed=1)
-        moved = PipelineConfig(input_path="b.csv", seed=1, output_dir="out")
-        reseeded = PipelineConfig(input_path="a.csv", seed=2)
-        assert _config_sha256(base) == _config_sha256(moved)
-        assert _config_sha256(base) != _config_sha256(reseeded)
+        assert {f.name for f in fields(base)} == {*other, *paths}
+        digest = _config_sha256(base)
+        for name, value in other.items():
+            assert _config_sha256(replace(base, **{name: value})) != digest, name
+        for name, value in paths.items():
+            assert _config_sha256(replace(base, **{name: value})) == digest, name
+        assert _config_sha256(replace(base, bandwidth=0.06)) != _config_sha256(
+            replace(base, bandwidth=0.05)
+        )
+
+    @pytest.mark.parametrize("bandwidth", [0.05, np.float64(0.05), 1, 1.0], ids=repr)
+    def test_a_numeric_bandwidth_is_digested_as_the_equal_float(self, bandwidth):
+        config = PipelineConfig(input_path="a.csv", bandwidth=bandwidth)
+        assert type(config.bandwidth) is float and config.bandwidth == bandwidth
+        # the digests these settings have always had
+        want = {
+            0.05: "2af840de03e4f2868e12b9fb08f3eb726bb0295cbcbf4462d5801841de2122d9",
+            1.0: "41ed44ba8d7e43feb0e64d54d57ace4fb0aae070b662f7435bc422e3896fe758",
+        }
+        assert _config_sha256(config) == want[float(bandwidth)]
 
     @pytest.mark.parametrize(
         "seed, stream, expected",
@@ -181,6 +207,21 @@ class TestFitStage:
     def test_all_regions_of_the_synthetic_panel_anchor(self, fit_bundle):
         assert len(fit_bundle.aligned.regions) == 12
         assert fit_bundle.aligned.discarded == ()
+
+    def test_the_parse_orders_regions_by_number_and_the_alignment_by_code_point(self, tmp_path):
+        # the aligned order fixes the pooled point order, and so the full
+        # fit's bits; both orders are part of the output
+        ds = generate_synthetic(SyntheticSpec(3, noise_sigma=0.05), seed=1)
+        regions = [replace(s, nga=name) for s, name in zip(ds.regions, ("SYN-10", "SYN-2", "SYN-1"))]
+        path = write_panel(tmp_path / "panel.csv", regions)
+        bundle = run_fit_stage(PipelineConfig(input_path=str(path)))
+        assert [r.nga for r in bundle.dataset.regions] == ["SYN-1", "SYN-2", "SYN-10"]
+        aligned = ["SYN-1", "SYN-10", "SYN-2"]
+        assert [r.nga for r in bundle.aligned.regions] == aligned
+        assert [a["nga"] for a in bundle_to_dict(bundle)["alignment"]["anchors"]] == aligned
+        assert [s["nga"] for s in benchmark_check(bundle, path)["check"]["series"]] == aligned
+        svg = joined(fit_stage_files(bundle))["regions.svg"]
+        assert sorted(aligned, key=lambda name: svg.index(f">{name}</text>")) == aligned
 
 
 class TestFullPipeline:
