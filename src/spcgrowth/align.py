@@ -1,10 +1,12 @@
 """Anchor detection, relative-time alignment, and continuity segments.
 
 Each region is anchored at the first observation whose scaled score
-strictly exceeds the low/high threshold; shifting calendar years by the
-anchor puts every retained region's crossing at relative year 0 so their
-growth phases overlap. A retained region is its scaled ``RegionSeries``
-with every RelTime set to its aligned year (``rel_time``, all present).
+strictly exceeds the low/high threshold (``first_above``, the crossing
+rule that the empirical durations apply to th1 and th2 too); shifting
+calendar years by the anchor puts every retained region's crossing at
+relative year 0 so their growth phases overlap. A retained region is its
+scaled ``RegionSeries`` with every RelTime set to its aligned year
+(``rel_time``, all present).
 Regions that never cross are discarded from the alignment (they carry
 little information about growth duration).
 
@@ -77,6 +79,13 @@ class AlignedDataset:
         return np.unique(self.pooled()[0], return_inverse=True)
 
 
+def first_above(values: np.ndarray, level: float) -> int | None:
+    """The crossing rule: the index of the first value strictly above
+    ``level``, or None when no value is."""
+    above = np.flatnonzero(values > level)
+    return int(above[0]) if above.size else None
+
+
 def anchor_time(series: RegionSeries, threshold: float) -> AnchorResult:
     """First calendar year at which the scaled score strictly exceeds
     ``threshold``; ``crossed=False`` when the region never does."""
@@ -94,11 +103,10 @@ def anchor_time(series: RegionSeries, threshold: float) -> AnchorResult:
             ties,
             threshold,
         )
-    above = np.nonzero(scaled > threshold)[0]
-    if above.size == 0:
+    row = first_above(scaled, threshold)
+    if row is None:
         return AnchorResult(series.nga, None, False, ties)
-    year = int(series.abs_times[above[0]])
-    return AnchorResult(series.nga, year, True, ties)
+    return AnchorResult(series.nga, int(series.abs_times[row]), True, ties)
 
 
 def shift_to_reltime(dataset: Dataset, threshold: float) -> AlignedDataset:

@@ -10,6 +10,15 @@ array of data values to pixels with one expression, and a polyline or a
 set of dots is formatted with one ``%`` per block of up to 1,024 points
 (``"%.2f"`` gives the same text as ``f"{x:.2f}"``, ``-0.00`` included).
 
+Each repeated shape has one writer. ``_line`` writes every line element:
+the axes and their ticks, the comparison legend, and the reference rules
+that ``_Frame.hline`` (a level across the box: overview's th1 and th2,
+residuals' zero and 2x RMSE band) and ``_Frame.vline`` (a position down
+it: density's threshold and peaks) draw. ``_Frame.plot`` holds the margins
+of the four full-size charts; the small multiples place their own boxes.
+The curves are evaluated on ``report.curve_grid``, the grid that
+``curves.csv`` uses too, at 257 times (129 for the small multiples).
+
 A chart is a generator of text chunks: nothing of it is computed until
 its first chunk is taken. ``_document`` yields the head, each body line
 in turn and the tail, and the long bodies (one polyline per region, one
@@ -24,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .logistic import logistic_eval
-from .report import region_residuals
+from .report import curve_grid, region_residuals
 
 if TYPE_CHECKING:
     from .pipeline import ReportBundle
@@ -46,6 +55,16 @@ MODE_COLORS = {"cultural": "#d62728", "institutional": "#2ca02c"}
 WINDOW_FILL = "#f5c46a"
 # points formatted by one ``%``; bounds its format string and coordinate tuple
 _BLOCK_POINTS = 1024
+
+
+def _line(x1, y1, x2, y2, stroke: str, width=1, dash: str = "") -> str:
+    """An SVG line element; each coordinate and the width are written as
+    given, so a caller passes a mapped pixel already formatted."""
+    dasharray = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+        f'stroke-width="{width}"{dasharray}/>'
+    )
 
 
 def _escape(text: str) -> str:
@@ -75,6 +94,12 @@ class _Frame:
             y_lo, y_hi = y_lo - 1.0, y_lo + 1.0
         self.x_lo, self.x_hi = float(x_lo), float(x_hi)
         self.y_lo, self.y_hi = float(y_lo), float(y_hi)
+
+    @classmethod
+    def plot(cls, width: int, height: int, x_range, y_range) -> _Frame:
+        """The frame of a full-size chart: 60 pixels of margin on the left,
+        40 above and below, and 20 on the right."""
+        return cls((60, 40, width - 20, height - 40), x_range, y_range)
 
     def x(self, value):
         span = self.right - self.left
@@ -110,29 +135,31 @@ class _Frame:
             '<circle cx="%.2f" cy="%.2f" r="2" fill="#1f77b4" fill-opacity="0.6"/>', "\n", xs, ys
         )
 
+    def hline(self, value, stroke: str, dash: str = "") -> str:
+        """A rule across the box at data height ``value``."""
+        py = f"{self.y(value):.2f}"
+        return _line(self.left, py, self.right, py, stroke, 1, dash)
+
+    def vline(self, value, stroke: str, width, dash: str) -> str:
+        """A rule down the box at data position ``value``."""
+        px = f"{self.x(value):.2f}"
+        return _line(px, self.top, px, self.bottom, stroke, width, dash)
+
     def axes(self) -> list[str]:
         parts = [
-            f'<line x1="{self.left}" y1="{self.bottom}" x2="{self.right}" '
-            f'y2="{self.bottom}" stroke="#000" stroke-width="1"/>',
-            f'<line x1="{self.left}" y1="{self.top}" x2="{self.left}" '
-            f'y2="{self.bottom}" stroke="#000" stroke-width="1"/>',
+            _line(self.left, self.bottom, self.right, self.bottom, "#000"),
+            _line(self.left, self.top, self.left, self.bottom, "#000"),
         ]
         for value in np.linspace(self.x_lo, self.x_hi, 5):
-            px = self.x(value)
+            px = f"{self.x(value):.2f}"
+            parts.append(_line(px, self.bottom, px, self.bottom + 5, "#000"))
             parts.append(
-                f'<line x1="{px:.2f}" y1="{self.bottom}" x2="{px:.2f}" '
-                f'y2="{self.bottom + 5}" stroke="#000" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{px:.2f}" y="{self.bottom + 18}" text-anchor="middle" '
+                f'<text x="{px}" y="{self.bottom + 18}" text-anchor="middle" '
                 f'font-size="11" font-family="sans-serif">{value:g}</text>'
             )
         for value in np.linspace(self.y_lo, self.y_hi, 5):
             py = self.y(value)
-            parts.append(
-                f'<line x1="{self.left - 5}" y1="{py:.2f}" x2="{self.left}" '
-                f'y2="{py:.2f}" stroke="#000" stroke-width="1"/>'
-            )
+            parts.append(_line(self.left - 5, f"{py:.2f}", self.left, f"{py:.2f}", "#000"))
             parts.append(
                 f'<text x="{self.left - 8}" y="{py + 4:.2f}" text-anchor="end" '
                 f'font-size="11" font-family="sans-serif">{value:.3g}</text>'
@@ -156,11 +183,6 @@ def _document(width: int, height: int, title: str, body: Iterable[str]) -> Itera
     yield "</svg>\n"
 
 
-def _curve_grid(bundle: ReportBundle, n: int = 257) -> np.ndarray:
-    times, _ = bundle.aligned.time_rows
-    return np.linspace(times[0], times[-1], n)
-
-
 def _y_span(ys) -> tuple[float, float]:
     lo = min(float(np.min(y)) for y in ys)
     hi = max(float(np.max(y)) for y in ys)
@@ -171,14 +193,10 @@ def _y_span(ys) -> tuple[float, float]:
 def overview_chart(bundle: ReportBundle) -> Iterator[str]:
     """All aligned series, the fitted curve, and the growth window."""
     width, height = 760, 480
-    grid = _curve_grid(bundle)
+    grid = curve_grid(bundle.aligned, 257)
     curve = logistic_eval(bundle.full_fit.params, grid)
     spans = [r.scaled for r in bundle.aligned.regions] + [curve]
-    frame = _Frame(
-        (60, 40, width - 20, height - 40),
-        (grid[0], grid[-1]),
-        _y_span(spans),
-    )
+    frame = _Frame.plot(width, height, (grid[0], grid[-1]), _y_span(spans))
 
     def body():
         ts = bundle.timescales[-1] if bundle.timescales else None
@@ -190,12 +208,7 @@ def overview_chart(bundle: ReportBundle) -> Iterator[str]:
                 'fill-opacity="0.4"/>'
             )
             for th in (ts.th1, ts.th2):
-                py = frame.y(th)
-                yield (
-                    f'<line x1="{frame.left}" y1="{py:.2f}" x2="{frame.right}" '
-                    f'y2="{py:.2f}" stroke="#b8860b" stroke-width="1" '
-                    'stroke-dasharray="4 3"/>'
-                )
+                yield frame.hline(th, "#b8860b", "4 3")
         for i, region in enumerate(bundle.aligned.regions):
             color = SERIES_COLORS[i % len(SERIES_COLORS)]
             yield frame.polyline(region.rel_time, region.scaled, color, 1.0)
@@ -208,7 +221,7 @@ def overview_chart(bundle: ReportBundle) -> Iterator[str]:
 def comparison_chart(bundle: ReportBundle) -> Iterator[str]:
     """Full-data curve against the continuity-restricted refits."""
     width, height = 760, 480
-    grid = _curve_grid(bundle)
+    grid = curve_grid(bundle.aligned, 257)
     curves = [("full", bundle.full_fit, FULL_CURVE_COLOR)]
     for comparison in bundle.continuity:
         curves.append(
@@ -219,17 +232,14 @@ def comparison_chart(bundle: ReportBundle) -> Iterator[str]:
             )
         )
     values = [logistic_eval(fit.params, grid) for _, fit, _ in curves]
-    frame = _Frame((60, 40, width - 20, height - 40), (grid[0], grid[-1]), _y_span(values))
+    frame = _Frame.plot(width, height, (grid[0], grid[-1]), _y_span(values))
     body = []
     for (name, _, color), ys in zip(curves, values):
         body.append(frame.polyline(grid, ys, color, 2.0))
     body += frame.axes()
     for i, (name, _, color) in enumerate(curves):
         ly = 50 + i * 18
-        body.append(
-            f'<line x1="{frame.left + 12}" y1="{ly}" x2="{frame.left + 38}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
-        )
+        body.append(_line(frame.left + 12, ly, frame.left + 38, ly, color, 2))
         body.append(
             f'<text x="{frame.left + 44}" y="{ly + 4}" font-size="12" '
             f'font-family="sans-serif">{_escape(name)}</text>'
@@ -244,7 +254,7 @@ def small_multiples_chart(bundle: ReportBundle) -> Iterator[str]:
     rows = (len(bundle.aligned.regions) + columns - 1) // columns
     width = columns * (cell_w + pad) + pad
     height = rows * (cell_h + pad) + pad + 30
-    grid = _curve_grid(bundle, 129)
+    grid = curve_grid(bundle.aligned, 129)
     curve = logistic_eval(bundle.full_fit.params, grid)
     y_range = _y_span([r.scaled for r in bundle.aligned.regions] + [curve])
 
@@ -276,25 +286,15 @@ def density_chart(bundle: ReportBundle) -> Iterator[str]:
     """Pooled score density with the bimodal threshold marked."""
     width, height = 640, 420
     density = bundle.density
-    frame = _Frame(
-        (60, 40, width - 20, height - 40),
-        (float(density.grid[0]), float(density.grid[-1])),
-        (0.0, float(density.density.max()) * 1.08),
-    )
-    body = [frame.polyline(density.grid, density.density, "#1f77b4", 2.0)]
-    px = frame.x(bundle.threshold.spc1_0)
-    body.append(
-        f'<line x1="{px:.2f}" y1="{frame.top}" x2="{px:.2f}" y2="{frame.bottom}" '
-        'stroke="#d62728" stroke-width="1.5" stroke-dasharray="5 3"/>'
-    )
-    for peak in (bundle.threshold.left_peak, bundle.threshold.right_peak):
-        ppx = frame.x(peak)
-        body.append(
-            f'<line x1="{ppx:.2f}" y1="{frame.top}" x2="{ppx:.2f}" '
-            f'y2="{frame.bottom}" stroke="#999999" stroke-width="1" '
-            'stroke-dasharray="2 4"/>'
-        )
-    body += frame.axes()
+    x_range = (float(density.grid[0]), float(density.grid[-1]))
+    frame = _Frame.plot(width, height, x_range, (0.0, float(density.density.max()) * 1.08))
+    body = [
+        frame.polyline(density.grid, density.density, "#1f77b4", 2.0),
+        frame.vline(bundle.threshold.spc1_0, "#d62728", 1.5, "5 3"),
+        frame.vline(bundle.threshold.left_peak, "#999999", 1, "2 4"),
+        frame.vline(bundle.threshold.right_peak, "#999999", 1, "2 4"),
+        *frame.axes(),
+    ]
     yield from _document(width, height, "scaled score density and threshold", body)
 
 
@@ -306,18 +306,12 @@ def residuals_chart(bundle: ReportBundle) -> Iterator[str]:
     fit, times = bundle.full_fit, bundle.aligned.time_rows[0]
     band = 2.0 * fit.rmse
     y_hi = max(fit.max_abs_residual, band) * 1.1
-    frame = _Frame((60, 40, width - 20, height - 40), (times[0], times[-1]), (-y_hi, y_hi))
+    frame = _Frame.plot(width, height, (times[0], times[-1]), (-y_hi, y_hi))
     body = [
-        f'<line x1="{frame.left}" y1="{frame.y(0.0):.2f}" x2="{frame.right}" '
-        f'y2="{frame.y(0.0):.2f}" stroke="#888888" stroke-width="1"/>'
+        frame.hline(0.0, "#888888"),
+        frame.hline(band, "#d62728", "4 3"),
+        frame.hline(-band, "#d62728", "4 3"),
     ]
-    for level in (band, -band):
-        py = frame.y(level)
-        body.append(
-            f'<line x1="{frame.left}" y1="{py:.2f}" x2="{frame.right}" '
-            f'y2="{py:.2f}" stroke="#d62728" stroke-width="1" '
-            'stroke-dasharray="4 3"/>'
-        )
     walk = region_residuals(bundle.aligned, fit.params)
     dots = (frame.circles(r.rel_time, res) for r, _, res in walk)
     body = chain(body, chain.from_iterable(dots), frame.axes())

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignedDataset, ContinuityMode, central_segments
+from .align import AlignedDataset, ContinuityMode, central_segments, first_above
 from .errors import NumericalError, ParameterError
 from .logistic import (
     FitResult,
@@ -390,14 +390,12 @@ def empirical_durations(
     entries = []
     excluded = []
     for region in aligned.regions:
-        scaled = region.scaled
-        above2 = np.nonzero(scaled > th2)[0]
-        if above2.size == 0:
+        row2 = first_above(region.scaled, th2)
+        if row2 is None:
             excluded.append(region.nga)
             continue
-        above1 = np.nonzero(scaled > th1)[0]
-        tau1 = float(region.rel_time[int(above1[0])])
-        tau2 = float(region.rel_time[int(above2[0])])
+        tau1 = float(region.rel_time[first_above(region.scaled, th1)])
+        tau2 = float(region.rel_time[row2])
         entries.append(RegionDuration(region.nga, tau1, tau2, tau2 - tau1))
     durations = np.array([e.duration for e in entries])
     return EmpiricalDurations(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -61,6 +62,16 @@ _VALIDATION_STREAM = 0
 _BOOTSTRAP_STREAM = 1
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: a numpy integer or a bool gives the equal int,
+    so it runs and is digested as that int; a float or a string raises
+    ``ParameterError`` naming the setting."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run needs; validated on construction."""
@@ -78,13 +89,15 @@ class PipelineConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("seed", "n_bootstrap", "n_validation"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.n_bootstrap < 1:
             raise ParameterError(f"n_bootstrap must be >= 1, got {self.n_bootstrap}")
         if self.n_validation < 1:
             raise ParameterError(f"n_validation must be >= 1, got {self.n_validation}")
-        ks = tuple(sorted(set(self.k_sigma_list)))
+        ks = tuple(sorted({_integer("k_sigma_list item", k) for k in self.k_sigma_list}))
         if not ks:
             raise ParameterError("k_sigma_list must name at least one of 1 and 3")
         if any(k not in (1, 3) for k in ks):

@@ -268,9 +268,15 @@ def _joined(pieces: Iterator[str]) -> str:
     return "".join(blocks)
 
 
+def curve_grid(aligned: AlignedDataset, n: int) -> np.ndarray:
+    """``n`` times evenly spaced from the first aligned time to the last:
+    where ``curves.csv`` and the charts evaluate a fitted curve."""
+    times, _ = aligned.time_rows
+    return np.linspace(times[0], times[-1], n)
+
+
 def _curves_csv(bundle: ReportBundle) -> str:
-    times, _ = bundle.aligned.time_rows
-    grid = np.linspace(times[0], times[-1], CURVE_SAMPLES)
+    grid = curve_grid(bundle.aligned, CURVE_SAMPLES)
     parts = ["curve,rel_time,value\n"]
     curves = [("full", bundle.full_fit)] + [
         (c.mode.value, c.fit) for c in bundle.continuity

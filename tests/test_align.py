@@ -28,8 +28,16 @@ from spcgrowth.align import (
     anchor_time,
     central_segments,
     extract_central_sequence,
+    first_above,
 )
 from spcgrowth.dataset import parse_dataset
+
+
+def test_the_crossing_rule_takes_the_first_value_strictly_above_the_level():
+    assert first_above(np.array([0.1, 0.5, 0.5, 0.7, 0.9]), 0.5) == 3
+    assert first_above(np.array([0.6, 0.1]), 0.5) == 0
+    assert first_above(np.array([0.1, 0.5, 0.2]), 0.5) is None
+    assert first_above(np.empty(0), 0.5) is None
 
 
 class TestAnchor:

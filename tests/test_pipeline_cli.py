@@ -133,6 +133,61 @@ class TestPipelineConfig:
         with pytest.raises(ParameterError):
             PipelineConfig(input_path="panel.csv", **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": np.int64(-1)}, "seed must be >= 0, got -1"),
+            ({"n_bootstrap": 0}, "n_bootstrap must be >= 1, got 0"),
+            ({"n_validation": np.int8(0)}, "n_validation must be >= 1, got 0"),
+        ],
+    )
+    def test_the_range_messages_name_the_setting_and_its_value(self, kwargs, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(input_path="panel.csv", **kwargs)
+
+    @pytest.mark.parametrize("name", ["seed", "n_bootstrap", "n_validation"])
+    @pytest.mark.parametrize("value", [3.0, "3", np.float64(3.0)], ids=repr)
+    def test_a_float_or_a_string_is_refused_before_the_panel_is_read(self, name, value):
+        # the path does not exist: construction refuses the value without it
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+            PipelineConfig(input_path="no-such-panel.csv", **{name: value})
+
+    @pytest.mark.parametrize("ks", [(3.0,), ("3",), (1, 3.0)], ids=repr)
+    def test_a_k_sigma_item_that_is_not_an_integer_is_refused(self, ks):
+        with pytest.raises(ParameterError, match="^k_sigma_list item must be an integer, got"):
+            PipelineConfig(input_path="no-such-panel.csv", k_sigma_list=ks)
+
+    def test_numpy_integers_and_bools_are_stored_and_digested_as_the_equal_int(self):
+        ints = PipelineConfig(
+            input_path="a.csv", seed=1, n_bootstrap=20, n_validation=5, k_sigma_list=(1, 3)
+        )
+        numpy_ints = PipelineConfig(
+            input_path="a.csv",
+            seed=np.int64(1),
+            n_bootstrap=np.int32(20),
+            n_validation=np.uint8(5),
+            k_sigma_list=(np.int64(3), np.int16(1)),
+        )
+        assert numpy_ints == ints
+        settings = [numpy_ints.seed, numpy_ints.n_bootstrap, numpy_ints.n_validation]
+        assert {type(v) for v in [*settings, *numpy_ints.k_sigma_list]} == {int}
+        assert _config_sha256(numpy_ints) == _config_sha256(ints)
+        assert _config_sha256(replace(ints, seed=True)) == _config_sha256(ints)
+
+    def test_numpy_integer_settings_write_the_same_report(self, noisy_panel_path):
+        def report_json(integer):
+            config = PipelineConfig(
+                input_path=str(noisy_panel_path),
+                seed=integer(3),
+                n_bootstrap=integer(20),
+                n_validation=integer(5),
+                k_sigma_list=(integer(1), integer(3)),
+            )
+            return render_report_json(run_pipeline(config))
+
+        assert report_json(np.int64) == report_json(int)
+
     def test_k_sigma_list_is_deduplicated_and_sorted(self):
         config = PipelineConfig(input_path="panel.csv", k_sigma_list=(3, 1, 3))
         assert config.k_sigma_list == (1, 3)
@@ -232,6 +287,15 @@ class TestFullPipeline:
         assert full_bundle.durations is not None
         assert {ts.k_sigma for ts in full_bundle.timescales} == {1, 3}
         assert {c.mode for c in full_bundle.continuity} == set(ContinuityMode)
+
+    def test_a_bundle_missing_a_configured_k_or_the_durations_is_incomplete(self, full_bundle):
+        assert not replace(full_bundle, timescales=(full_bundle.timescale(1),)).complete
+        assert not replace(full_bundle, durations=None).complete
+        # without k = 3 the durations are not needed
+        only_k1 = replace(full_bundle.config, k_sigma_list=(1,))
+        assert replace(
+            full_bundle, config=only_k1, timescales=(full_bundle.timescale(1),), durations=None
+        ).complete
 
     def test_stage_seeds_are_distinct_streams(self, full_bundle):
         assert full_bundle.validation.seed != full_bundle.ensemble.seed

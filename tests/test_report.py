@@ -3,6 +3,7 @@ text report against its JSON sidecar, the memory that writing the outputs
 takes, and what a failed write leaves."""
 
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -175,6 +176,25 @@ def test_array_pixels_have_the_bits_of_scalar_pixels():
         scalar = ReferenceFrame(box, x_range, y_range)
         assert frame.x(values).tolist() == [scalar.x(v) for v in values.tolist()]
         assert frame.y(values).tolist() == [scalar.y(v) for v in values.tolist()]
+
+
+def test_a_zero_width_range_is_widened_by_one_either_side():
+    frame = _Frame.plot(760, 480, (5.0, 5.0), (0.3, 0.3))
+    assert (frame.x_lo, frame.x_hi) == (4.0, 6.0)
+    assert (frame.y_lo, frame.y_hi) == (0.3 - 1.0, 0.3 + 1.0)
+    assert (frame.left, frame.top, frame.right, frame.bottom) == (60, 40, 740, 440)
+    lines = [*frame.axes(), frame.hline(0.3, "#888888"), frame.vline(5.0, "#d62728", 1.5, "5 3")]
+    coordinates = re.findall(r' (?:x1|y1|x2|y2|x|y)="([^"]*)"', "\n".join(lines))
+    assert len(coordinates) == 2 * 4 + 5 * 6 + 5 * 6 + 2 * 4
+    assert all(math.isfinite(float(c)) for c in coordinates)
+    # the value sits mid-box on both axes
+    assert lines[-2] == (
+        '<line x1="60" y1="240.00" x2="740" y2="240.00" stroke="#888888" stroke-width="1"/>'
+    )
+    assert lines[-1] == (
+        '<line x1="400.00" y1="40" x2="400.00" y2="440" stroke="#d62728" '
+        'stroke-width="1.5" stroke-dasharray="5 3"/>'
+    )
 
 
 def test_polyline_and_dots_format_like_f_strings_including_negative_zero():
