@@ -191,7 +191,7 @@ def _y_span(ys) -> tuple[float, float]:
 
 
 def overview_chart(bundle: ReportBundle) -> Iterator[str]:
-    """All aligned series, the fitted curve, and the growth window."""
+    """All aligned series, the fitted curve, and the k = 3 growth window."""
     width, height = 760, 480
     grid = curve_grid(bundle.aligned, 257)
     curve = logistic_eval(bundle.full_fit.params, grid)
@@ -199,16 +199,15 @@ def overview_chart(bundle: ReportBundle) -> Iterator[str]:
     frame = _Frame.plot(width, height, (grid[0], grid[-1]), _y_span(spans))
 
     def body():
-        ts = bundle.timescales[-1] if bundle.timescales else None
-        if ts is not None:
-            x1, x2 = frame.x(ts.t1_mean), frame.x(ts.t2_mean)
-            yield (
-                f'<rect x="{x1:.2f}" y="{frame.top}" width="{x2 - x1:.2f}" '
-                f'height="{frame.bottom - frame.top}" fill="{WINDOW_FILL}" '
-                'fill-opacity="0.4"/>'
-            )
-            for th in (ts.th1, ts.th2):
-                yield frame.hline(th, "#b8860b", "4 3")
+        ts = bundle.timescale(3)
+        x1, x2 = frame.x(ts.t1_mean), frame.x(ts.t2_mean)
+        yield (
+            f'<rect x="{x1:.2f}" y="{frame.top}" width="{x2 - x1:.2f}" '
+            f'height="{frame.bottom - frame.top}" fill="{WINDOW_FILL}" '
+            'fill-opacity="0.4"/>'
+        )
+        for th in (ts.th1, ts.th2):
+            yield frame.hline(th, "#b8860b", "4 3")
         for i, region in enumerate(bundle.aligned.regions):
             color = SERIES_COLORS[i % len(SERIES_COLORS)]
             yield frame.polyline(region.rel_time, region.scaled, color, 1.0)
@@ -222,15 +221,9 @@ def comparison_chart(bundle: ReportBundle) -> Iterator[str]:
     """Full-data curve against the continuity-restricted refits."""
     width, height = 760, 480
     grid = curve_grid(bundle.aligned, 257)
-    curves = [("full", bundle.full_fit, FULL_CURVE_COLOR)]
-    for comparison in bundle.continuity:
-        curves.append(
-            (
-                comparison.mode.value,
-                comparison.fit,
-                MODE_COLORS.get(comparison.mode.value, "#555555"),
-            )
-        )
+    curves = [("full", bundle.full_fit, FULL_CURVE_COLOR)] + [
+        (c.mode.value, c.fit, MODE_COLORS[c.mode.value]) for c in bundle.continuity
+    ]
     values = [logistic_eval(fit.params, grid) for _, fit, _ in curves]
     frame = _Frame.plot(width, height, (grid[0], grid[-1]), _y_span(values))
     body = []

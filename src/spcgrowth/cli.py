@@ -6,7 +6,7 @@ a finished fit (``check``), or generate a synthetic panel (``synth``).
 
 Every option can also be supplied through an environment variable named
 ``SPCGROWTH_`` plus the flag name in upper case with ``-`` replaced by
-``_`` (``SPCGROWTH_SEED=7``, ``SPCGROWTH_K_SIGMA=1,3``); explicit flags win
+``_`` (``SPCGROWTH_SEED=7``, ``SPCGROWTH_BOOTSTRAP=200``); explicit flags win
 over the environment, the environment wins over the defaults: those of
 ``PipelineConfig``, and for ``synth``'s panel those of ``SyntheticSpec``.
 
@@ -52,11 +52,11 @@ if _NO_OPENSSL:
         del sys.modules["_hashlib"]
 # A run makes a few hundred cyclic objects, however large its panel, so
 # the collector's passes over the imports' objects, and CPython's
-# collections at exit, find next to nothing. Where the command line is the first to load numpy and the
-# collector is on, it is off while the package loads; what the imports
-# built is then frozen out of later collections, and at exit so is
-# everything the run built. The collector stays on during the run
-# (README "Start-up").
+# collections at exit, find next to nothing. Where the command line is
+# the first to load numpy and the collector is on, it is off while the
+# package loads; what the imports built is then frozen out of later
+# collections, and at exit so is everything the run built. The collector
+# stays on during the run (README "Start-up").
 _QUIET_GC = "numpy" not in sys.modules and gc.isenabled()
 if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -64,7 +64,6 @@ if _QUIET_GC:
     gc.disable()
     atexit.register(gc.freeze)
 try:
-    from .align import ContinuityMode
     from .dataset import SyntheticSpec, generate_synthetic, serialize_dataset
     from .density import AUTO_BANDWIDTH
     from .errors import DataError, ParameterError, SpcGrowthError
@@ -112,15 +111,6 @@ def _parser(convert, expects: str):
     return parse
 
 
-def _each(parse):
-    """``parse`` applied to each non-blank item of a comma-separated list."""
-
-    def parse_list(text: str, flag: str) -> tuple:
-        return tuple(parse(token.strip(), flag) for token in text.split(",") if token.strip())
-
-    return parse_list
-
-
 def _non_empty(text: str) -> str:
     if not text:
         raise ValueError(text)
@@ -134,9 +124,6 @@ _parse_bandwidth = _parser(
     lambda text: text if text == AUTO_BANDWIDTH else float(text),
     f"a number or {AUTO_BANDWIDTH!r}",
 )
-_parse_mode = _parser(
-    ContinuityMode, f"values from {{{', '.join(m.value for m in ContinuityMode)}}}"
-)
 
 
 # flag -> (field, parser, metavar, help text). Each table's fields and
@@ -148,8 +135,6 @@ _RUN_OPTIONS = {
     "--bootstrap": ("n_bootstrap", _parse_int, "N", "bootstrap iterations"),
     "--validation": ("n_validation", _parse_int, "N", "validation repeats"),
     "--bandwidth": ("bandwidth", _parse_bandwidth, "X|auto", "KDE bandwidth"),
-    "--k-sigma": ("k_sigma_list", _each(_parse_int), "LIST", "threshold widths"),
-    "--modes": ("continuity_modes", _each(_parse_mode), "LIST", "continuity modes"),
 }
 _SYNTH_OPTIONS = {
     "--regions": ("n_regions", _parse_int, None, "number of regions"),
@@ -171,8 +156,6 @@ def _add_options(parser: argparse.ArgumentParser, options: dict, defaults: type)
     """Add ``options``, each help text naming its default on ``defaults``."""
     for flag, (field, _, metavar, help_text) in options.items():
         value = getattr(defaults, field)
-        if isinstance(value, tuple):
-            value = ",".join(str(getattr(item, "value", item)) for item in value)
         parser.add_argument(flag, metavar=metavar, help=f"{help_text} (default {value})")
 
 

@@ -16,6 +16,9 @@ Comma-separated UTF-8 with exactly this header:
   (empty for rows outside the central sequence).
 - Both year columns are rejected beyond +/-MAX_ABS_YEAR (10**15).
 - SPC1: raw social-complexity score (not yet min-max scaled).
+- A number in AbsTime, RelTime or SPC1 is written in ASCII: a cell
+  holding a digit separator ('1_000') or a non-ASCII digit is rejected,
+  though Python's ``int`` and ``float`` would read both.
 - Culture.Sequence: 'cultural.continuity' or 'outside.central'.
 - Institutions.Sequence: 'institutional.continuity' or 'outside.central'.
 
@@ -160,12 +163,21 @@ def _number(column: str, text: str) -> float:
         raise _Rejected(f"{column} value {text!r} is not a number") from None
 
 
+def _ascii(column: str, cell: str) -> str:
+    """``cell`` stripped, rejected where it holds a digit separator or a
+    non-ASCII character."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise _Rejected(f"{column} value {text!r} holds a digit separator or a non-ASCII character")
+    return text
+
+
 def _year(column: str):
     """The rule of a year column: an integer, or an integral float like
     '1200.0', within +/-MAX_ABS_YEAR."""
 
     def rule(cell: str) -> int:
-        text = cell.strip()
+        text = _ascii(column, cell)
         try:
             year = int(text)
         except ValueError:
@@ -181,6 +193,7 @@ def _year(column: str):
 
 
 def _spc1(cell: str) -> float:
+    _ascii("SPC1", cell)
     value = _number("SPC1", cell)
     if not math.isfinite(value):
         raise _Rejected(f"SPC1 value {cell!r} is not finite")
@@ -188,14 +201,16 @@ def _spc1(cell: str) -> float:
 
 
 def _scores(cells: Sequence[str]) -> np.ndarray:
-    """The SPC1 cells of a block as one array, converted in one pass; where
-    a cell is not a number or not finite, _Rejected from ``_spc1`` at the
-    first such cell."""
+    """The SPC1 cells of a block as one array, converted in one pass. Where
+    a cell is not a number or not finite, or the block holds a '_' or a
+    non-ASCII character, the cells go through ``_spc1`` one at a time,
+    which raises _Rejected at the first bad one."""
     try:
         raw = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         raw = None
-    if raw is None or not np.isfinite(raw).all():
+    text = "".join(cells)
+    if raw is None or "_" in text or not text.isascii() or not np.isfinite(raw).all():
         raw = np.array(list(map(_spc1, cells)), dtype=np.float64)
     return raw
 

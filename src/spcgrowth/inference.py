@@ -3,8 +3,8 @@
 Every stochastic operation here is a pure function of its inputs and an
 integer seed: iteration k draws from the k-th child of a seed sequence,
 so results are independent of execution order and repeatable bit for bit.
-Replicate counts, seeds and k come from the caller; ``PipelineConfig``
-holds their defaults.
+Replicate counts, seeds and k come from the caller: a run takes the
+counts and seeds from ``PipelineConfig`` and k from ``pipeline.K_SIGMAS``.
 
 The bootstrap resamples whole regions (with replacement); a region drawn
 twice contributes its points twice. Plateau thresholds are conservative

@@ -21,8 +21,9 @@ returns them as the plain ``{"check": {...}}`` dict that ``check`` prints
 Reproducibility contract: identical input bytes and configuration give a
 byte-identical report. The provenance block records the seed, a digest
 of the configuration, and the SHA-256 of the input file. The digest is
-taken over every field of ``PipelineConfig`` but the two paths, so it is
-machine independent and a setting added later is digested with the rest.
+taken over every field of ``PipelineConfig`` but the two paths, plus
+``K_SIGMAS`` and ``CONTINUITY_MODES``, so it is machine independent and a
+setting added later is digested with the rest.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ logger = logging.getLogger(__name__)
 _VALIDATION_STREAM = 0
 _BOOTSTRAP_STREAM = 1
 
+# Every run estimates the growth window at both plateau widths and refits
+# on both kinds of central segment, in this order.
+K_SIGMAS = (1, 3)
+CONTINUITY_MODES = (ContinuityMode.CULTURAL, ContinuityMode.INSTITUTIONAL)
+
 
 def _integer(name: str, value) -> int:
     """``value`` as an int: a numpy integer or a bool gives the equal int,
@@ -80,12 +86,7 @@ class PipelineConfig:
     seed: int = 0
     n_bootstrap: int = 1000
     n_validation: int = 100
-    k_sigma_list: tuple[int, ...] = (1, 3)
     bandwidth: float | str = AUTO_BANDWIDTH
-    continuity_modes: tuple[ContinuityMode, ...] = (
-        ContinuityMode.CULTURAL,
-        ContinuityMode.INSTITUTIONAL,
-    )
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -97,12 +98,6 @@ class PipelineConfig:
             raise ParameterError(f"n_bootstrap must be >= 1, got {self.n_bootstrap}")
         if self.n_validation < 1:
             raise ParameterError(f"n_validation must be >= 1, got {self.n_validation}")
-        ks = tuple(sorted({_integer("k_sigma_list item", k) for k in self.k_sigma_list}))
-        if not ks:
-            raise ParameterError("k_sigma_list must name at least one of 1 and 3")
-        if any(k not in (1, 3) for k in ks):
-            raise ParameterError(f"k_sigma_list must be a subset of {{1, 3}}, got {self.k_sigma_list}")
-        object.__setattr__(self, "k_sigma_list", ks)
         if isinstance(self.bandwidth, str):
             if self.bandwidth != AUTO_BANDWIDTH:
                 raise ParameterError(f"bandwidth must be {AUTO_BANDWIDTH!r} or a positive number, got {self.bandwidth!r}")
@@ -110,23 +105,12 @@ class PipelineConfig:
             raise ParameterError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         else:
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        if not self.continuity_modes:
-            raise ParameterError("continuity_modes must name at least one mode")
-        modes = []
-        for mode in self.continuity_modes:
-            if not isinstance(mode, ContinuityMode):
-                raise ParameterError(f"not a continuity mode: {mode!r}")
-            if mode not in modes:
-                modes.append(mode)
-        # canonical order keeps reports stable however the flag was written
-        modes.sort(key=lambda m: m.value)
-        object.__setattr__(self, "continuity_modes", tuple(modes))
 
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """All results of a run. Inference fields are None until their stage
-    has run; ``complete`` tells whether the configured stages all have."""
+    """All results of a run. Inference fields are None or empty until their
+    stage has run; ``complete`` tells whether every stage has."""
 
     config: PipelineConfig
     dataset: Dataset  # scaled, carries the extrema
@@ -150,15 +134,13 @@ class ReportBundle:
 
     @property
     def complete(self) -> bool:
-        if self.validation is None or self.ensemble is None:
-            return False
-        have_k = {ts.k_sigma for ts in self.timescales}
-        if have_k != set(self.config.k_sigma_list):
-            return False
-        if 3 in have_k and self.durations is None:
-            return False
-        have_modes = {c.mode for c in self.continuity}
-        return have_modes == set(self.config.continuity_modes)
+        return (
+            self.validation is not None
+            and self.ensemble is not None
+            and self.durations is not None
+            and tuple(ts.k_sigma for ts in self.timescales) == K_SIGMAS
+            and tuple(c.mode for c in self.continuity) == CONTINUITY_MODES
+        )
 
 
 def _file_sha256(path) -> str:
@@ -170,16 +152,17 @@ def _file_sha256(path) -> str:
 
 
 def _config_sha256(config: PipelineConfig) -> str:
-    """Digest of the run configuration: every field but the two paths, so
-    the digest only changes when the analysis itself would. A tuple is
-    written as the list of its items' values, and a float as its
+    """Digest of the run configuration: every field but the two paths, and
+    the fixed ``K_SIGMAS`` and ``CONTINUITY_MODES``, so the digest only
+    changes when the analysis itself would. A float is written as its
     ``repr``."""
-    payload = {}
+    payload = {
+        "k_sigma_list": list(K_SIGMAS),
+        "continuity_modes": [mode.value for mode in CONTINUITY_MODES],
+    }
     for field in fields(config):
         if field.name not in ("input_path", "output_dir"):
             value = getattr(config, field.name)
-            if isinstance(value, tuple):
-                value = [getattr(item, "value", item) for item in value]
             payload[field.name] = repr(value) if isinstance(value, float) else value
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -236,7 +219,7 @@ def add_validation(bundle: ReportBundle) -> ReportBundle:
 
 def add_bootstrap(bundle: ReportBundle) -> ReportBundle:
     """Bootstrap the fit, derive plateau thresholds and timescales for
-    every configured k, and the observed per-region durations (k=3)."""
+    each k of ``K_SIGMAS``, and the observed per-region durations (k=3)."""
     ensemble = bootstrap_fits(
         bundle.aligned,
         bundle.full_fit,
@@ -245,7 +228,7 @@ def add_bootstrap(bundle: ReportBundle) -> ReportBundle:
     )
     timescales = []
     durations = None
-    for k in bundle.config.k_sigma_list:
+    for k in K_SIGMAS:
         th1, th2 = plateau_thresholds(ensemble, k)
         estimate = characteristic_timescale(ensemble, th1, th2, k)
         timescales.append(estimate)
@@ -267,7 +250,7 @@ def add_bootstrap(bundle: ReportBundle) -> ReportBundle:
 def add_continuity(bundle: ReportBundle) -> ReportBundle:
     comparisons = tuple(
         continuity_comparison(bundle.aligned, bundle.full_fit, mode)
-        for mode in bundle.config.continuity_modes
+        for mode in CONTINUITY_MODES
     )
     return replace(bundle, continuity=comparisons)
 

@@ -370,10 +370,8 @@ def plot_data_files(bundle: ReportBundle) -> Iterator[tuple[str, Iterable[str]]]
     """(Relative path, CSV chunks) for the quantitative data of the figures
     that need the refits, each file rendered when the stream reaches it."""
     yield "curves.csv", [_curves_csv(bundle)]
-    if bundle.timescales:
-        yield "growth_window.csv", [_growth_window_csv(bundle)]
-    if bundle.durations is not None:
-        yield "durations.csv", [_durations_csv(bundle)]
+    yield "growth_window.csv", [_growth_window_csv(bundle)]
+    yield "durations.csv", [_durations_csv(bundle)]
     for comparison in bundle.continuity:
         yield f"lengths_{comparison.mode.value}.csv", [_lengths_csv(comparison)]
 

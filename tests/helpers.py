@@ -373,7 +373,16 @@ def assert_same_fit(got: FitResult, want: FitResult, rel: float = 1e-12) -> None
     assert got.converged == want.converged
 
 
+def _reference_ascii(text: str, line: int, column: str) -> None:
+    text = text.strip()
+    if "_" in text or any(ord(char) > 127 for char in text):
+        raise RowParseError(
+            line, f"{column} value {text!r} holds a digit separator or a non-ASCII character"
+        )
+
+
 def _reference_year(text: str, line: int, column: str) -> int:
+    _reference_ascii(text, line, column)
     text = text.strip()
     try:
         year = int(text)
@@ -448,6 +457,7 @@ def reference_parse(text: str) -> Dataset:
         abs_time = _reference_year(row[2], first, "AbsTime")
         rel_text = row[3].strip()
         rel_time = _reference_year(rel_text, first, "RelTime") if rel_text else 0
+        _reference_ascii(row[4], first, "SPC1")
         try:
             spc1 = float(row[4])
         except ValueError:

@@ -255,11 +255,11 @@ class TestParse:
 # that are not integral years or not finite scores, names with control
 # characters or none, labels, and cells the CSV reader rejects in any
 # column (a bare carriage return, one over its 131,072-character limit).
-YEARS = ("1.5", "-550.5", "1e3", "-600.0", " 700 ", "1_000", "nan", "inf", "", "abc", "0x10",
-         "1e20", str(MAX_ABS_YEAR), str(-MAX_ABS_YEAR - 100), "99999999999999999999999")
+YEARS = ("1.5", "-550.5", "1e3", "-600.0", " 700 ", "1_000", "１１００", "\u00a0700", "nan",
+         "inf", "", "abc", "0x10", "1e20", str(MAX_ABS_YEAR), str(-MAX_ABS_YEAR - 100), "99999999999999999999999")
 MUTANT_CELLS = {
     (2, 3): YEARS,
-    (4,): ("nan", "inf", "-inf", "1e400", "abc", "", " 0.5 ", "1_0.5"),
+    (4,): ("nan", "inf", "-inf", "1e400", "abc", "", " 0.5 ", "1_0.5", "０.5", "\u20030.5"),
     (0,): ("", " ", "Alpha\x01Beta", "Del\x7f", "Next\x85Line", '"Line\nBreak"', " R0 ", "R0\t"),
     (5, 6): (CULT, INST, " outside.central ", "sometimes", ""),
     (0, 1, 2, 3, 4, 5, 6): ("a\rb", '"unclosed', "x" * 131_073),
@@ -356,6 +356,22 @@ class TestBlockParse:
         # row 0 spans two lines after the header
         assert (err.value.line, str(err.value)) == (at + 3, f"line {at + 3}: {message}")
         assert parse_outcome(reference_parse, text) == (RowParseError, str(err.value), at + 3)
+
+    # int() and float() read all of these as numbers
+    @pytest.mark.parametrize("at", [0, 700], ids=["first block", "later block"])
+    @pytest.mark.parametrize(
+        "column, cell",
+        [(2, "1_000"), (2, "１１００"), (3, "1_0"), (3, "１００"), (4, "0_5"), (4, "０.5")],
+    )
+    def test_a_digit_separator_or_a_non_ascii_digit_is_rejected(self, at, column, cell):
+        rows = [["R", "P", str(100 * i), "", "0.5", "", ""] for i in range(1000)]
+        rows[at][column] = cell
+        text = panel_text(",".join(row) for row in rows)
+        name = PANEL_HEADER.split(",")[column]
+        message = f"{name} value {cell!r} holds a digit separator or a non-ASCII character"
+        outcome = (RowParseError, f"line {at + 2}: {message}", at + 2)
+        assert parse_outcome(parse_dataset, text) == outcome
+        assert parse_outcome(reference_parse, text) == outcome
 
     # a row with two bad cells is named by the check that runs first:
     # field count, empty name, AbsTime, RelTime, SPC1, the two labels, and

@@ -27,6 +27,7 @@ import pytest
 from helpers import (
     BENCH_DIR,
     CULT,
+    INST,
     OUT,
     PANEL_HEADER,
     bench_module,
@@ -122,10 +123,8 @@ class TestPipelineConfig:
             {"seed": -1},
             {"n_bootstrap": 0},
             {"n_validation": 0},
-            {"k_sigma_list": (2,)},
             {"bandwidth": -1.0},
             {"bandwidth": "wide"},
-            {"continuity_modes": ("cultural",)},
             {"bandwidth": float("inf")},
         ],
     )
@@ -153,25 +152,17 @@ class TestPipelineConfig:
         with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
             PipelineConfig(input_path="no-such-panel.csv", **{name: value})
 
-    @pytest.mark.parametrize("ks", [(3.0,), ("3",), (1, 3.0)], ids=repr)
-    def test_a_k_sigma_item_that_is_not_an_integer_is_refused(self, ks):
-        with pytest.raises(ParameterError, match="^k_sigma_list item must be an integer, got"):
-            PipelineConfig(input_path="no-such-panel.csv", k_sigma_list=ks)
-
     def test_numpy_integers_and_bools_are_stored_and_digested_as_the_equal_int(self):
-        ints = PipelineConfig(
-            input_path="a.csv", seed=1, n_bootstrap=20, n_validation=5, k_sigma_list=(1, 3)
-        )
+        ints = PipelineConfig(input_path="a.csv", seed=1, n_bootstrap=20, n_validation=5)
         numpy_ints = PipelineConfig(
             input_path="a.csv",
             seed=np.int64(1),
             n_bootstrap=np.int32(20),
             n_validation=np.uint8(5),
-            k_sigma_list=(np.int64(3), np.int16(1)),
         )
         assert numpy_ints == ints
         settings = [numpy_ints.seed, numpy_ints.n_bootstrap, numpy_ints.n_validation]
-        assert {type(v) for v in [*settings, *numpy_ints.k_sigma_list]} == {int}
+        assert {type(v) for v in settings} == {int}
         assert _config_sha256(numpy_ints) == _config_sha256(ints)
         assert _config_sha256(replace(ints, seed=True)) == _config_sha256(ints)
 
@@ -182,29 +173,16 @@ class TestPipelineConfig:
                 seed=integer(3),
                 n_bootstrap=integer(20),
                 n_validation=integer(5),
-                k_sigma_list=(integer(1), integer(3)),
             )
             return render_report_json(run_pipeline(config))
 
         assert report_json(np.int64) == report_json(int)
 
-    def test_k_sigma_list_is_deduplicated_and_sorted(self):
-        config = PipelineConfig(input_path="panel.csv", k_sigma_list=(3, 1, 3))
-        assert config.k_sigma_list == (1, 3)
-
-    def test_modes_are_deduplicated_and_ordered(self):
-        config = PipelineConfig(
-            input_path="panel.csv",
-            continuity_modes=(
-                ContinuityMode.INSTITUTIONAL,
-                ContinuityMode.CULTURAL,
-                ContinuityMode.INSTITUTIONAL,
-            ),
-        )
-        assert config.continuity_modes == (
-            ContinuityMode.CULTURAL,
-            ContinuityMode.INSTITUTIONAL,
-        )
+    @pytest.mark.parametrize("name", ["k_sigma_list", "continuity_modes"])
+    def test_the_widths_and_modes_are_not_settings(self, name):
+        # every run reports K_SIGMAS and CONTINUITY_MODES
+        with pytest.raises(TypeError, match=name):
+            PipelineConfig(input_path="panel.csv", **{name: ()})
 
     def test_config_digest_ignores_paths_but_not_settings(self):
         # one other value per setting; a new field fails here until it has one
@@ -212,9 +190,7 @@ class TestPipelineConfig:
             "seed": 2,
             "n_bootstrap": 999,
             "n_validation": 99,
-            "k_sigma_list": (3,),
             "bandwidth": 0.05,
-            "continuity_modes": (ContinuityMode.CULTURAL,),
         }
         paths = {"input_path": "b.csv", "output_dir": "out"}
         base = PipelineConfig(input_path="a.csv", seed=1)
@@ -238,6 +214,23 @@ class TestPipelineConfig:
             1.0: "41ed44ba8d7e43feb0e64d54d57ace4fb0aae070b662f7435bc422e3896fe758",
         }
         assert _config_sha256(config) == want[float(bandwidth)]
+
+    @pytest.mark.parametrize(
+        "settings, digest",
+        [
+            ({}, "408371e7cd54266b731f2cad7321f3619ded0d526b7361e67a2d1822a867d0d9"),
+            (
+                {"seed": 7, "n_bootstrap": 200, "n_validation": 20, "bandwidth": 0.1},
+                "860f3b114d6bdbb329fce44fd2c74bdc8f3f33306c150620f63f2ea749be567d",
+            ),
+        ],
+        ids=["defaults", "every-setting"],
+    )
+    def test_the_config_digest_is_pinned(self, settings, digest):
+        # the digests these configurations had when k and the modes were
+        # settings: the payload still names k = 1, 3 and both modes (the
+        # test above pins bandwidth=0.05 and 1.0)
+        assert _config_sha256(PipelineConfig(input_path="a.csv", **settings)) == digest
 
     @pytest.mark.parametrize(
         "seed, stream, expected",
@@ -288,14 +281,10 @@ class TestFullPipeline:
         assert {ts.k_sigma for ts in full_bundle.timescales} == {1, 3}
         assert {c.mode for c in full_bundle.continuity} == set(ContinuityMode)
 
-    def test_a_bundle_missing_a_configured_k_or_the_durations_is_incomplete(self, full_bundle):
+    def test_a_bundle_missing_a_timescale_or_the_durations_is_incomplete(self, full_bundle):
         assert not replace(full_bundle, timescales=(full_bundle.timescale(1),)).complete
+        assert not replace(full_bundle, timescales=(full_bundle.timescale(3),)).complete
         assert not replace(full_bundle, durations=None).complete
-        # without k = 3 the durations are not needed
-        only_k1 = replace(full_bundle.config, k_sigma_list=(1,))
-        assert replace(
-            full_bundle, config=only_k1, timescales=(full_bundle.timescale(1),), durations=None
-        ).complete
 
     def test_stage_seeds_are_distinct_streams(self, full_bundle):
         assert full_bundle.validation.seed != full_bundle.ensemble.seed
@@ -777,8 +766,7 @@ class TestPlotData:
 def _clean_cli_state(monkeypatch):
     """Isolate CLI tests from ambient environment and logging handlers."""
     for key in (
-        "INPUT", "SEED", "BOOTSTRAP", "VALIDATION", "BANDWIDTH",
-        "K_SIGMA", "MODES", "OUT", "REGIONS", "NOISE",
+        "INPUT", "SEED", "BOOTSTRAP", "VALIDATION", "BANDWIDTH", "OUT", "REGIONS", "NOISE",
     ):
         monkeypatch.delenv("SPCGROWTH_" + key, raising=False)
     root = logging.getLogger()
@@ -861,8 +849,6 @@ class TestCli:
             ("--bootstrap", str(PipelineConfig.n_bootstrap)),
             ("--validation", str(PipelineConfig.n_validation)),
             ("--bandwidth", PipelineConfig.bandwidth),
-            ("--k-sigma", ",".join(map(str, PipelineConfig.k_sigma_list))),
-            ("--modes", ",".join(m.value for m in PipelineConfig.continuity_modes)),
         ]
         synth_defaults = [
             ("--regions", str(SyntheticSpec().n_regions)),
@@ -969,6 +955,28 @@ class TestCli:
         assert "need at least 10 pooled points, got 8" in caplog.text
         assert tree_bytes(out_dir) == before
         assert child_pids() == set()
+
+    def test_a_panel_without_institutional_segments_has_no_report_but_a_fit(
+        self, noisy_panel_path, tmp_path, caplog
+    ):
+        # every region's cultural cells are set and its institutional ones
+        # blank: the institutional refit has nothing to fit, and naming
+        # only the cultural mode is no longer a way to get a report
+        header, *rows = noisy_panel_path.read_text(encoding="utf-8").splitlines()
+        assert header == PANEL_HEADER
+        cells = [row.split(",") for row in rows]
+        assert {(row[5], row[6]) for row in cells} == {(CULT, INST)}
+        blanked = [",".join(row[:6] + [""]) for row in cells]
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join([header, *blanked]) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        argv = ["--out", str(out_dir), "--bootstrap", "20", "--validation", "5"]
+        assert main(["report", "--input", str(noisy_panel_path), *argv]) == 0
+        before = tree_bytes(out_dir)
+        assert main(["report", "--input", str(panel), *argv]) == 3
+        assert "continuity mode institutional" in caplog.text
+        assert tree_bytes(out_dir) == before
+        assert main(["fit", "--input", str(panel), "--validation", "5"]) == 0
 
     @pytest.mark.parametrize(
         "taken", ["overview.svg", "series"], ids=["directory-at-a-file", "file-at-a-directory"]
@@ -1282,11 +1290,30 @@ class TestCli:
         assert f"{bad}: not UTF-8 text" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_unsupported_k_sigma_exits_2(self, noisy_panel_path):
-        code = main(
-            ["bootstrap", "--input", str(noisy_panel_path), "--k-sigma", "2"]
-        )
-        assert code == 2
+    @pytest.mark.parametrize("command", ["report", "bootstrap", "continuity"])
+    @pytest.mark.parametrize("option", [["--k-sigma", "1"], ["--modes", "cultural"]])
+    def test_the_removed_width_and_mode_flags_exit_2(
+        self, command, option, noisy_panel_path, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "report"
+        argv = [command, "--input", str(noisy_panel_path), "--out", str(out_dir), *option]
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_the_width_and_mode_variables_are_ignored(
+        self, noisy_panel_path, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("SPCGROWTH_K_SIGMA", "1")
+        monkeypatch.setenv("SPCGROWTH_MODES", "cultural")
+        out_dir = tmp_path / "report"
+        argv = ["report", "--input", str(noisy_panel_path), "--out", str(out_dir)]
+        assert main(argv + ["--bootstrap", "20", "--validation", "5"]) == 0
+        parsed = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert [ts["k_sigma"] for ts in parsed["timescales"]] == [1, 3]
+        assert [c["mode"] for c in parsed["continuity"]] == ["cultural", "institutional"]
 
     @pytest.mark.parametrize("year", ["nan", "inf"])
     def test_non_finite_year_exits_2_with_its_line(self, tmp_path, year, caplog, capsys):
@@ -1398,33 +1425,11 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "synth").exists()
 
-    # an empty list would drop the growth-period or continuity sections
-    @pytest.mark.parametrize(
-        "flag, field", [("--k-sigma", "k_sigma_list"), ("--modes", "continuity_modes")]
-    )
-    @pytest.mark.parametrize("source", ["flag", "environment"])
-    def test_empty_list_option_exits_2_naming_the_field(
-        self, flag, field, source, noisy_panel_path, tmp_path, monkeypatch, caplog, capsys
-    ):
-        out_dir = tmp_path / "report"
-        argv = ["report", "--input", str(noisy_panel_path), "--out", str(out_dir)]
-        if source == "flag":
-            argv += [flag, ","]
-        else:
-            monkeypatch.setenv("SPCGROWTH_" + flag[2:].upper().replace("-", "_"), "")
-        assert main(argv) == 2
-        assert field in caplog.text
-        assert "Traceback" not in capsys.readouterr().err
-        assert not out_dir.exists()
-
     @pytest.mark.parametrize(
         "argv, message",
         [(["fit", "--seed", "x"], "--seed expects an integer, got 'x'"),
          (["fit", "--bootstrap", "1.5"], "--bootstrap expects an integer, got '1.5'"),
          (["fit", "--bandwidth", "abc"], "--bandwidth expects a number or 'auto', got 'abc'"),
-         (["fit", "--k-sigma", "1,x"], "--k-sigma expects an integer, got 'x'"),
-         (["fit", "--modes", "cultural,foo"],
-          "--modes expects values from {cultural, institutional}, got 'foo'"),
          (["synth", "--noise", "abc"], "--noise expects a number, got 'abc'"),
          (["synth", "--regions", "2.5"], "--regions expects an integer, got '2.5'")],
         ids=lambda value: " ".join(value) if isinstance(value, list) else "",
@@ -1657,15 +1662,8 @@ def unused_names(package: Path) -> list[str]:
     return unused + [f"{cls}.{name}" for cls, name in attributes if name not in reads]
 
 
-# ``ReportBundle.timescale`` is called only by the benchmark
-# (perfbench/workloads.py), which is not part of the package.
-READ_BY_THE_BENCHMARK = ["timescale"]
-
-
 def test_the_package_defines_no_unused_names():
-    assert unused_names(Path(spcgrowth.__file__).parent) == READ_BY_THE_BENCHMARK
-    bench = [path.read_text(encoding="utf-8") for path in sorted(BENCH_DIR.glob("*.py"))]
-    assert set(READ_BY_THE_BENCHMARK) <= used_identifiers(bench)
+    assert unused_names(Path(spcgrowth.__file__).parent) == []
 
 
 def test_no_library_function_defaults_a_run_setting():
